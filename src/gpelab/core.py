@@ -167,8 +167,11 @@ class RadialGrid:
         self.sphere = sphere_area(dim)
         # node quadrature weights: omega_N r^(N-1) h  (midpoint rule)
         self.weights = self.sphere * self.r ** (dim - 1) * self.h
-        # face weights r_f^(N-1) for the conservative gradient/Laplacian
+        # face weights r_f^(N-1) for the conservative gradient/Laplacian;
+        # the origin face carries no flux in every dimension (for N = 1,
+        # 0.0**0 = 1 would put a Dirichlet wall there)
         self.face_w = self.face_r ** (dim - 1)
+        self.face_w[0] = 0.0
         for a in (self.r, self.face_r, self.weights, self.face_w):
             a.setflags(write=False)
         self._lap_bands = None

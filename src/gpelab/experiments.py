@@ -15,7 +15,8 @@ from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, action, classify, h_omega_norm_sq, nehari,
                           potential, virial, virial_coefficient)
-from .groundstate import GroundStateResult, constrained_minimizer
+from .groundstate import (GroundStateResult, _nehari_descent,
+                          constrained_minimizer)
 
 __all__ = [
     "HypothesisError", "SweepRow", "SweepResult", "LevelEstimates",
@@ -107,31 +108,6 @@ def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
     return RadialField(grid, vals)
 
 
-def _action_descent(u: RadialField, params: ModelParams, iters: int,
-                    step: float) -> RadialField:
-    """Preconditioned descent of the action with reprojection onto the
-    nehari zero set; converges toward the least-action state."""
-    from scipy.linalg import solve_banded
-
-    grid = u.grid
-    omega = params.require_omega()
-    lap = grid.laplacian_bands()
-    bands = np.empty((3, grid.n))
-    bands[0] = -step * lap[0]
-    bands[1] = 1.0 - step * lap[1] + step * (
-        params.gamma ** 2 * grid.r ** 2 + omega)
-    bands[2] = -step * lap[2]
-    rb = grid.r ** (-params.b)
-    v, _ = nehari_project(u, params)
-    vals = v.values.real.copy()
-    for _ in range(iters):
-        rhs = vals + step * rb * np.abs(vals) ** (params.p - 1.0) * vals
-        vals = solve_banded((1, 1), bands, rhs)
-        v, _ = nehari_project(RadialField(grid, vals), params)
-        vals = v.values.real
-    return RadialField(grid, vals)
-
-
 def estimate_d_omega(params: ModelParams, grid: RadialGrid,
                      reference: RadialField | None = None,
                      n_random: int = 40, seed: int = 0,
@@ -145,6 +121,7 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     copies of it join the trial pool, so the estimate matches its action.
     """
     rng = np.random.default_rng(seed)
+    coeff = params.require_omega() + params.gamma ** 2 * grid.r ** 2
     best = math.inf
     trials = []
     if reference is not None:
@@ -160,9 +137,10 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
         except ParameterError:
             continue
         best = min(best, action(proj, params))
-        refined = _action_descent(trial, params, descent_iters, descent_step)
-        proj, _ = nehari_project(refined, params)
-        best = min(best, action(proj, params))
+        refined, _ = _nehari_descent(trial.values.real, coeff, grid, params.b,
+                                     params.p, step=descent_step,
+                                     max_iter=descent_iters, rtol=None)
+        best = min(best, action(RadialField(grid, refined), params))
     if not math.isfinite(best):
         raise ParameterError("all trials degenerate (vanishing P)")
     return best

@@ -5,10 +5,11 @@ Every solver returns the exact solution of the *discrete* stationary system
 (Newton-polished), so the reported residual is the sup-norm of the discrete
 operator applied to the profile, not an ODE-sampling artifact.
 
-The shooting stage brackets the center amplitude by bisection on
-"profile crosses zero" (amplitude too large) versus "profile turns back up"
-(amplitude too small), starting the integration off the origin with a
-two-term series that accounts for the r^(2-b) behavior of the source.
+The free profile and the bound states are least-action states on the
+Nehari set.  One preconditioned descent of the action, rescaled onto the
+Nehari set after every step, brings a Gaussian (exponential for the free
+profile) start close to that state; Newton then solves the discrete system,
+and the result is rejected unless it is nontrivial, positive and monotone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (GridMismatchError, ModelParams, ParameterError, RadialField,
                    RadialGrid, apply_laplacian, grad_norm_sq, mass, variance)
@@ -26,7 +28,7 @@ from .functionals import energy as _energy
 from .functionals import potential
 
 __all__ = [
-    "ConvergenceError", "BracketError", "EnergyUnboundedError",
+    "ConvergenceError", "EnergyUnboundedError",
     "ConstraintEmptyError", "OutsideHypothesesError",
     "GroundStateResult", "UniquenessReport",
     "solve_soliton", "solve_bound_state", "constrained_minimizer",
@@ -37,10 +39,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """A solver failed to reach its tolerance."""
-
-
-class BracketError(ConvergenceError):
-    """The shooting bisection could not bracket decay versus blow-up."""
 
 
 class EnergyUnboundedError(ConvergenceError):
@@ -78,112 +76,49 @@ class GroundStateResult:
     status: str = "converged"
 
 
-# ----------------------------------------------------------------- shooting
+# ------------------------------------------------------------------ descent
 
-def _series_start(a, r0, b, p, dim, omega_eff):
-    """Two-term expansion around the origin: a + A r^(2-b) + B r^2."""
-    A = -a ** p / ((2.0 - b) * (dim - b))
-    B = omega_eff * a / (2.0 * dim)
-    u = a + A * r0 ** (2.0 - b) + B * r0 ** 2
-    w = (2.0 - b) * A * r0 ** (1.0 - b) + 2.0 * B * r0
-    return u, w
+def _nehari_descent(u, coeff, grid, b, p, step=10.0, max_iter=500, rtol=1e-3):
+    """Preconditioned descent of the action with reprojection onto the
+    Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v.
 
-
-def _integrate(a, grid, b, p, omega_eff, gamma_eff, cap):
-    """Fixed-step RK4 along the nodes; returns (samples, outcome, k_last).
-
-    outcome is "crossed" (u hit zero), "diverged" (u exceeded cap * a) or
-    "end" (reached rmax without an event).
+    Each step solves (1 + step L) x = v + step r^(-b)|v|^(p-1)v with
+    L = -Lap + coeff, factored once per call, and rescales x onto
+    <L v, v> = P(v), which removes the one unstable (amplitude) direction of
+    the least-action state (Li & Zhou, SIAM J. Sci. Comput. 23 (2001); cf.
+    the Petviashvili iteration).  Stationary states are fixed points.  Stops
+    after max_iter steps or, unless rtol is None, once
+    max|F| < rtol max|r^(-b)|v|^(p-1)v| for the stationary residual F.
+    Returns (v, steps taken).
     """
-    dim = grid.dim
-    h = grid.h
-    n = grid.n
-    nm1 = dim - 1.0
-    g2 = gamma_eff * gamma_eff
-    pm1 = p - 1.0
+    lap = grid.laplacian_bands()
+    rb = grid.r ** (-b)
+    w = grid.weights
+    dl, d, du, du2, ipiv, info = dgttrf(-step * lap[2, :-1],
+                                        1.0 - step * lap[1] + step * coeff,
+                                        -step * lap[0, 1:])
+    if info != 0:
+        raise ConvergenceError(f"descent operator is singular (info {info})")
 
-    def f(r, u, w):
-        du = w
-        dw = (-nm1 / r * w + (omega_eff + g2 * r * r) * u
-              - r ** (-b) * abs(u) ** pm1 * u)
-        return du, dw
+    def project(x):
+        Lx = -apply_laplacian(x, grid) + coeff * x
+        fx = rb * np.abs(x) ** (p - 1.0) * x
+        H = float(np.dot(w, Lx * x))
+        P = float(np.dot(w, fx * x))
+        if not (H > 0.0 and P > 0.0):
+            raise ConvergenceError(
+                f"no Nehari projection: <Lu,u> = {H:.3e}, P = {P:.3e}")
+        lam = (H / P) ** (1.0 / (p - 1.0))
+        f = lam ** p * fx
+        return lam * x, lam * Lx - f, f
 
-    r0 = 0.5 * h
-    u, w = _series_start(a, r0, b, p, dim, omega_eff)
-    us = np.empty(n)
-    us[0] = u
-    bound = cap * a
-    for k in range(n - 1):
-        r = r0 + k * h
-        k1u, k1w = f(r, u, w)
-        k2u, k2w = f(r + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-        k3u, k3w = f(r + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-        k4u, k4w = f(r + h, u + h * k3u, w + h * k3w)
-        u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        us[k + 1] = u
-        if u <= 0.0:
-            return us[:k + 2], "crossed", k + 1
-        if u > bound:
-            return us[:k + 2], "diverged", k + 1
-    return us, "end", n - 1
-
-
-def _shoot(grid, b, p, omega_eff, gamma_eff, a_guess=1.0, cap=3.0,
-           bisect_iters=54):
-    """Bisect the center amplitude; returns (a_star, node initial guess)."""
-
-    def outcome(a):
-        _, out, _ = _integrate(a, grid, b, p, omega_eff, gamma_eff, cap)
-        return out
-
-    lo = hi = None
-    a = a_guess
-    for _ in range(60):
-        out = outcome(a)
-        if out == "crossed":
-            hi = a
-            a *= 0.5
-        else:
-            lo = a
-            a *= 2.0
-        if lo is not None and hi is not None:
-            break
-        if a < 1e-12 or a > 1e12:
-            break
-    if lo is None or hi is None:
-        raise BracketError("no sign change bracket for the center amplitude")
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if outcome(mid) == "crossed":
-            hi = mid
-        else:
-            lo = mid
-    a_star = 0.5 * (lo + hi)
-    us, out, k_last = _integrate(a_star, grid, b, p, omega_eff, gamma_eff, cap)
-
-    # Truncate where the trajectory departs from monotone decay, then
-    # continue with the asymptotic decay of the linearized far field.
-    guess = np.zeros(grid.n)
-    m = len(us)
-    dep = m
-    for k in range(1, m):
-        if us[k] <= 0.0 or us[k] > us[k - 1]:
-            dep = k
-            break
-    dep = max(dep, 2)
-    guess[:dep] = us[:dep]
-    if dep < grid.n:
-        rc = grid.r[dep - 1]
-        uc = max(us[dep - 1], 1e-300)
-        rr = grid.r[dep:]
-        if gamma_eff > 0.0:
-            tail = uc * np.exp(-gamma_eff * (rr ** 2 - rc ** 2) / 2.0)
-        else:
-            kappa = math.sqrt(max(omega_eff, 1e-12))
-            tail = uc * np.exp(-kappa * (rr - rc))
-        guess[dep:] = tail
-    return a_star, guess
+    v, F, f = project(np.asarray(u, dtype=float))
+    for it in range(max_iter):
+        if rtol is not None and np.max(np.abs(F)) < rtol * np.max(np.abs(f)):
+            return v, it
+        x, _ = dgttrs(dl, d, du, du2, ipiv, v + step * f)
+        v, F, f = project(x)
+    return v, max_iter
 
 
 # ------------------------------------------------------------------- Newton
@@ -242,6 +177,33 @@ def _check_shape(u):
         raise ConvergenceError("profile is not monotone nonincreasing")
 
 
+def _polish(guess, coeff, grid, b, p, tol):
+    """Newton from guess, accepted only as a nontrivial positive monotone
+    state within tol; returns (u, residual, Newton iterations)."""
+    u, res, iters = _newton(guess, coeff, grid, b, p, tol)
+    if res > tol:
+        raise ConvergenceError(
+            f"stationary residual {res:.3e} above tolerance {tol:.1e}")
+    # u = 0 solves the discrete system too; Newton can fall onto it
+    top, start = np.max(np.abs(u)), np.max(np.abs(guess))
+    if top < 1e-6 * start:
+        raise ConvergenceError(
+            f"Newton fell to the trivial state: max|u| = {top:.3e} from a "
+            f"guess of max {start:.3e}")
+    _check_shape(u)
+    return u, res, iters
+
+
+def _ground_state(coeff, gamma_eff, grid, b, p, tol):
+    """Least-action state of -Lap u + coeff u = r^(-b) u^p: the Nehari
+    descent from exp(-gamma_eff r^2/2) (exp(-r) when gamma_eff = 0),
+    polished by Newton."""
+    r = grid.r
+    start = np.exp(-gamma_eff * r ** 2 / 2.0) if gamma_eff > 0.0 else np.exp(-r)
+    guess, _ = _nehari_descent(start, coeff, grid, b, p)
+    return _polish(guess, coeff, grid, b, p, tol)
+
+
 def soliton_grid(params: ModelParams, h: float = 2e-3,
                  rmax: float = 20.0) -> RadialGrid:
     """Default mesh for the free decaying profile.
@@ -270,12 +232,8 @@ def solve_soliton(params: ModelParams, grid: RadialGrid | None = None,
         grid = soliton_grid(params)
     if grid.dim != params.dim:
         raise GridMismatchError("grid dim differs from params dim")
-    _, guess = _shoot(grid, params.b, params.p, omega_eff=1.0, gamma_eff=0.0)
-    u, res, iters = _newton(guess, np.ones(grid.n), grid, params.b, params.p, tol)
-    if res > tol:
-        raise ConvergenceError(
-            f"stationary residual {res:.3e} above tolerance {tol:.1e}")
-    _check_shape(u)
+    u, res, iters = _ground_state(np.ones(grid.n), 0.0, grid, params.b,
+                                  params.p, tol)
     prof = RadialField(grid, u)
     id1, id2 = _identity_residuals(prof, params.b, params.p, 1.0, 0.0)
     return GroundStateResult(
@@ -297,14 +255,9 @@ def solve_bound_state(params: ModelParams, grid: RadialGrid | None = None,
         grid = default_grid(params)
     if grid.dim != params.dim:
         raise GridMismatchError("grid dim differs from params dim")
-    _, guess = _shoot(grid, params.b, params.p, omega_eff=omega,
-                      gamma_eff=params.gamma)
     coeff = omega + params.gamma ** 2 * grid.r ** 2
-    u, res, iters = _newton(guess, coeff, grid, params.b, params.p, tol)
-    if res > tol:
-        raise ConvergenceError(
-            f"stationary residual {res:.3e} above tolerance {tol:.1e}")
-    _check_shape(u)
+    u, res, iters = _ground_state(coeff, params.gamma, grid, params.b,
+                                  params.p, tol)
     prof = RadialField(grid, u)
     id1, id2 = _identity_residuals(prof, params.b, params.p, omega, params.gamma)
     return GroundStateResult(
@@ -502,8 +455,9 @@ def constrained_minimizer(q: float, params: ModelParams,
                 f"minimizer not strictly inside the ball: ||u||_H^2 = {hsq} "
                 f"vs ball_radius = {ball_radius}")
     id1, id2 = _identity_residuals(prof, params.b, params.p, omega, params.gamma)
+    # a plain float, so save_profile writes a literal load_profile can read
     return GroundStateResult(
-        profile=prof, omega=omega, residual_sup=res,
+        profile=prof, omega=float(omega), residual_sup=res,
         pohozaev_1=id1, pohozaev_2=id2, mass=mass(prof),
         energy=_energy(prof, params), iterations=it,
         converged=(status == "converged"), status=status)

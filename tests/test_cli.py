@@ -118,6 +118,9 @@ q = 1.0
         payload = json.loads((out / "groundstate.json").read_text())
         assert payload["omega"] > -3.0
         assert abs(payload["mass"] - 1.0) < 1e-9
+        field, header = load_profile(out / "profile.txt")
+        assert header["stationary_omega"] == payload["omega"]
+        assert np.all(field.values.real > 0)
 
     def test_evolve_outputs(self, tmp_path):
         path = write_config(tmp_path, BASE + """

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          ParameterError, RadialField, RadialGrid,
-                         grad_norm_sq, integrate_radial, mass, sigma_norm_sq,
-                         validate_params, variance)
+                         apply_laplacian, grad_norm_sq, integrate_radial,
+                         mass, sigma_norm_sq, validate_params, variance)
 
 from helpers import rel_err
 
@@ -77,6 +77,30 @@ class TestGrid:
     def test_weights_formula(self, grid):
         w_expect = 4.0 * np.pi * grid.r ** 2 * grid.h
         assert np.allclose(grid.weights, w_expect, rtol=1e-14)
+
+
+class TestOneDimension:
+    """N = 1: the origin face carries no flux, as in every other dimension."""
+
+    @pytest.fixture()
+    def line(self):
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=1)
+        return grid, RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
+
+    def test_laplacian_form_equals_gradient_norm(self, line):
+        grid, u = line
+        form = -integrate_radial(apply_laplacian(u.values.real, grid) *
+                                 u.values.real, grid)
+        assert form == pytest.approx(grad_norm_sq(u), rel=1e-12)
+        # int_R |d/dx e^(-x^2)|^2 dx = sqrt(pi/2)
+        assert grad_norm_sq(u) == pytest.approx(math.sqrt(math.pi / 2.0),
+                                                rel=1e-3)
+
+    def test_laplacian_at_origin(self, line):
+        # (e^(-x^2))'' = -2 at x = 0
+        grid, u = line
+        assert apply_laplacian(u.values.real, grid)[0] == pytest.approx(
+            -2.0, rel=1e-3)
 
 
 class TestQuadrature:

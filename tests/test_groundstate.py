@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         grad_norm_sq, mass, variance)
+                         default_grid, grad_norm_sq, mass, variance)
 from gpelab.functionals import (action, h_omega_norm_sq, nehari, potential,
                                 virial)
-from gpelab.groundstate import (ConstraintEmptyError, EnergyUnboundedError,
-                                OutsideHypothesesError,
+from gpelab.groundstate import (ConstraintEmptyError, ConvergenceError,
+                                EnergyUnboundedError, OutsideHypothesesError,
+                                _nehari_descent, _polish,
                                 constrained_minimizer, load_profile,
                                 save_profile, solve_bound_state,
                                 solve_soliton, soliton_grid,
@@ -65,6 +66,12 @@ class TestSoliton:
         peak = soliton.profile.values.real[0]
         assert soliton.profile.values.real[-1] < 1e-8 * peak
 
+    def test_coarse_mesh_center_regression(self, params_critical):
+        grid = soliton_grid(params_critical, h=4e-3, rmax=16.0)
+        vals = solve_soliton(params_critical, grid).profile.values.real
+        assert rel_err(vals[0], SOLITON_CENTER) < 1e-3
+        assert np.all(vals > 0)
+
 
 class TestBoundState:
     def test_nehari_and_virial_vanish(self, bound_state, params_critical):
@@ -93,12 +100,38 @@ class TestBoundState:
         with pytest.raises(ParameterError):
             solve_bound_state(bad)  # omega missing entirely
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_dimension(self, p):
+        params = ModelParams(dim=1, b=0.5, p=p, gamma=1.0, omega=0.0)
+        res = solve_bound_state(params, default_grid(params))
+        assert res.converged
+        assert res.residual_sup < 1e-8
+
     def test_supercritical_profile(self, bound_state_super,
                                    params_supercritical):
         H = h_omega_norm_sq(bound_state_super.profile, params_supercritical)
         assert abs(nehari(bound_state_super.profile,
                           params_supercritical)) < 1e-6 * H
         assert np.all(bound_state_super.profile.values.real > 0)
+
+
+class TestNontriviality:
+    @pytest.mark.parametrize("dim,p,peak", [(2, 2.0, 0.069), (3, 1.15, 0.041)])
+    def test_strong_singularity_state_is_nontrivial(self, dim, p, peak):
+        # b close to 2: the least-action state is small but not u = 0
+        params = ModelParams(dim=dim, b=1.9, p=p, gamma=1.0, omega=0.0)
+        res = solve_bound_state(params, default_grid(params))
+        assert np.max(res.profile.values.real) == pytest.approx(peak, rel=0.02)
+
+    def test_newton_onto_zero_is_rejected(self, params_critical):
+        grid = RadialGrid(h=4e-3, rmax=8.0, dim=3)
+        coeff = grid.r ** 2
+        b, p = params_critical.b, params_critical.p
+        guess, _ = _nehari_descent(np.exp(-grid.r ** 2 / 2.0), coeff, grid,
+                                   b, p)
+        assert np.max(_polish(guess, coeff, grid, b, p, 1e-8)[0]) > 1.0
+        with pytest.raises(ConvergenceError, match="trivial"):
+            _polish(1e-12 * guess, coeff, grid, b, p, 1e-8)
 
 
 class TestStationaryResiduals:
@@ -185,7 +218,7 @@ class TestConstrainedMinimizer:
         assert res.status == "gradient_diverging"
 
     def test_cross_solver_consistency(self, params_critical, grid, soliton):
-        # flow minimizer at q below critical mass equals the shooting
+        # flow minimizer at q below critical mass equals the bound-state
         # profile at the extracted multiplier
         res = constrained_minimizer(0.9 * soliton.mass, params_critical, grid)
         other = solve_bound_state(params_critical.with_omega(res.omega), grid)
@@ -275,14 +308,6 @@ class TestSerialization:
 
 
 class TestShootingInternals:
-    def test_bisection_bracket_shrinks(self, params_critical):
-        from gpelab.groundstate import _shoot
-        grid = soliton_grid(params_critical, h=4e-3, rmax=16.0)
-        a_star, guess = _shoot(grid, params_critical.b, params_critical.p,
-                               omega_eff=1.0, gamma_eff=0.0)
-        assert rel_err(a_star, SOLITON_CENTER) < 1e-3
-        assert np.all(guess > 0)
-
     def test_gradient_flow_newton_mass_exact(self, params_critical, grid,
                                              soliton):
         res = constrained_minimizer(30.0, params_critical, grid)
