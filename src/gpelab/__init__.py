@@ -14,7 +14,7 @@ from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
 # the time stepper itself is imported from gpelab.evolve (the function name
 # matches the submodule, so re-exporting it here would shadow the module)
 from .evolve import (DiagnosticSeries, EvolveConfig, EvolveResult,
-                     predict_collapse_time, trap_period, virial_check)
+                     predict_collapse_time, virial_check)
 from .experiments import (CrossPoint, DichotomyResult, LevelEstimates,
                           StabilityResult, SweepResult, construct_cross_point,
                           dichotomy_run, dilation_exponent, estimate_d_n_upper,

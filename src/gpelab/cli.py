@@ -115,6 +115,9 @@ def load_config(path) -> dict:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             cfg.setdefault(section, {})[key] = _convert(section, key, raw)
+    if cfg["run"]["workers"] < 1:
+        raise ConfigError(
+            f"[run] workers must be >= 1, got {cfg['run']['workers']}")
     return cfg
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
-from .core import ModelParams, ParameterError, RadialField, RadialGrid
+from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
+                   factor_operator)
 
 __all__ = [
     "CausticError", "BlowupFamilyParams", "ProfileInterpolant",
@@ -66,15 +66,11 @@ def discrete_oscillator_mode(params: ModelParams, grid: RadialGrid,
     The sampled closed form differs from this by O(h^2), so invariance
     tests of the time integrator should use this discrete mode.
     """
-    lap = grid.laplacian_bands()
-    shift = 0.5 * params.gamma * params.dim
-    bands = np.empty((3, grid.n))
-    bands[0] = -lap[0]
-    bands[1] = -lap[1] + params.gamma ** 2 * grid.r ** 2 - shift
-    bands[2] = -lap[2]
+    solve = factor_operator(grid, params.gamma ** 2 * grid.r ** 2,
+                            shift=-0.5 * params.gamma * params.dim)
     v = np.exp(-params.gamma * grid.r ** 2 / 2.0)
     for _ in range(iters):
-        v = solve_banded((1, 1), bands, v)
+        v = solve(v)
         v /= math.sqrt(float(np.sum(grid.weights * v * v)))
     if v[0] < 0.0:
         v = -v

@@ -15,6 +15,7 @@ from math import gamma as _gamma_fn
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 CRITICALITY_TOL = 1e-12
 
@@ -29,6 +30,10 @@ class ParameterError(ValueError):
 
 class GridMismatchError(ValueError):
     """Fields or sample arrays live on incompatible grids."""
+
+
+class ConvergenceError(RuntimeError):
+    """A solver failed to reach its tolerance."""
 
 
 def sphere_area(dim: int) -> float:
@@ -150,8 +155,10 @@ class RadialGrid:
     """
 
     def __init__(self, h: float, rmax: float, dim: int):
-        if h <= 0 or rmax <= 0:
-            raise ParameterError("h and rmax must be positive")
+        if not (0.0 < h < np.inf and 0.0 < rmax < np.inf):
+            raise ParameterError(
+                f"h and rmax must be positive and finite, got h = {h}, "
+                f"rmax = {rmax}")
         n = int(round(rmax / h))
         if n < 4 or abs(n * h - rmax) > 1e-9 * rmax:
             raise ParameterError(
@@ -175,6 +182,7 @@ class RadialGrid:
         for a in (self.r, self.face_r, self.weights, self.face_w):
             a.setflags(write=False)
         self._lap_bands = None
+        self._r_pow = {}
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -212,6 +220,15 @@ class RadialGrid:
             bands.setflags(write=False)
             self._lap_bands = bands
         return self._lap_bands
+
+    def r_pow(self, e: float) -> np.ndarray:
+        """r^e at the nodes, computed once per exponent (read-only)."""
+        out = self._r_pow.get(e)
+        if out is None:
+            out = self.r ** e
+            out.setflags(write=False)
+            self._r_pow[e] = out
+        return out
 
 
 class RadialField:
@@ -256,12 +273,6 @@ class RadialField:
         self.grid.compatible(other.grid)
         return RadialField(self.grid, self.values - other.values)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return np.max(np.abs(self.values.imag)) <= tol
-
-    def real_values(self) -> np.ndarray:
-        return self.values.real.copy()
-
 
 def integrate_radial(samples, grid: RadialGrid):
     """Integral over R^N of a radial integrand sampled at the nodes.
@@ -290,19 +301,29 @@ def variance(u: RadialField) -> float:
     return float(np.sum(g.weights * g.r ** 2 * np.abs(u.values) ** 2))
 
 
-def grad_norm_sq(u: RadialField) -> float:
-    """Squared L^2 norm of the gradient.
+def _grad_form(x, y, grid: RadialGrid) -> complex:
+    """Gradient form int grad x . conj(grad y) on node arrays.
 
     Staggered (face) differences: this is exactly the quadratic form of the
     discrete Laplacian, so pairing the stationary equation with u closes to
     machine precision.  The boundary face carries the half-cell Dirichlet
-    contribution 2|u_{n-1}|^2 / h.
+    contribution 2 x_{n-1} conj(y_{n-1}) / h.
     """
-    g = u.grid
-    d = np.diff(u.values)
-    s = np.sum(g.face_w[1:g.n] * np.abs(d) ** 2) / g.h
-    s += g.face_w[g.n] * 2.0 * np.abs(u.values[-1]) ** 2 / g.h
-    return float(g.sphere * s)
+    dx = np.diff(x)
+    dy = np.diff(y)
+    s = np.sum(grid.face_w[1:grid.n] * dx * np.conj(dy)) / grid.h
+    s += grid.face_w[grid.n] * 2.0 * x[-1] * np.conj(y[-1]) / grid.h
+    return grid.sphere * s
+
+
+def gradient_sq(values, grid: RadialGrid) -> float:
+    """Squared L^2 norm of the gradient of node samples."""
+    return float(np.real(_grad_form(values, values, grid)))
+
+
+def grad_norm_sq(u: RadialField) -> float:
+    """Squared L^2 norm of the gradient (see _grad_form)."""
+    return gradient_sq(u.values, u.grid)
 
 
 def sigma_norm_sq(u: RadialField) -> float:
@@ -314,13 +335,15 @@ def sigma_inner(u: RadialField, v: RadialField) -> complex:
     """Sesquilinear Sigma inner product <u, v> (conjugate on v)."""
     u.grid.compatible(v.grid)
     g = u.grid
-    du = np.diff(u.values)
-    dv = np.diff(v.values)
-    s = np.sum(g.face_w[1:g.n] * du * np.conj(dv)) / g.h
-    s += g.face_w[g.n] * 2.0 * u.values[-1] * np.conj(v.values[-1]) / g.h
-    s *= g.sphere
+    s = _grad_form(u.values, v.values, g)
     s += np.sum(g.weights * g.r ** 2 * u.values * np.conj(v.values))
     return complex(s)
+
+
+def _centered_derivative(vals, h: float) -> np.ndarray:
+    # ghosts: even extension through the origin, odd past rmax
+    padded = np.concatenate((vals[:1], vals, -vals[-1:]))
+    return (padded[2:] - padded[:-2]) / (2.0 * h)
 
 
 def node_derivative(u: RadialField) -> np.ndarray:
@@ -329,13 +352,15 @@ def node_derivative(u: RadialField) -> np.ndarray:
     Ghost values: even extension through the origin (radial regularity
     u'(0) = 0) and odd extension past rmax (Dirichlet).
     """
-    g = u.grid
-    vals = u.values
-    out = np.empty(g.n, dtype=complex)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * g.h)
-    out[0] = (vals[1] - vals[0]) / (2.0 * g.h)
-    out[-1] = (-vals[-1] - vals[-2]) / (2.0 * g.h)
-    return out
+    return _centered_derivative(u.values, u.grid.h)
+
+
+def variance_rate(values, grid: RadialGrid) -> float:
+    """f' = 4 Im int conj(u) (grad u . x), the exact first variation of the
+    variance ||x u||^2 along the flow, from node samples."""
+    du = _centered_derivative(values, grid.h)
+    return 4.0 * float(np.imag(np.sum(grid.weights * np.conj(values) * du
+                                      * grid.r)))
 
 
 def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -345,6 +370,42 @@ def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     out[:-1] += bands[0, 1:] * values[1:]
     out[1:] += bands[2, :-1] * values[:-1]
     return out
+
+
+def nonlinearity(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
+    """The focusing term r^(-b) |u|^(p-1) u at the nodes."""
+    return grid.r_pow(-b) * np.abs(values) ** (p - 1.0) * values
+
+
+def stationary_residual(values, grid: RadialGrid, coeff, b: float,
+                        p: float) -> np.ndarray:
+    """-Lap u + coeff u - r^(-b) |u|^(p-1) u at the nodes."""
+    return (-apply_laplacian(values, grid) + coeff * values
+            - nonlinearity(values, grid, b, p))
+
+
+def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
+    """Factor shift + scale (-Lap + coeff) once; returns solve(rhs).
+
+    coeff is a node array or a scalar; complex coeff, scale or shift give a
+    complex factorization (LAPACK zgttrf), real ones a real one (dgttrf),
+    and solve takes right-hand sides of the same type.  Raises
+    ConvergenceError when a pivot vanishes.
+    """
+    lap = grid.laplacian_bands()
+    diag = shift + scale * (coeff - lap[1])
+    off_lower = -scale * lap[2, :-1]
+    off_upper = -scale * lap[0, 1:]
+    is_complex = np.iscomplexobj(diag) or np.iscomplexobj(off_lower)
+    trf, trs = (zgttrf, zgttrs) if is_complex else (dgttrf, dgttrs)
+    dl, d, du, du2, ipiv, info = trf(off_lower, diag, off_upper)
+    if info != 0:
+        raise ConvergenceError(f"operator is singular (pivot {info} vanishes)")
+
+    def solve(rhs):
+        return trs(dl, d, du, du2, ipiv, rhs)[0]
+
+    return solve
 
 
 def default_grid(params: ModelParams, h: float = 2e-3,

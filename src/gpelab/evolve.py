@@ -15,14 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   grad_norm_sq, mass, node_derivative, variance)
+from .core import (ModelParams, ParameterError, RadialField, apply_laplacian,
+                   factor_operator, grad_norm_sq, mass, variance,
+                   variance_rate)
+from .functionals import energy as energy_fn
+from .functionals import potential
 
 __all__ = [
     "EvolveConfig", "DiagnosticSeries", "EvolveResult", "EvolveNaNError",
-    "evolve", "virial_check", "predict_collapse_time", "trap_period",
+    "evolve", "virial_check", "predict_collapse_time",
 ]
 
 
@@ -32,11 +34,6 @@ class EvolveNaNError(RuntimeError):
     def __init__(self, t_last: float):
         super().__init__(f"non-finite state detected; last valid time {t_last}")
         self.t_last = t_last
-
-
-def trap_period(params: ModelParams) -> float:
-    """Period pi/gamma of the variance oscillation in the trap."""
-    return math.pi / params.gamma
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,11 @@ class EvolveConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ParameterError("dt must be positive")
-        if self.t_end <= 0.0:
-            raise ParameterError("t_end must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ParameterError(
+                f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1:
             raise ParameterError("record_every must be >= 1")
         if self.blowup_gradient_factor <= 1.0:
@@ -106,48 +104,15 @@ class EvolveResult:
         return self.snapshots[-1][0]
 
 
-def _cn_bands(grid: RadialGrid, dt: float, potential_diag):
-    """Crank-Nicolson matrices for the linear part A = Lap - V(r):
-    (1 - i dt/2 A) on the left, (1 + i dt/2 A) applied on the right.
-
-    V(r) is diagonal, so the system stays tridiagonal; keeping the stiff
-    trap inside the implicit solve (instead of the split phase) removes the
-    large [Lap, r^2] splitting commutator and makes the linear-equation
-    limit exactly a Cayley rotation.
-    """
-    lap = grid.laplacian_bands()
-    alpha = 0.5j * dt
-    diag = lap[1] - potential_diag
-    left = np.zeros((3, grid.n), dtype=complex)
-    left[0] = -alpha * lap[0]
-    left[1] = 1.0 - alpha * diag
-    left[2] = -alpha * lap[2]
-    right = np.zeros((3, grid.n), dtype=complex)
-    right[0] = alpha * lap[0]
-    right[1] = 1.0 + alpha * diag
-    right[2] = alpha * lap[2]
-    return left, right
-
-
-def _apply_banded(bands, v):
-    out = bands[1] * v
-    out[:-1] += bands[0, 1:] * v[1:]
-    out[1:] += bands[2, :-1] * v[:-1]
-    return out
-
-
-def _diag_row(vals, grid, params, coupling, free, rb):
+def _diag_row(vals, grid, params, coupling, free):
     u = RadialField(grid, vals)
     m = mass(u)
     g = grad_norm_sq(u)
     f = variance(u)
-    P = float(np.sum(grid.weights * rb * np.abs(vals) ** (params.p + 1.0)))
-    E = 0.5 * g - coupling * P / (params.p + 1.0)
+    E = 0.5 * g - coupling * potential(u, params) / (params.p + 1.0)
     if not free:
         E += 0.5 * params.gamma ** 2 * f
-    du = node_derivative(u)
-    fp = 4.0 * float(np.imag(np.sum(grid.weights * np.conj(vals) * du * grid.r)))
-    return m, E, g, f, fp
+    return m, E, g, f, variance_rate(vals, grid)
 
 
 def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveResult:
@@ -172,7 +137,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
             raise ParameterError(f"snapshot time {ts} outside [0, t_end]")
 
     r = grid.r
-    rb = r ** (-params.b)
+    rb = grid.r_pow(-params.b)
     trap = np.zeros(grid.n) if cfg.free_equation else params.gamma ** 2 * r ** 2
     coupling = cfg.coupling
 
@@ -181,19 +146,28 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
         eta = coupling * rb * np.abs(vals) ** (params.p - 1.0)
         return vals * np.exp(0.5j * dt * eta)
 
+    def cn_solver(dt):
+        # Crank-Nicolson for the linear part -Lap + V(r): V is diagonal, so
+        # keeping the stiff trap inside the implicit solve (instead of the
+        # split phase) removes the large [Lap, r^2] splitting commutator and
+        # makes the linear-equation limit exactly a Cayley rotation
+        solve = factor_operator(grid, trap, scale=0.5j * dt, shift=1.0)
+        return lambda v: solve(v - 0.5j * dt * (-apply_laplacian(v, grid)
+                                                + trap * v))
+
     boundaries = sorted({float(ts) for ts in cfg.snapshot_times} | {cfg.t_end})
     boundaries = [t for t in boundaries if t > 1e-14]
 
     vals = u0.values.astype(complex)
     t = 0.0
-    rows = [(0.0, *_diag_row(vals, grid, params, coupling, cfg.free_equation, rb))]
+    rows = [(0.0, *_diag_row(vals, grid, params, coupling, cfg.free_equation))]
     snaps = []
     if any(abs(ts) <= 1e-14 for ts in cfg.snapshot_times):
         snaps.append((0.0, RadialField(grid, vals)))
     grad0 = rows[0][3]
     blowup_time = None
 
-    left, right = _cn_bands(grid, cfg.dt, trap)
+    cn_full = cn_solver(cfg.dt)
     step_count = 0
     stopped = False
     for t_target in boundaries:
@@ -203,25 +177,23 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
         span = t_target - seg_start
         nfull = int(math.floor(span / cfg.dt + 1e-9))
         dt_last = span - nfull * cfg.dt
-        steps = [cfg.dt] * nfull
-        if dt_last > 1e-12:
-            steps.append(dt_last)
-        for k, dt in enumerate(steps):
-            if abs(dt - cfg.dt) < 1e-15:
-                L, R = left, right
+        nsteps = nfull + 1 if dt_last > 1e-12 else nfull
+        for k in range(nsteps):
+            if k < nfull:
+                dt, cn = cfg.dt, cn_full
             else:
-                L, R = _cn_bands(grid, dt, trap)
+                dt, cn = dt_last, cn_solver(dt_last)
             vals = phase_half(vals, dt)
-            vals = solve_banded((1, 1), L, _apply_banded(R, vals))
+            vals = cn(vals)
             vals = phase_half(vals, dt)
             step_count += 1
-            at_boundary = k == len(steps) - 1
+            at_boundary = k == nsteps - 1
             t = t_target if at_boundary else seg_start + (k + 1) * cfg.dt
             if step_count % cfg.record_every == 0 or at_boundary:
                 if not np.all(np.isfinite(vals)):
                     raise EvolveNaNError(rows[-1][0])
                 row = (t, *_diag_row(vals, grid, params, coupling,
-                                     cfg.free_equation, rb))
+                                     cfg.free_equation))
                 if row[0] > rows[-1][0] + 1e-14:
                     rows.append(row)
                 if row[3] > cfg.blowup_gradient_factor * grad0:
@@ -300,13 +272,10 @@ def predict_collapse_time(u0: RadialField, params: ModelParams,
     """
     if not params.is_critical:
         raise ParameterError("collapse-time prediction needs the critical power")
-    from .functionals import energy as energy_fn
     E0 = energy_fn(u0, params, coupling=coupling)
     gamma = params.gamma
     f0 = variance(u0)
-    du = node_derivative(u0)
-    fp0 = 4.0 * float(np.imag(np.sum(
-        u0.grid.weights * np.conj(u0.values) * du * u0.grid.r)))
+    fp0 = variance_rate(u0.values, u0.grid)
     if f0 - 2.0 * E0 / gamma ** 2 < -criterion_tol * abs(f0):
         return None
     amp, theta, mean = _sinusoid_from_initial(f0, fp0, E0, gamma)

@@ -4,6 +4,7 @@ sign-set dichotomy runs, scaling families and stability experiments."""
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -292,11 +293,12 @@ class SweepRow:
     t_blow: float | None
     t_pred: float | None
     max_grad_ratio: float
+    reason: str | None = None       # "<ExcType>: <message>" of a failed row
 
     def as_dict(self) -> dict:
         return {"c": self.c, "lambda": self.lam, "outcome": self.outcome,
                 "t_blow": self.t_blow, "t_pred": self.t_pred,
-                "max_grad_ratio": self.max_grad_ratio}
+                "max_grad_ratio": self.max_grad_ratio, "reason": self.reason}
 
 
 @dataclass
@@ -337,6 +339,11 @@ def _sweep_row(soliton, grid, params, cfg, criterion_tol, c, lam) -> SweepRow:
                     t_pred=t_pred, max_grad_ratio=ratio)
 
 
+def _failed_row(c, lam, exc) -> SweepRow:
+    return SweepRow(c, lam, "failed", None, None, float("nan"),
+                    reason=f"{type(exc).__name__}: {exc}")
+
+
 def threshold_sweep(soliton: RadialField, params: ModelParams,
                     grid: RadialGrid, c_values, lambda_values,
                     cfg: EvolveConfig, criterion_tol: float = 1e-3,
@@ -345,11 +352,14 @@ def threshold_sweep(soliton: RadialField, params: ModelParams,
 
     Rows record boundedness or the blow-up flag together with the predicted
     vanishing time of the variance sinusoid; per-row failures are recorded
-    as outcome "failed" and do not stop the sweep.
+    as outcome "failed" with the exception in the row's reason and do not
+    stop the sweep.  At most min(workers, rows, cpu count) processes run;
+    with one the sweep runs in this process.
     """
     if not params.is_critical:
         raise ParameterError("the threshold sweep runs at the critical power")
     jobs = [(float(c), float(lam)) for c in c_values for lam in lambda_values]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     rows = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -358,17 +368,15 @@ def threshold_sweep(soliton: RadialField, params: ModelParams,
             for (c, lam), fut in zip(jobs, futures):
                 try:
                     rows.append(fut.result())
-                except Exception:
-                    rows.append(SweepRow(c, lam, "failed", None, None,
-                                         float("nan")))
+                except Exception as exc:
+                    rows.append(_failed_row(c, lam, exc))
     else:
         for c, lam in jobs:
             try:
                 rows.append(_sweep_row(soliton, grid, params, cfg,
                                        criterion_tol, c, lam))
-            except Exception:
-                rows.append(SweepRow(c, lam, "failed", None, None,
-                                     float("nan")))
+            except Exception as exc:
+                rows.append(_failed_row(c, lam, exc))
     return SweepResult(rows=rows)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ModelParams, ParameterError, RadialField, apply_laplacian,
-                   grad_norm_sq, mass, variance)
+                   grad_norm_sq, mass, nonlinearity, variance)
 
 __all__ = [
     "AmbiguousSignError", "FunctionalReport", "SetLabel",
@@ -42,7 +42,7 @@ def potential(u: RadialField, params: ModelParams) -> float:
     """P(u) >= 0; strictly positive iff u is not identically zero."""
     _check(u, params)
     g = u.grid
-    return float(np.sum(g.weights * g.r ** (-params.b)
+    return float(np.sum(g.weights * g.r_pow(-params.b)
                         * np.abs(u.values) ** (params.p + 1)))
 
 
@@ -67,7 +67,7 @@ def energy_gradient(u: RadialField, params: ModelParams,
     g = u.grid
     out = -apply_laplacian(u.values, g) + (params.gamma ** 2 * g.r ** 2) * u.values
     if coupling != 0.0:
-        out -= coupling * g.r ** (-params.b) * np.abs(u.values) ** (params.p - 1) * u.values
+        out -= coupling * nonlinearity(u.values, g, params.b, params.p)
     return out
 
 

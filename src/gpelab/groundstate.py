@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .core import (GridMismatchError, ModelParams, ParameterError, RadialField,
-                   RadialGrid, apply_laplacian, grad_norm_sq, mass, variance)
+from .core import (ConvergenceError, GridMismatchError, ModelParams,
+                   ParameterError, RadialField, RadialGrid, apply_laplacian,
+                   default_grid, factor_operator, grad_norm_sq, gradient_sq,
+                   mass, nonlinearity, stationary_residual, variance)
 from .functionals import energy as _energy
 from .functionals import potential
 
@@ -35,10 +35,6 @@ __all__ = [
     "stationary_residuals", "uniqueness_report",
     "save_profile", "load_profile", "soliton_grid",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """A solver failed to reach its tolerance."""
 
 
 class EnergyUnboundedError(ConvergenceError):
@@ -91,18 +87,12 @@ def _nehari_descent(u, coeff, grid, b, p, step=10.0, max_iter=500, rtol=1e-3):
     max|F| < rtol max|r^(-b)|v|^(p-1)v| for the stationary residual F.
     Returns (v, steps taken).
     """
-    lap = grid.laplacian_bands()
-    rb = grid.r ** (-b)
     w = grid.weights
-    dl, d, du, du2, ipiv, info = dgttrf(-step * lap[2, :-1],
-                                        1.0 - step * lap[1] + step * coeff,
-                                        -step * lap[0, 1:])
-    if info != 0:
-        raise ConvergenceError(f"descent operator is singular (info {info})")
+    solve = factor_operator(grid, coeff, scale=step, shift=1.0)
 
     def project(x):
         Lx = -apply_laplacian(x, grid) + coeff * x
-        fx = rb * np.abs(x) ** (p - 1.0) * x
+        fx = nonlinearity(x, grid, b, p)
         H = float(np.dot(w, Lx * x))
         P = float(np.dot(w, fx * x))
         if not (H > 0.0 and P > 0.0):
@@ -116,54 +106,49 @@ def _nehari_descent(u, coeff, grid, b, p, step=10.0, max_iter=500, rtol=1e-3):
     for it in range(max_iter):
         if rtol is not None and np.max(np.abs(F)) < rtol * np.max(np.abs(f)):
             return v, it
-        x, _ = dgttrs(dl, d, du, du2, ipiv, v + step * f)
-        v, F, f = project(x)
+        v, F, f = project(solve(v + step * f))
     return v, max_iter
 
 
 # ------------------------------------------------------------------- Newton
 
+def _jacobian_coeff(u, linear_coeff, grid, b, p):
+    """Linear coefficient of the Jacobian of the stationary residual at u."""
+    return linear_coeff - p * grid.r_pow(-b) * np.abs(u) ** (p - 1.0)
+
+
 def _newton(u, linear_coeff, grid, b, p, tol, max_iter=60):
     """Newton iteration for -Lap u + linear_coeff u - r^(-b)|u|^(p-1)u = 0."""
-    lap = grid.laplacian_bands()
-    r = grid.r
-    rb = r ** (-b)
+    F = stationary_residual(u, grid, linear_coeff, b, p)
+    res = float(np.max(np.abs(F)))
     res_prev = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        F = (-apply_laplacian(u, grid) + linear_coeff * u
-             - rb * np.abs(u) ** (p - 1.0) * u)
-        res = float(np.max(np.abs(F)))
         if res < tol * 1e-3 or (res >= 0.7 * res_prev and res < tol):
             return u, res, it
         res_prev = res
-        bands = np.empty((3, grid.n))
-        bands[0] = -lap[0]
-        bands[1] = -lap[1] + linear_coeff - p * rb * np.abs(u) ** (p - 1.0)
-        bands[2] = -lap[2]
-        step = solve_banded((1, 1), bands, -F)
+        solve = factor_operator(grid, _jacobian_coeff(u, linear_coeff, grid,
+                                                      b, p))
+        step = solve(-F)
         scale = 1.0
         for _ in range(12):
             u_try = u + scale * step
-            F_try = (-apply_laplacian(u_try, grid) + linear_coeff * u_try
-                     - rb * np.abs(u_try) ** (p - 1.0) * u_try)
-            if np.max(np.abs(F_try)) < res or scale < 1e-3:
+            F = stationary_residual(u_try, grid, linear_coeff, b, p)
+            if np.max(np.abs(F)) < res or scale < 1e-3:
                 break
             scale *= 0.5
-        u = u + scale * step
-    F = (-apply_laplacian(u, grid) + linear_coeff * u
-         - rb * np.abs(u) ** (p - 1.0) * u)
-    return u, float(np.max(np.abs(F))), it
+        u = u_try
+        res = float(np.max(np.abs(F)))
+    return u, res, it
 
 
-def _identity_residuals(u: RadialField, b, p, omega_eff, gamma_eff):
+def _identity_residuals(u: RadialField, params, omega_eff, gamma_eff):
     """Residuals of the two stationarity identities for the given equation."""
-    dim = u.grid.dim
+    dim, b, p = params.dim, params.b, params.p
     g = grad_norm_sq(u)
     m = mass(u)
     v = variance(u)
-    rb = u.grid.r ** (-b)
-    P = float(np.sum(u.grid.weights * rb * np.abs(u.values) ** (p + 1.0)))
+    P = potential(u, params)
     id1 = g + omega_eff * m + gamma_eff ** 2 * v - P
     id2 = ((2.0 - dim) / 2.0 * g - dim * omega_eff / 2.0 * m
            - (dim + 2.0) / 2.0 * gamma_eff ** 2 * v + (dim - b) / (p + 1.0) * P)
@@ -194,14 +179,27 @@ def _polish(guess, coeff, grid, b, p, tol):
     return u, res, iters
 
 
-def _ground_state(coeff, gamma_eff, grid, b, p, tol):
-    """Least-action state of -Lap u + coeff u = r^(-b) u^p: the Nehari
-    descent from exp(-gamma_eff r^2/2) (exp(-r) when gamma_eff = 0),
-    polished by Newton."""
+def _ground_state(params, grid, tol, omega, gamma_eff):
+    """Least-action state of -Lap u + (omega + gamma_eff^2 r^2) u
+    = r^(-b) u^p: the Nehari descent from exp(-gamma_eff r^2/2) (exp(-r)
+    when gamma_eff = 0), polished by Newton."""
+    if tol <= 0.0:
+        raise ParameterError("tol must be positive")
+    if grid.dim != params.dim:
+        raise GridMismatchError("grid dim differs from params dim")
     r = grid.r
+    coeff = omega + gamma_eff ** 2 * r ** 2
     start = np.exp(-gamma_eff * r ** 2 / 2.0) if gamma_eff > 0.0 else np.exp(-r)
-    guess, _ = _nehari_descent(start, coeff, grid, b, p)
-    return _polish(guess, coeff, grid, b, p, tol)
+    guess, _ = _nehari_descent(start, coeff, grid, params.b, params.p)
+    u, res, iters = _polish(guess, coeff, grid, params.b, params.p, tol)
+    prof = RadialField(grid, u)
+    id1, id2 = _identity_residuals(prof, params, omega, gamma_eff)
+    energy = (0.5 * grad_norm_sq(prof) + 0.5 * gamma_eff ** 2 * variance(prof)
+              - potential(prof, params) / (params.p + 1.0))
+    return GroundStateResult(
+        profile=prof, omega=omega, residual_sup=res,
+        pohozaev_1=id1, pohozaev_2=id2, mass=mass(prof),
+        energy=energy, iterations=iters)
 
 
 def soliton_grid(params: ModelParams, h: float = 2e-3,
@@ -226,21 +224,7 @@ def solve_soliton(params: ModelParams, grid: RadialGrid | None = None,
         raise ParameterError(
             f"the decaying ground profile is used at the critical power "
             f"{params.p_critical}; got p = {params.p}")
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
-    if grid is None:
-        grid = soliton_grid(params)
-    if grid.dim != params.dim:
-        raise GridMismatchError("grid dim differs from params dim")
-    u, res, iters = _ground_state(np.ones(grid.n), 0.0, grid, params.b,
-                                  params.p, tol)
-    prof = RadialField(grid, u)
-    id1, id2 = _identity_residuals(prof, params.b, params.p, 1.0, 0.0)
-    return GroundStateResult(
-        profile=prof, omega=1.0, residual_sup=res,
-        pohozaev_1=id1, pohozaev_2=id2, mass=mass(prof),
-        energy=0.5 * grad_norm_sq(prof) - potential(prof, params) / (params.p + 1.0),
-        iterations=iters)
+    return _ground_state(params, grid or soliton_grid(params), tol, 1.0, 0.0)
 
 
 def solve_bound_state(params: ModelParams, grid: RadialGrid | None = None,
@@ -248,22 +232,8 @@ def solve_bound_state(params: ModelParams, grid: RadialGrid | None = None,
     """Positive decaying solution of the trapped stationary equation at the
     frequency params.omega > -gamma N."""
     omega = params.require_omega()
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
-    if grid is None:
-        from .core import default_grid
-        grid = default_grid(params)
-    if grid.dim != params.dim:
-        raise GridMismatchError("grid dim differs from params dim")
-    coeff = omega + params.gamma ** 2 * grid.r ** 2
-    u, res, iters = _ground_state(coeff, params.gamma, grid, params.b,
-                                  params.p, tol)
-    prof = RadialField(grid, u)
-    id1, id2 = _identity_residuals(prof, params.b, params.p, omega, params.gamma)
-    return GroundStateResult(
-        profile=prof, omega=omega, residual_sup=res,
-        pohozaev_1=id1, pohozaev_2=id2, mass=mass(prof),
-        energy=_energy(prof, params), iterations=iters)
+    return _ground_state(params, grid or default_grid(params), tol, omega,
+                         params.gamma)
 
 
 def stationary_residuals(u: RadialField, params: ModelParams):
@@ -273,41 +243,26 @@ def stationary_residuals(u: RadialField, params: ModelParams):
     any discrete stationary state).  Second: the x . grad u pairing.
     """
     omega = params.require_omega()
-    return _identity_residuals(u, params.b, params.p, omega, params.gamma)
+    return _identity_residuals(u, params, omega, params.gamma)
 
 
 # ------------------------------------------------- constrained minimization
 
-def _flow_step_matrix(grid, coeff, dtau):
-    lap = grid.laplacian_bands()
-    bands = np.empty((3, grid.n))
-    bands[0] = -dtau * lap[0]
-    bands[1] = 1.0 - dtau * lap[1] + dtau * coeff
-    bands[2] = -dtau * lap[2]
-    return bands
-
-
 def _bordered_newton(u, omega, q, grid, params, tol, max_iter=40):
     """Newton on the stationary system with unknown multiplier, at fixed mass."""
-    lap = grid.laplacian_bands()
-    r = grid.r
-    rb = r ** (-params.b)
-    trap = params.gamma ** 2 * r ** 2
+    trap = params.gamma ** 2 * grid.r ** 2
     w = grid.weights
-    p = params.p
+    b, p = params.b, params.p
     for it in range(1, max_iter + 1):
-        F = (-apply_laplacian(u, grid) + (trap + omega) * u
-             - rb * np.abs(u) ** (p - 1.0) * u)
+        F = stationary_residual(u, grid, trap + omega, b, p)
         C = float(np.sum(w * u * u)) - q
         res = float(np.max(np.abs(F)))
         if res < tol and abs(C) < 1e-12 * q:
             return u, omega, res, it
-        bands = np.empty((3, grid.n))
-        bands[0] = -lap[0]
-        bands[1] = -lap[1] + trap + omega - p * rb * np.abs(u) ** (p - 1.0)
-        bands[2] = -lap[2]
-        x0 = solve_banded((1, 1), bands, -F)
-        x1 = solve_banded((1, 1), bands, -u)
+        solve = factor_operator(grid, _jacobian_coeff(u, trap + omega, grid,
+                                                      b, p))
+        x0 = solve(-F)
+        x1 = solve(-u)
         denom = 2.0 * float(np.sum(w * u * x1))
         if denom == 0.0:
             raise ConvergenceError("singular bordered system")
@@ -340,7 +295,6 @@ def constrained_minimizer(q: float, params: ModelParams,
     if q <= 0.0:
         raise ParameterError("the mass target q must be positive")
     if grid is None:
-        from .core import default_grid
         grid = default_grid(params)
     if ball_radius is not None and q > ball_radius / (params.gamma * params.dim):
         raise ConstraintEmptyError(
@@ -351,17 +305,15 @@ def constrained_minimizer(q: float, params: ModelParams,
 
     r = grid.r
     w = grid.weights
-    rb = r ** (-params.b)
+    rb = grid.r_pow(-params.b)
     trap_coeff = params.gamma ** 2 * r ** 2
-    p = params.p
+    b, p = params.b, params.p
 
     u = np.exp(-params.gamma * r ** 2 / 2.0)
     u *= math.sqrt(q / float(np.sum(w * u * u)))
 
     def energy_of(x):
-        d = np.diff(x)
-        g = grid.sphere * (np.sum(grid.face_w[1:grid.n] * d * d) / grid.h
-                           + grid.face_w[grid.n] * 2.0 * x[-1] ** 2 / grid.h)
+        g = gradient_sq(x, grid)
         v = float(np.sum(w * r ** 2 * x * x))
         P = float(np.sum(w * rb * np.abs(x) ** (p + 1.0)))
         return 0.5 * g + 0.5 * params.gamma ** 2 * v - P / (p + 1.0), g, v, P
@@ -381,10 +333,10 @@ def constrained_minimizer(q: float, params: ModelParams,
     res_mark = math.inf
     while it < max_iter:
         it += 1
-        shift = trap_coeff + max(omega, -params.gamma * params.dim)
-        bands = _flow_step_matrix(grid, shift, dtau)
-        rhs = u + dtau * rb * np.abs(u) ** (p - 1.0) * u
-        u_new = solve_banded((1, 1), bands, rhs)
+        solve = factor_operator(
+            grid, trap_coeff + max(omega, -params.gamma * params.dim),
+            scale=dtau, shift=1.0)
+        u_new = solve(u + dtau * nonlinearity(u, grid, b, p))
         u_new *= math.sqrt(q / float(np.sum(w * u_new * u_new)))
         E_new, g, v, P = energy_of(u_new)
         if E_new > E_prev + 1e-10 * max(1.0, abs(E_prev)):
@@ -418,9 +370,8 @@ def constrained_minimizer(q: float, params: ModelParams,
         if energy_trace is not None:
             energy_trace.append(E_new)
         omega = (P - g - params.gamma ** 2 * v) / q
-        F = (-apply_laplacian(u, grid) + (trap_coeff + omega) * u
-             - rb * np.abs(u) ** (p - 1.0) * u)
-        res = float(np.max(np.abs(F)))
+        res = float(np.max(np.abs(
+            stationary_residual(u, grid, trap_coeff + omega, b, p))))
         if res < flow_tol:
             break
         if it % 200 == 0:
@@ -443,9 +394,8 @@ def constrained_minimizer(q: float, params: ModelParams,
         _check_shape(u)
         it += newton_iters
     else:
-        F = (-apply_laplacian(u, grid) + (trap_coeff + omega) * u
-             - rb * np.abs(u) ** (p - 1.0) * u)
-        res = float(np.max(np.abs(F)))
+        res = float(np.max(np.abs(
+            stationary_residual(u, grid, trap_coeff + omega, b, p))))
 
     prof = RadialField(grid, u)
     if status == "converged" and ball_radius is not None:
@@ -454,7 +404,7 @@ def constrained_minimizer(q: float, params: ModelParams,
             raise ConvergenceError(
                 f"minimizer not strictly inside the ball: ||u||_H^2 = {hsq} "
                 f"vs ball_radius = {ball_radius}")
-    id1, id2 = _identity_residuals(prof, params.b, params.p, omega, params.gamma)
+    id1, id2 = _identity_residuals(prof, params, omega, params.gamma)
     # a plain float, so save_profile writes a literal load_profile can read
     return GroundStateResult(
         profile=prof, omega=float(omega), residual_sup=res,

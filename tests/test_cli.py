@@ -60,6 +60,13 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg["sweep"]["c_values"] == [0.8, 0.9, 1.0]
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        path = write_config(tmp_path, f"[run]\nworkers = {workers}\n")
+        with pytest.raises(ConfigError, match=r"\[run\] workers"):
+            load_config(path)
+        assert run("uniqueness", path, tmp_path / "out") == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")

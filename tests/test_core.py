@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          ParameterError, RadialField, RadialGrid,
-                         apply_laplacian, grad_norm_sq, integrate_radial,
-                         mass, sigma_norm_sq, validate_params, variance)
+                         apply_laplacian, factor_operator, grad_norm_sq,
+                         integrate_radial, mass, sigma_norm_sq,
+                         stationary_residual, validate_params, variance)
+from gpelab.groundstate import ConvergenceError, solve_bound_state
 
 from helpers import rel_err
 
@@ -77,6 +79,53 @@ class TestGrid:
     def test_weights_formula(self, grid):
         w_expect = 4.0 * np.pi * grid.r ** 2 * grid.h
         assert np.allclose(grid.weights, w_expect, rtol=1e-14)
+
+    @pytest.mark.parametrize("h, rmax", [
+        (math.nan, 8.0), (math.inf, 8.0), (-1e-2, 8.0), (0.0, 8.0),
+        (1e-2, math.nan), (1e-2, math.inf), (1e-2, -8.0)])
+    def test_rejects_nonfinite_or_nonpositive(self, h, rmax):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            RadialGrid(h=h, rmax=rmax, dim=3)
+
+
+class TestOperator:
+    """factor_operator against a dense solve of the same matrix, built
+    column by column from apply_laplacian."""
+
+    @staticmethod
+    def dense(grid, coeff, scale, shift):
+        lap = np.stack([apply_laplacian(e, grid) for e in np.eye(grid.n)],
+                       axis=1)
+        return shift * np.eye(grid.n) + scale * (-lap + np.diag(coeff))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("scale, shift, imag", [
+        (1.0, 0.0, 0.0), (0.3, 1.0, 0.0), (0.05j, 1.0, 0.0),
+        (0.7, 0.0, 0.5)])
+    def test_matches_dense_solve(self, dim, scale, shift, imag):
+        grid = RadialGrid(h=0.25, rmax=4.0, dim=dim)
+        coeff = 1.0 + grid.r ** 2 + 1j * imag * grid.r
+        if imag == 0.0:
+            coeff = coeff.real
+        rhs = np.cos(grid.r)
+        if np.iscomplexobj(coeff) or np.iscomplexobj(scale):
+            rhs = rhs + 0.5j * grid.r
+        x = factor_operator(grid, coeff, scale=scale, shift=shift)(rhs)
+        want = np.linalg.solve(self.dense(grid, coeff, scale, shift), rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_singular_operator_raises(self):
+        grid = RadialGrid(h=0.25, rmax=4.0, dim=3)
+        with pytest.raises(ConvergenceError, match="singular"):
+            factor_operator(grid, np.zeros(grid.n), scale=0.0)
+
+    def test_residual_of_bound_state(self):
+        params = validate_params(dim=3, b=0.5, p=2.0, omega=1.0)
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        res = solve_bound_state(params, grid)
+        F = stationary_residual(res.profile.values.real, grid,
+                                1.0 + grid.r ** 2, params.b, params.p)
+        assert np.max(np.abs(F)) == res.residual_sup
 
 
 class TestOneDimension:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from gpelab.core import ParameterError, RadialField, mass, variance
+from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
+                         mass, variance)
 from gpelab.evolve import (DiagnosticSeries, EvolveConfig, evolve,
                            predict_collapse_time, virial_check)
 from gpelab.closedforms import ProfileInterpolant, discrete_oscillator_mode
@@ -21,6 +24,11 @@ class TestConfig:
             EvolveConfig(dt=1e-3, t_end=-1.0)
         with pytest.raises(ParameterError):
             EvolveConfig(dt=1e-3, t_end=1.0, record_every=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                EvolveConfig(dt=bad, t_end=1.0)
+            with pytest.raises(ParameterError, match="finite"):
+                EvolveConfig(dt=1e-3, t_end=bad)
 
     def test_trap_resolution_required(self, grid, params_critical):
         u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
@@ -75,6 +83,17 @@ class TestConservation:
         drift = np.max(np.abs(res.series.mass - res.series.mass[0]))
         drift /= res.series.mass[0] * res.series.t[-1]
         assert drift < 1e-10
+
+    def test_mass_conserved_one_dimension(self):
+        # N = 1: the zero-flux origin face keeps the Crank-Nicolson step
+        # unitary
+        params = ModelParams(dim=1, b=0.5, p=3.0, gamma=1.0)
+        line = RadialGrid(h=1e-2, rmax=8.0, dim=1)
+        u0 = RadialField.from_function(line, lambda r: np.exp(-r ** 2 / 2))
+        res = evolve(u0, params, EvolveConfig(dt=1e-3, t_end=1.0,
+                                              record_every=50))
+        drift = np.max(np.abs(res.series.mass - res.series.mass[0]))
+        assert drift < 1e-10 * res.series.mass[0]
 
     def test_energy_drift_second_order(self, grid, params_subcritical):
         u0 = RadialField.from_function(grid, lambda r: 0.5 * np.exp(-r ** 2 / 2))

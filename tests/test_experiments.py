@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gpelab.core import ModelParams, ParameterError, mass
+from gpelab import experiments
+from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
+                         mass)
 from gpelab.evolve import EvolveConfig
 from gpelab.functionals import (SetLabel, action, h_omega_norm_sq, nehari,
                                 potential)
@@ -13,7 +15,7 @@ from gpelab.experiments import (HypothesisError, construct_cross_point,
                                 random_trial_field, scale_amplitude,
                                 scale_dilation, scale_mass_preserving,
                                 scale_potential_preserving, stability_run,
-                                threshold_sweep)
+                                SweepRow, threshold_sweep)
 
 from helpers import rel_err
 
@@ -225,6 +227,68 @@ class TestThresholdSweep:
                                  cfg=cfg, workers=2)
         for a, b in zip(serial.rows, pooled.rows):
             assert a == b
+
+    @pytest.fixture()
+    def coarse_sweep(self, params_critical):
+        """Profile, parameters and mesh of a sweep on a coarse mesh."""
+        coarse = RadialGrid(h=0.05, rmax=8.0, dim=3)
+        bump = RadialField.from_function(coarse, lambda r: np.exp(-r ** 2))
+        return bump, params_critical, coarse
+
+    @pytest.mark.parametrize("workers, jobs, cpus, pool_size", [
+        (8, 3, 2, 2), (8, 3, 16, 3), (2, 3, 16, 2), (8, 1, 16, None),
+        (8, 3, 1, None), (1, 3, 16, None)])
+    def test_workers_clamped(self, coarse_sweep, monkeypatch, workers, jobs,
+                             cpus, pool_size):
+        sizes = []
+        monkeypatch.setattr(experiments, "_sweep_row",
+                            lambda *args: SweepRow(args[-2], args[-1],
+                                                   "global_bounded", None,
+                                                   None, 1.0))
+
+        class RecordingPool:
+            # records max_workers and runs every job inline: no process
+            # starts
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return type("Done", (), {"result": lambda self: result})()
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = EvolveConfig(dt=1e-3, t_end=0.1)
+        result = threshold_sweep(*coarse_sweep,
+                                 c_values=np.linspace(0.9, 1.1, jobs),
+                                 lambda_values=(1.0,), cfg=cfg,
+                                 workers=workers)
+        assert len(result.rows) == jobs
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_failed_row_keeps_reason(self, coarse_sweep, monkeypatch,
+                                     tmp_path):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stepper exploded")
+
+        monkeypatch.setattr(experiments, "evolve", broken)
+        cfg = EvolveConfig(dt=1e-3, t_end=0.1)
+        result = threshold_sweep(*coarse_sweep, c_values=(1.0,),
+                                 lambda_values=(1.0,), cfg=cfg)
+        row = result.rows[0]
+        assert row.outcome == "failed"
+        assert row.reason == "RuntimeError: stepper exploded"
+        assert result.as_dict()["rows"][0]["reason"] == row.reason
+        path = tmp_path / "sweep.csv"
+        result.to_csv(path)
+        assert path.read_text().split("\n")[0] == (
+            "c,lambda,outcome,t_blow,t_pred,max_grad_ratio")
 
     def test_requires_critical(self, soliton, grid, params_subcritical):
         cfg = EvolveConfig(dt=1e-3, t_end=0.5)
