@@ -25,8 +25,7 @@ from . import groundstate as gs
 from .evolve import EvolveConfig, evolve as run_evolution
 from .evolve import predict_collapse_time
 from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   grad_norm_sq, integrate_radial, mass, validate_params,
-                   variance)
+                   grad_norm_sq, integrate_radial, mass, validate_params)
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -53,8 +52,6 @@ _SCHEMA = {
               "dt": float, "t_end": float, "record_every": int,
               "blowup_gradient_factor": float, "criterion_tol": float},
     "levels": {"n_random": int},
-    "stability": {"q": float, "eps": float, "horizon": float, "dt": float,
-                  "n_samples": int, "ball_radius": float},
     "lens": {"dt": float, "t_max_frac": float, "n_check": int,
              "amplitude": float, "width": float, "free_rmax": float},
     "uniqueness": {"r_max": float, "n_samples": int},
@@ -74,8 +71,6 @@ _DEFAULTS = {
               "record_every": 20, "blowup_gradient_factor": 1e3,
               "criterion_tol": 1e-3},
     "levels": {"n_random": 20},
-    "stability": {"q": 1.0, "eps": 1e-2, "horizon": 20.0, "dt": 5e-3,
-                  "n_samples": 40},
     "lens": {"dt": 1e-3, "t_max_frac": 0.8, "n_check": 5,
              "amplitude": 0.4, "width": 1.0, "free_rmax": 40.0},
     "uniqueness": {"r_max": 10.0, "n_samples": 200},
@@ -291,57 +286,13 @@ def _cmd_lens(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     if not params.is_critical:
         raise ConfigError("the lens equivalence holds at the critical power")
-    grid = _grid(cfg, params)
     section = cfg["lens"]
-    gamma = params.gamma
-    t_max = section["t_max_frac"] * closedforms.caustic_time(params)
-    checks = np.linspace(0.0, t_max, section["n_check"] + 1)[1:]
-
-    free_grid = RadialGrid(h=grid.h, rmax=section["free_rmax"], dim=params.dim)
-    amp, width = section["amplitude"], section["width"]
-
-    def bump(r):
-        return amp * np.exp(-r ** 2 / (2.0 * width ** 2))
-
-    u0_free = RadialField.from_function(free_grid, bump)
-    u0_trap = RadialField.from_function(grid, bump)
-
-    free_times = [math.tan(2.0 * gamma * t) / (2.0 * gamma) for t in checks]
-    free_cfg = EvolveConfig(
-        dt=section["dt"], t_end=free_times[-1], free_equation=True,
-        record_every=1000, snapshot_times=tuple(free_times),
-        blowup_gradient_factor=1e6)
-    free_run = run_evolution(u0_free, params, free_cfg)
-    sampler = closedforms.snapshot_sampler(free_run.snapshots, time_tol=1e-9)
-
-    trap_cfg = EvolveConfig(
-        dt=section["dt"], t_end=float(checks[-1]), record_every=1000,
-        snapshot_times=tuple(float(t) for t in checks),
-        blowup_gradient_factor=1e6)
-    trap_run = run_evolution(u0_trap, params, trap_cfg)
-
-    mismatches = []
-    for t in checks:
-        mapped = closedforms.lens_forward(sampler, float(t), params, grid)
-        direct = next(fld for ts, fld in trap_run.snapshots
-                      if abs(ts - t) <= 1e-9)
-        mismatches.append(math.sqrt(mass(mapped - direct)))
-
-    # algebraic round trip at the largest checkpoint
-    t = float(checks[-1])
-    v = closedforms.lens_forward(sampler, t, params, grid)
-    s_free = math.tan(2.0 * gamma * t) / (2.0 * gamma)
-    v_int = closedforms.ProfileInterpolant(v)
-
-    def trap_sampler(r_arr, s):
-        return v_int(r_arr)
-
-    back = closedforms.lens_inverse(trap_sampler, s_free, params, grid)
-    w0 = RadialField(grid, np.asarray(sampler(grid.r, s_free), dtype=complex))
-    roundtrip = float(np.max(np.abs(back.values - w0.values)))
-
+    checks, mismatches, roundtrip = experiments.lens_check(
+        params, _grid(cfg, params), section["free_rmax"], section["dt"],
+        section["t_max_frac"] * closedforms.caustic_time(params),
+        section["n_check"], section["amplitude"], section["width"])
     _write_json(out_dir / "lens_report.json", {
-        "check_times": list(map(float, checks)),
+        "check_times": checks,
         "l2_mismatch": mismatches,
         "max_l2_mismatch": max(mismatches),
         "roundtrip_sup_error": roundtrip,
@@ -368,28 +319,27 @@ def _verify_checks(cfg):
     yield ("quadrature: gaussian", abs(gauss / np.pi ** (N / 2) - 1) < 1e-6,
            f"rel err {gauss / np.pi ** (N / 2) - 1:.2e}")
 
-    Phi = closedforms.oscillator_mode(params, grid)
-    ray = (grad_norm_sq(Phi) + gamma ** 2 * variance(Phi)) / mass(Phi)
+    m = functionals._field_moments(closedforms.oscillator_mode(params, grid),
+                                   params)
+    ray = m.h_norm_sq(gamma, 0.0) / m.M
     yield ("oscillator: Rayleigh quotient", abs(ray / (gamma * N) - 1) < 1e-4,
            f"rel err {ray / (gamma * N) - 1:.2e}")
-    hi = mass(Phi) - (2.0 / N) * math.sqrt(grad_norm_sq(Phi) * variance(Phi))
-    yield ("oscillator: uncertainty equality", abs(hi) / mass(Phi) < 1e-6,
-           f"rel defect {hi / mass(Phi):.2e}")
+    hi = m.M - (2.0 / N) * math.sqrt(m.G * m.V)
+    yield ("oscillator: uncertainty equality", abs(hi) / m.M < 1e-6,
+           f"rel defect {hi / m.M:.2e}")
 
     crit = params if params.is_critical else ModelParams(
         N, params.b, params.p_critical, gamma, params.omega)
     soliton = gs.solve_soliton(crit, gs.soliton_grid(crit, h=grid.h))
     yield ("soliton: residual", soliton.residual_sup < 1e-8,
            f"sup {soliton.residual_sup:.2e}")
-    g = grad_norm_sq(soliton.profile)
-    P = functionals.potential(soliton.profile, crit)
-    pi_rel = ((N + 2 - params.b) / N * g - P) / P
+    m = functionals._field_moments(soliton.profile, crit)
+    pi_rel = ((N + 2 - params.b) / N * m.G - m.P) / m.P
     yield ("soliton: scaling identity", abs(pi_rel) < 1e-6, f"rel {pi_rel:.2e}")
 
     bound = gs.solve_bound_state(params, grid)
-    H = functionals.h_omega_norm_sq(bound.profile, params)
-    K = functionals.nehari(bound.profile, params)
-    I = functionals.virial(bound.profile, params)
+    rep = functionals.report(bound.profile, params)
+    H, K, I = rep.h_omega_norm_sq, rep.nehari, rep.virial
     yield ("bound state: nehari zero", abs(K) < 1e-6 * H, f"K/H {K / H:.2e}")
     yield ("bound state: virial zero", abs(I) < 1e-6 * H, f"I/H {I / H:.2e}")
 

@@ -66,7 +66,7 @@ def discrete_oscillator_mode(params: ModelParams, grid: RadialGrid,
     The sampled closed form differs from this by O(h^2), so invariance
     tests of the time integrator should use this discrete mode.
     """
-    solve = factor_operator(grid, params.gamma ** 2 * grid.r ** 2,
+    solve = factor_operator(grid, params.gamma ** 2 * grid.r_pow(2.0),
                             shift=-0.5 * params.gamma * params.dim)
     v = np.exp(-params.gamma * grid.r ** 2 / 2.0)
     for _ in range(iters):
@@ -108,8 +108,9 @@ class ProfileInterpolant:
     remainder, and restores the singular part analytically on evaluation.
     """
 
-    def __init__(self, field: RadialField, singular_exponent: float | None = None,
-                 fit_nodes: int = 10):
+    def __init__(self, field: RadialField,
+                 singular_exponent: float | None = None):
+        fit_nodes = 10
         r = field.grid.r
         vals = np.array(field.values)
         self._sing = None
@@ -218,17 +219,17 @@ def lens_inverse(sampler, t: float, params: ModelParams,
     return RadialField(grid, vals)
 
 
-def snapshot_sampler(snapshots, time_tol: float = 1e-9):
+def snapshot_sampler(snapshots):
     """Space-time sampler backed by recorded snapshots.
 
     Interpolates cubically in r (zero beyond the grid) and requires each
-    requested time to match a recorded snapshot time within time_tol.
+    requested time to match a recorded snapshot time within 1e-9.
     """
     table = [(float(ts), ProfileInterpolant(field)) for ts, field in snapshots]
 
     def sample(r_array, t):
         for ts, interp in table:
-            if abs(ts - t) <= time_tol:
+            if abs(ts - t) <= 1e-9:
                 return interp(r_array)
         raise ParameterError(
             f"no snapshot at t = {t}; recorded times: {[ts for ts, _ in table]}")

@@ -69,12 +69,14 @@ class ModelParams:
         if not (1.0 < self.p < self.p_max):
             raise ParameterError(
                 f"p must satisfy 1 < p < {self.p_max}, got p = {self.p}")
-        if not self.gamma > 0.0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.omega is not None and not self.omega > -self.gamma * self.dim:
+        if not 0.0 < self.gamma < np.inf:
             raise ParameterError(
-                f"omega must exceed -gamma*N = {-self.gamma * self.dim}, "
-                f"got omega = {self.omega}")
+                f"gamma must be positive and finite, got {self.gamma}")
+        if (self.omega is not None
+                and not -self.gamma * self.dim < self.omega < np.inf):
+            raise ParameterError(
+                f"omega must be finite and exceed -gamma*N = "
+                f"{-self.gamma * self.dim}, got omega = {self.omega}")
 
     @property
     def p_max(self) -> float:
@@ -298,7 +300,7 @@ def mass(u: RadialField) -> float:
 def variance(u: RadialField) -> float:
     """Squared weighted norm ||x u||_{L^2}^2."""
     g = u.grid
-    return float(np.sum(g.weights * g.r ** 2 * np.abs(u.values) ** 2))
+    return float(np.sum(g.weights * g.r_pow(2.0) * np.abs(u.values) ** 2))
 
 
 def _grad_form(x, y, grid: RadialGrid) -> complex:
@@ -336,7 +338,7 @@ def sigma_inner(u: RadialField, v: RadialField) -> complex:
     u.grid.compatible(v.grid)
     g = u.grid
     s = _grad_form(u.values, v.values, g)
-    s += np.sum(g.weights * g.r ** 2 * u.values * np.conj(v.values))
+    s += np.sum(g.weights * g.r_pow(2.0) * u.values * np.conj(v.values))
     return complex(s)
 
 

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ModelParams, ParameterError, RadialField, apply_laplacian,
-                   factor_operator, grad_norm_sq, mass, variance,
-                   variance_rate)
-from .functionals import energy as energy_fn
-from .functionals import potential
+                   factor_operator, variance_rate)
+from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
     "EvolveConfig", "DiagnosticSeries", "EvolveResult", "EvolveNaNError",
@@ -61,8 +59,11 @@ class EvolveConfig:
                 f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1:
             raise ParameterError("record_every must be >= 1")
-        if self.blowup_gradient_factor <= 1.0:
-            raise ParameterError("blowup_gradient_factor must exceed 1")
+        if not 1.0 < self.blowup_gradient_factor < math.inf:
+            raise ParameterError("blowup_gradient_factor must be finite and "
+                                 f"exceed 1, got {self.blowup_gradient_factor}")
+        if not math.isfinite(self.coupling):
+            raise ParameterError(f"coupling must be finite, got {self.coupling}")
 
 
 @dataclass
@@ -104,15 +105,10 @@ class EvolveResult:
         return self.snapshots[-1][0]
 
 
-def _diag_row(vals, grid, params, coupling, free):
-    u = RadialField(grid, vals)
-    m = mass(u)
-    g = grad_norm_sq(u)
-    f = variance(u)
-    E = 0.5 * g - coupling * potential(u, params) / (params.p + 1.0)
-    if not free:
-        E += 0.5 * params.gamma ** 2 * f
-    return m, E, g, f, variance_rate(vals, grid)
+def _diag_row(vals, grid, params, gamma_eff, coupling):
+    m = _moments(vals, grid, params.b, params.p)
+    E = m.energy(params.p, gamma_eff, coupling)
+    return m.M, E, m.G, m.V, variance_rate(vals, grid)
 
 
 def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveResult:
@@ -136,9 +132,9 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
         if not 0.0 <= ts <= cfg.t_end + 1e-12:
             raise ParameterError(f"snapshot time {ts} outside [0, t_end]")
 
-    r = grid.r
     rb = grid.r_pow(-params.b)
-    trap = np.zeros(grid.n) if cfg.free_equation else params.gamma ** 2 * r ** 2
+    gamma_eff = 0.0 if cfg.free_equation else params.gamma
+    trap = gamma_eff ** 2 * grid.r_pow(2.0)
     coupling = cfg.coupling
 
     def phase_half(vals, dt):
@@ -160,7 +156,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
 
     vals = u0.values.astype(complex)
     t = 0.0
-    rows = [(0.0, *_diag_row(vals, grid, params, coupling, cfg.free_equation))]
+    rows = [(0.0, *_diag_row(vals, grid, params, gamma_eff, coupling))]
     snaps = []
     if any(abs(ts) <= 1e-14 for ts in cfg.snapshot_times):
         snaps.append((0.0, RadialField(grid, vals)))
@@ -192,8 +188,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
             if step_count % cfg.record_every == 0 or at_boundary:
                 if not np.all(np.isfinite(vals)):
                     raise EvolveNaNError(rows[-1][0])
-                row = (t, *_diag_row(vals, grid, params, coupling,
-                                     cfg.free_equation))
+                row = (t, *_diag_row(vals, grid, params, gamma_eff, coupling))
                 if row[0] > rows[-1][0] + 1e-14:
                     rows.append(row)
                 if row[3] > cfg.blowup_gradient_factor * grad0:
@@ -245,10 +240,10 @@ def virial_check(series: DiagnosticSeries, params: ModelParams) -> float:
         raise ParameterError("non-uniform record spacing; cannot difference f")
     step = float(dt[0])
     fdd = (series.f[2:] - 2.0 * series.f[1:-1] + series.f[:-2]) / step ** 2
-    # P recovered from the energy decomposition, exact under the quadrature
-    P = (params.p + 1.0) * (0.5 * series.grad_sq + 0.5 * gamma ** 2 * series.f
-                            - series.energy)
     N, p, b = params.dim, params.p, params.b
+    # P from E = E(coupling 0) - P/(p+1), exact under the quadrature
+    linear = _Moments(series.mass, series.grad_sq, series.f, 0.0)
+    P = (p + 1.0) * (linear.energy(p, gamma, 0.0) - series.energy)
     rhs = (16.0 * series.energy
            + 4.0 / (p + 1.0) * (N - N * p - 2.0 * b + 4.0) * P
            - 16.0 * gamma ** 2 * series.f)
@@ -272,9 +267,9 @@ def predict_collapse_time(u0: RadialField, params: ModelParams,
     """
     if not params.is_critical:
         raise ParameterError("collapse-time prediction needs the critical power")
-    E0 = energy_fn(u0, params, coupling=coupling)
     gamma = params.gamma
-    f0 = variance(u0)
+    m = _field_moments(u0, params)
+    E0, f0 = m.energy(params.p, gamma, coupling), m.V
     fp0 = variance_rate(u0.values, u0.grid)
     if f0 - 2.0 * E0 / gamma ** 2 < -criterion_tol * abs(f0):
         return None

@@ -6,18 +6,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedforms import ProfileInterpolant
+from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
+                          snapshot_sampler)
 from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   grad_norm_sq, mass, sigma_inner, sigma_norm_sq)
+                   mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
-from .functionals import (SetLabel, action, classify, h_omega_norm_sq, nehari,
-                          potential, virial, virial_coefficient)
+from .functionals import (SetLabel, _field_moments, action, classify,
+                          h_omega_norm_sq, virial, virial_coefficient)
 from .groundstate import (GroundStateResult, _nehari_descent,
-                          constrained_minimizer)
+                          constrained_minimizer, solve_bound_state)
 
 __all__ = [
     "HypothesisError", "SweepRow", "SweepResult", "LevelEstimates",
@@ -26,7 +27,7 @@ __all__ = [
     "scale_potential_preserving", "dilation_exponent",
     "nehari_project", "estimate_d_omega", "construct_cross_point",
     "estimate_d_n_upper", "estimate_levels",
-    "threshold_sweep", "dichotomy_run", "stability_run",
+    "threshold_sweep", "dichotomy_run", "stability_run", "lens_check",
     "random_trial_field",
 ]
 
@@ -82,13 +83,13 @@ def nehari_project(u: RadialField, params: ModelParams):
     Returns (lam0 u, lam0) with lam0 = (||u||_H^2 / P(u))^(1/(p-1)); fields
     already on the zero set are fixed points (lam0 = 1).
     """
-    P = potential(u, params)
-    if P <= 0.0:
+    m = _field_moments(u, params)
+    if m.P <= 0.0:
         raise ParameterError("cannot project a field with vanishing P")
-    H = h_omega_norm_sq(u, params)
+    H = m.h_norm_sq(params.gamma, params.require_omega())
     if H <= 0.0:
         raise ParameterError("projection needs a positive squared H norm")
-    lam0 = (H / P) ** (1.0 / (params.p - 1.0))
+    lam0 = (H / m.P) ** (1.0 / (params.p - 1.0))
     return scale_amplitude(u, lam0), lam0
 
 
@@ -111,18 +112,16 @@ def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
 
 def estimate_d_omega(params: ModelParams, grid: RadialGrid,
                      reference: RadialField | None = None,
-                     n_random: int = 40, seed: int = 0,
-                     descent_iters: int = 150,
-                     descent_step: float = 0.2) -> float:
+                     n_random: int = 40, seed: int = 0) -> float:
     """Least action on the nehari zero set, estimated by projected search.
 
-    Every trial is projected onto the zero set and locally minimized by a
-    preconditioned descent; the reported value is the smallest action seen.
+    Every trial is projected onto the zero set and refined by 150 descent
+    steps of size 0.2; the reported value is the smallest action seen.
     With reference set (a computed minimizer) the reference and perturbed
     copies of it join the trial pool, so the estimate matches its action.
     """
     rng = np.random.default_rng(seed)
-    coeff = params.require_omega() + params.gamma ** 2 * grid.r ** 2
+    coeff = params.require_omega() + params.gamma ** 2 * grid.r_pow(2.0)
     best = math.inf
     trials = []
     if reference is not None:
@@ -139,8 +138,8 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
             continue
         best = min(best, action(proj, params))
         refined, _ = _nehari_descent(trial.values.real, coeff, grid, params.b,
-                                     params.p, step=descent_step,
-                                     max_iter=descent_iters, rtol=None)
+                                     params.p, step=0.2, max_iter=150,
+                                     rtol=None)
         best = min(best, action(RadialField(grid, refined), params))
     if not math.isfinite(best):
         raise ParameterError("all trials degenerate (vanishing P)")
@@ -160,23 +159,24 @@ class CrossPoint:
     virial: float
 
 
-def construct_cross_point(phi: RadialField, params: ModelParams, lam: float,
-                          virial_tol_rel: float = 1e-8,
-                          mu_max: float = 64.0) -> CrossPoint:
+def construct_cross_point(phi: RadialField, params: ModelParams,
+                          lam: float) -> CrossPoint:
     """Constructive cross-constrained point from a stationary profile.
 
     Amplitude-scale phi past 1 (making both sign functionals negative),
     verify the dilation coefficient is positive, then bisect the dilation
-    until the virial functional vanishes within virial_tol_rel times the
-    squared gradient norm.
+    mu <= 64 until |virial| < 1e-8 min(||grad v||^2, 1), v = lam phi.
     """
     if lam <= 1.0:
         raise ParameterError("need an amplitude factor lam > 1")
     v = scale_amplitude(phi, lam)
-    if nehari(v, params) >= 0.0 or virial(v, params) >= 0.0:
+    m = _field_moments(v, params)
+    gamma, omega = params.gamma, params.require_omega()
+    c_I = virial_coefficient(params)
+    if m.nehari(gamma, omega) >= 0.0 or m.virial(gamma, c_I) >= 0.0:
         raise ParameterError(
             f"amplitude scaling lam = {lam} did not enter the negative cone")
-    if grad_norm_sq(v) - virial_coefficient(params) * potential(v, params) <= 0.0:
+    if m.G - c_I * m.P <= 0.0:
         raise ParameterError(
             f"dilation coefficient not positive at lam = {lam}")
 
@@ -186,11 +186,11 @@ def construct_cross_point(phi: RadialField, params: ModelParams, lam: float,
     lo, hi = 1.0, 1.5
     while I_of(hi) < 0.0:
         hi *= 2.0
-        if hi > mu_max:
+        if hi > 64.0:
             raise ParameterError("dilation bisection bracket failure")
     # absolute cap keeps the accepted points on the constraint even for
     # large profiles
-    tol = min(virial_tol_rel * grad_norm_sq(v), 1e-8)
+    tol = min(1e-8 * m.G, 1e-8)
     mu = hi
     for _ in range(200):
         mu = 0.5 * (lo + hi)
@@ -202,22 +202,14 @@ def construct_cross_point(phi: RadialField, params: ModelParams, lam: float,
         else:
             hi = mu
     point = scale_dilation(v, mu, params)
-    I_val = virial(point, params)
-    K_val = nehari(point, params)
+    m = _field_moments(point, params)
+    I_val, K_val = m.virial(gamma, c_I), m.nehari(gamma, omega)
     if abs(I_val) >= tol or K_val >= 0.0:
         raise ParameterError(
             f"cross point construction failed: virial {I_val}, nehari {K_val}")
     return CrossPoint(field=point, lam=lam, mu=mu,
-                      action=action(point, params), nehari=K_val, virial=I_val)
-
-
-def amplitude_window(u: RadialField, params: ModelParams) -> float:
-    """Upper end of the amplitude factors keeping the dilation coefficient
-    positive: lam* = (||grad u||^2 / (c_I P(u)))^(1/(p-1)); exceeds 1 for
-    any state with vanishing virial functional."""
-    g = grad_norm_sq(u)
-    P = potential(u, params)
-    return (g / (virial_coefficient(params) * P)) ** (1.0 / (params.p - 1.0))
+                      action=m.action(params.p, gamma, omega), nehari=K_val,
+                      virial=I_val)
 
 
 def estimate_d_n_upper(phi: RadialField, params: ModelParams, lambdas=None):
@@ -225,20 +217,25 @@ def estimate_d_n_upper(phi: RadialField, params: ModelParams, lambdas=None):
     constructed cross points.  Returns (value, points).
 
     Default amplitude factors are spread inside (1, lam*), the window on
-    which the dilation coefficient stays positive.
+    which the dilation coefficient stays positive: lam* = (||grad phi||^2 /
+    (c_I P(phi)))^(1/(p-1)), above 1 for any phi with vanishing virial.
+    When no factor works, the ParameterError gives each factor's reason.
     """
     if lambdas is None:
-        lam_star = amplitude_window(phi, params)
+        m = _field_moments(phi, params)
+        lam_star = ((m.G / (virial_coefficient(params) * m.P))
+                    ** (1.0 / (params.p - 1.0)))
         lambdas = [1.0 + f * (lam_star - 1.0)
                    for f in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)]
-    points = []
+    points, skipped = [], []
     for lam in lambdas:
         try:
             points.append(construct_cross_point(phi, params, lam))
-        except ParameterError:
-            continue
+        except ParameterError as exc:
+            skipped.append(f"lambda={lam}: {exc}")
     if not points:
-        raise ParameterError("no cross point could be constructed")
+        raise ParameterError("no cross point could be constructed; "
+                             + "; ".join(skipped))
     return min(pt.action for pt in points), points
 
 
@@ -272,7 +269,6 @@ def estimate_levels(params: ModelParams, grid: RadialGrid,
     if params.criticality == "subcritical":
         raise ParameterError("levels are probed at critical or larger powers")
     if reference is None:
-        from .groundstate import solve_bound_state
         reference = solve_bound_state(params, grid)
     prof = reference.profile if isinstance(reference, GroundStateResult) else reference
     d_omega = estimate_d_omega(params, grid, reference=prof,
@@ -409,12 +405,7 @@ def dichotomy_run(u0: RadialField, params: ModelParams, d: float,
             f"outside hypothesis: action {S0} is not below d = {d}")
     label0 = classify(u0, params, d)
     times = tuple(ts for ts in sample_times if ts <= cfg.t_end)
-    run_cfg = EvolveConfig(dt=cfg.dt, t_end=cfg.t_end,
-                           free_equation=cfg.free_equation,
-                           blowup_gradient_factor=cfg.blowup_gradient_factor,
-                           record_every=cfg.record_every,
-                           coupling=cfg.coupling, snapshot_times=times)
-    res = evolve(u0, params, run_cfg)
+    res = evolve(u0, params, replace(cfg, snapshot_times=times))
     labels = []
     hmax = 0.0
     for ts, field in res.snapshots:
@@ -470,9 +461,7 @@ def _aligned_sigma_distance(u: RadialField, phi: RadialField) -> float:
 
 def stability_run(params: ModelParams, grid: RadialGrid, q: float,
                   eps: float, horizon: float, dt: float,
-                  n_samples: int = 40, seed: int = 0,
-                  ball_radius: float | None = None,
-                  ground: GroundStateResult | None = None) -> StabilityResult:
+                  n_samples: int = 40, seed: int = 0) -> StabilityResult:
     """Perturb the mass-q minimizer by eps in the Sigma norm and evolve.
 
     The perturbed state is renormalized back to mass q; the returned
@@ -480,8 +469,7 @@ def stability_run(params: ModelParams, grid: RadialGrid, q: float,
     the sampled times, whose supremum quantifies orbital stability over the
     horizon.
     """
-    if ground is None:
-        ground = constrained_minimizer(q, params, grid, ball_radius=ball_radius)
+    ground = constrained_minimizer(q, params, grid)
     phi = ground.profile
     rng = np.random.default_rng(seed)
     if eps > 0.0:
@@ -508,3 +496,42 @@ def stability_run(params: ModelParams, grid: RadialGrid, q: float,
         initial_distance=_aligned_sigma_distance(u0, phi),
         times=np.asarray(kept), distances=dists,
         blowup_time=res.blowup_time, ground=ground)
+
+
+# --------------------------------------------------------------------- lens
+
+def lens_check(params: ModelParams, grid: RadialGrid, free_rmax: float,
+               dt: float, t_max: float, n_check: int, amplitude: float,
+               width: float):
+    """Lens map of a free run against the direct trapped run (critical
+    power, t_max below the caustic time).
+
+    Evolves amplitude exp(-r^2 / (2 width^2)) freely on a mesh of radius
+    free_rmax (same h) and trapped on grid.  Returns the n_check times
+    evenly spaced in (0, t_max], the L2 distances of the lens-mapped free
+    run from the trapped run there, and the sup error of lens_inverse after
+    lens_forward of the free state at the last time.
+    """
+    gamma = params.gamma
+    checks = [float(t) for t in np.linspace(0.0, t_max, n_check + 1)[1:]]
+    free_times = [math.tan(2.0 * gamma * t) / (2.0 * gamma) for t in checks]
+
+    def run(g, times, free):
+        # records only at the check times; recording leaves the state alone
+        u0 = RadialField(g, amplitude * np.exp(-g.r ** 2 / (2.0 * width ** 2)))
+        cfg = EvolveConfig(dt=dt, t_end=times[-1], free_equation=free,
+                           record_every=10 ** 9, snapshot_times=tuple(times),
+                           blowup_gradient_factor=1e9)
+        return evolve(u0, params, cfg).snapshots
+
+    free_grid = RadialGrid(h=grid.h, rmax=free_rmax, dim=params.dim)
+    sampler = snapshot_sampler(run(free_grid, free_times, True))
+    trapped = run(grid, checks, False)
+    mismatches = [
+        math.sqrt(mass(lens_forward(sampler, t, params, grid)
+                       - next(f for ts, f in trapped if abs(ts - t) <= 1e-9)))
+        for t in checks]
+    mapped = ProfileInterpolant(lens_forward(sampler, checks[-1], params, grid))
+    back = lens_inverse(lambda r, s: mapped(r), free_times[-1], params, grid)
+    free_last = np.asarray(sampler(grid.r, free_times[-1]), dtype=complex)
+    return checks, mismatches, float(np.max(np.abs(back.values - free_last)))

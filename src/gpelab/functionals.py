@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (ModelParams, ParameterError, RadialField, apply_laplacian,
-                   grad_norm_sq, mass, nonlinearity, variance)
+                   gradient_sq, nonlinearity)
 
 __all__ = [
     "AmbiguousSignError", "FunctionalReport", "SetLabel",
@@ -32,27 +33,79 @@ class AmbiguousSignError(ValueError):
     """A strict sign test fell inside the certification band."""
 
 
+class _Moments(NamedTuple):
+    """M = ||u||^2, G = ||grad u||^2, V = ||x u||^2 and P of one field; each
+    functional is a formula on them with explicit gamma, omega and coupling."""
+
+    M: float
+    G: float
+    V: float
+    P: float
+
+    def energy(self, p, gamma, coupling):
+        return (0.5 * self.G + 0.5 * gamma ** 2 * self.V
+                - coupling * self.P / (p + 1.0))
+
+    def h_norm_sq(self, gamma, omega):
+        return self.G + gamma ** 2 * self.V + omega * self.M
+
+    def action(self, p, gamma, omega):
+        return 0.5 * self.h_norm_sq(gamma, omega) - self.P / (p + 1.0)
+
+    def nehari(self, gamma, omega):
+        return self.h_norm_sq(gamma, omega) - self.P
+
+    def virial(self, gamma, c_I):
+        return self.G - gamma ** 2 * self.V - c_I * self.P
+
+    def weinstein(self, dim, b):
+        s = (4.0 - 2.0 * b) / dim
+        return self.G * self.M ** (s / 2.0) / self.P
+
+    def multiplier(self, gamma):
+        """omega of a stationary state: pairing its equation with u."""
+        return (self.P - self.G - gamma ** 2 * self.V) / self.M
+
+    def pohozaev(self, dim, b, p, gamma, omega):
+        """Residuals of the identities of -Lap u + (omega + gamma^2 r^2) u =
+        r^(-b)|u|^(p-1)u paired with u (nehari) and with x . grad u."""
+        return (self.nehari(gamma, omega),
+                (2.0 - dim) / 2.0 * self.G - dim * omega / 2.0 * self.M
+                - (dim + 2.0) / 2.0 * gamma ** 2 * self.V
+                + (dim - b) / (p + 1.0) * self.P)
+
+
+def _moments(values, grid, b, p) -> _Moments:
+    """(M, G, V, P) of node samples by the node quadrature; P is
+    int r^(-b)|u|^(p+1).  The only place these integrals are written."""
+    w = grid.weights
+    density = np.abs(values) ** 2
+    return _Moments(
+        M=float(np.sum(w * density)),
+        G=gradient_sq(values, grid),
+        V=float(np.sum(w * grid.r_pow(2.0) * density)),
+        P=float(np.sum(w * grid.r_pow(-b) * np.abs(values) ** (p + 1))))
+
+
 def _check(u: RadialField, params: ModelParams) -> None:
     if u.grid.dim != params.dim:
         raise ParameterError(
             f"grid dim {u.grid.dim} differs from params dim {params.dim}")
 
 
+def _field_moments(u: RadialField, params: ModelParams) -> _Moments:
+    _check(u, params)
+    return _moments(u.values, u.grid, params.b, params.p)
+
+
 def potential(u: RadialField, params: ModelParams) -> float:
     """P(u) >= 0; strictly positive iff u is not identically zero."""
-    _check(u, params)
-    g = u.grid
-    return float(np.sum(g.weights * g.r_pow(-params.b)
-                        * np.abs(u.values) ** (params.p + 1)))
+    return _field_moments(u, params).P
 
 
 def energy(u: RadialField, params: ModelParams, coupling: float = 1.0) -> float:
     """Conserved energy; `coupling` scales the nonlinear term (0 = linear)."""
-    _check(u, params)
-    val = 0.5 * grad_norm_sq(u) + 0.5 * params.gamma ** 2 * variance(u)
-    if coupling != 0.0:
-        val -= coupling * potential(u, params) / (params.p + 1.0)
-    return val
+    return _field_moments(u, params).energy(params.p, params.gamma, coupling)
 
 
 def energy_gradient(u: RadialField, params: ModelParams,
@@ -65,7 +118,8 @@ def energy_gradient(u: RadialField, params: ModelParams,
     """
     _check(u, params)
     g = u.grid
-    out = -apply_laplacian(u.values, g) + (params.gamma ** 2 * g.r ** 2) * u.values
+    out = (-apply_laplacian(u.values, g)
+           + (params.gamma ** 2 * g.r_pow(2.0)) * u.values)
     if coupling != 0.0:
         out -= coupling * nonlinearity(u.values, g, params.b, params.p)
     return out
@@ -73,17 +127,18 @@ def energy_gradient(u: RadialField, params: ModelParams,
 
 def h_omega_norm_sq(u: RadialField, params: ModelParams) -> float:
     """||u||_H^2 with frequency shift omega; positive for omega > -gamma N."""
-    omega = params.require_omega()
-    return (grad_norm_sq(u) + params.gamma ** 2 * variance(u)
-            + omega * mass(u))
+    return _field_moments(u, params).h_norm_sq(params.gamma,
+                                               params.require_omega())
 
 
 def action(u: RadialField, params: ModelParams) -> float:
-    return 0.5 * h_omega_norm_sq(u, params) - potential(u, params) / (params.p + 1.0)
+    return _field_moments(u, params).action(params.p, params.gamma,
+                                            params.require_omega())
 
 
 def nehari(u: RadialField, params: ModelParams) -> float:
-    return h_omega_norm_sq(u, params) - potential(u, params)
+    return _field_moments(u, params).nehari(params.gamma,
+                                            params.require_omega())
 
 
 def virial_coefficient(params: ModelParams) -> float:
@@ -92,9 +147,8 @@ def virial_coefficient(params: ModelParams) -> float:
 
 
 def virial(u: RadialField, params: ModelParams) -> float:
-    _check(u, params)
-    return (grad_norm_sq(u) - params.gamma ** 2 * variance(u)
-            - virial_coefficient(params) * potential(u, params))
+    return _field_moments(u, params).virial(params.gamma,
+                                            virial_coefficient(params))
 
 
 def _require_critical(params: ModelParams, what: str) -> None:
@@ -111,11 +165,10 @@ def weinstein(u: RadialField, params: ModelParams) -> float:
     and mass-preserving dilation; minimized by the decaying ground profile.
     """
     _require_critical(params, "the interpolation quotient")
-    P = potential(u, params)
-    if P <= 0.0:
+    m = _field_moments(u, params)
+    if m.P <= 0.0:
         raise ParameterError("quotient undefined for the zero field")
-    s = (4.0 - 2.0 * params.b) / params.dim
-    return grad_norm_sq(u) * mass(u) ** (s / 2.0) / P
+    return m.weinstein(params.dim, params.b)
 
 
 def gn_slack(u: RadialField, params: ModelParams, critical_mass: float) -> float:
@@ -129,9 +182,10 @@ def gn_slack(u: RadialField, params: ModelParams, critical_mass: float) -> float
     _require_critical(params, "the sharp-constant check")
     if critical_mass <= 0.0:
         raise ParameterError("critical_mass must be positive")
+    m = _field_moments(u, params)
     s = (4.0 - 2.0 * params.b) / params.dim
     best = critical_mass ** (-s / 2.0) * (2.0 + params.dim - params.b) / params.dim
-    return best * grad_norm_sq(u) * mass(u) ** (s / 2.0) - potential(u, params)
+    return best * m.G * m.M ** (s / 2.0) - m.P
 
 
 @dataclass(frozen=True)
@@ -153,24 +207,15 @@ class FunctionalReport:
 
 
 def report(u: RadialField, params: ModelParams) -> FunctionalReport:
-    _check(u, params)
-    P = potential(u, params)
-    m = mass(u)
-    g = grad_norm_sq(u)
-    v = variance(u)
-    omega = params.require_omega()
-    H = g + params.gamma ** 2 * v + omega * m
-    E = 0.5 * g + 0.5 * params.gamma ** 2 * v - P / (params.p + 1.0)
-    J = None
-    if params.is_critical and P > 0.0:
-        s = (4.0 - 2.0 * params.b) / params.dim
-        J = g * m ** (s / 2.0) / P
+    m = _field_moments(u, params)
+    omega, gamma, p = params.require_omega(), params.gamma, params.p
+    J = (m.weinstein(params.dim, params.b)
+         if params.is_critical and m.P > 0.0 else None)
     return FunctionalReport(
-        energy=E, potential=P, mass=m,
-        action=0.5 * H - P / (params.p + 1.0),
-        nehari=H - P,
-        virial=g - params.gamma ** 2 * v - virial_coefficient(params) * P,
-        h_omega_norm_sq=H, weinstein=J)
+        energy=m.energy(p, gamma, 1.0), potential=m.P, mass=m.M,
+        action=m.action(p, gamma, omega), nehari=m.nehari(gamma, omega),
+        virial=m.virial(gamma, virial_coefficient(params)),
+        h_omega_norm_sq=m.h_norm_sq(gamma, omega), weinstein=J)
 
 
 class SetLabel(enum.Enum):
@@ -199,18 +244,18 @@ def classify(u: RadialField, params: ModelParams, d: float,
     """
     if d <= 0.0:
         raise ParameterError("the level d must be positive")
-    S = action(u, params)
-    if S >= d:
+    m = _field_moments(u, params)
+    omega = params.require_omega()
+    if m.action(params.p, params.gamma, omega) >= d:
         return SetLabel.OUTSIDE
-    H = h_omega_norm_sq(u, params)
-    band = band_rel * abs(H)
-    K = nehari(u, params)
+    band = band_rel * abs(m.h_norm_sq(params.gamma, omega))
+    K = m.nehari(params.gamma, omega)
     if abs(K) < band:
         raise AmbiguousSignError(
             f"nehari functional {K} inside the certification band {band}")
     if K > 0.0:
         return SetLabel.R_PLUS
-    I = virial(u, params)
+    I = m.virial(params.gamma, virial_coefficient(params))
     if abs(I) < band:
         return SetLabel.R_MINUS_ONLY
     return SetLabel.K_PLUS if I > 0.0 else SetLabel.K_MINUS

@@ -22,10 +22,9 @@ import numpy as np
 
 from .core import (ConvergenceError, GridMismatchError, ModelParams,
                    ParameterError, RadialField, RadialGrid, apply_laplacian,
-                   default_grid, factor_operator, grad_norm_sq, gradient_sq,
-                   mass, nonlinearity, stationary_residual, variance)
-from .functionals import energy as _energy
-from .functionals import potential
+                   default_grid, factor_operator, nonlinearity,
+                   stationary_residual)
+from .functionals import _field_moments, _moments
 
 __all__ = [
     "ConvergenceError", "EnergyUnboundedError",
@@ -142,19 +141,6 @@ def _newton(u, linear_coeff, grid, b, p, tol, max_iter=60):
     return u, res, it
 
 
-def _identity_residuals(u: RadialField, params, omega_eff, gamma_eff):
-    """Residuals of the two stationarity identities for the given equation."""
-    dim, b, p = params.dim, params.b, params.p
-    g = grad_norm_sq(u)
-    m = mass(u)
-    v = variance(u)
-    P = potential(u, params)
-    id1 = g + omega_eff * m + gamma_eff ** 2 * v - P
-    id2 = ((2.0 - dim) / 2.0 * g - dim * omega_eff / 2.0 * m
-           - (dim + 2.0) / 2.0 * gamma_eff ** 2 * v + (dim - b) / (p + 1.0) * P)
-    return id1, id2
-
-
 def _check_shape(u):
     if not np.all(u > 0.0):
         raise ConvergenceError("profile is not strictly positive on the grid")
@@ -187,19 +173,20 @@ def _ground_state(params, grid, tol, omega, gamma_eff):
         raise ParameterError("tol must be positive")
     if grid.dim != params.dim:
         raise GridMismatchError("grid dim differs from params dim")
-    r = grid.r
-    coeff = omega + gamma_eff ** 2 * r ** 2
-    start = np.exp(-gamma_eff * r ** 2 / 2.0) if gamma_eff > 0.0 else np.exp(-r)
-    guess, _ = _nehari_descent(start, coeff, grid, params.b, params.p)
-    u, res, iters = _polish(guess, coeff, grid, params.b, params.p, tol)
+    dim, b, p = params.dim, params.b, params.p
+    r2 = grid.r_pow(2.0)
+    coeff = omega + gamma_eff ** 2 * r2
+    start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
+             else np.exp(-grid.r))
+    guess, _ = _nehari_descent(start, coeff, grid, b, p)
+    u, res, iters = _polish(guess, coeff, grid, b, p, tol)
     prof = RadialField(grid, u)
-    id1, id2 = _identity_residuals(prof, params, omega, gamma_eff)
-    energy = (0.5 * grad_norm_sq(prof) + 0.5 * gamma_eff ** 2 * variance(prof)
-              - potential(prof, params) / (params.p + 1.0))
+    m = _moments(prof.values, grid, b, p)
+    id1, id2 = m.pohozaev(dim, b, p, gamma_eff, omega)
     return GroundStateResult(
         profile=prof, omega=omega, residual_sup=res,
-        pohozaev_1=id1, pohozaev_2=id2, mass=mass(prof),
-        energy=energy, iterations=iters)
+        pohozaev_1=id1, pohozaev_2=id2, mass=m.M,
+        energy=m.energy(p, gamma_eff, 1.0), iterations=iters)
 
 
 def soliton_grid(params: ModelParams, h: float = 2e-3,
@@ -243,16 +230,15 @@ def stationary_residuals(u: RadialField, params: ModelParams):
     any discrete stationary state).  Second: the x . grad u pairing.
     """
     omega = params.require_omega()
-    return _identity_residuals(u, params, omega, params.gamma)
+    return _field_moments(u, params).pohozaev(params.dim, params.b, params.p,
+                                              params.gamma, omega)
 
 
 # ------------------------------------------------- constrained minimization
 
-def _bordered_newton(u, omega, q, grid, params, tol, max_iter=40):
+def _bordered_newton(u, omega, q, grid, trap, b, p, tol, max_iter=40):
     """Newton on the stationary system with unknown multiplier, at fixed mass."""
-    trap = params.gamma ** 2 * grid.r ** 2
     w = grid.weights
-    b, p = params.b, params.p
     for it in range(1, max_iter + 1):
         F = stationary_residual(u, grid, trap + omega, b, p)
         C = float(np.sum(w * u * u)) - q
@@ -277,7 +263,6 @@ def constrained_minimizer(q: float, params: ModelParams,
                           ball_radius: float | None = None,
                           tol: float = 1e-8,
                           max_iter: int = 40000,
-                          dtau: float = 0.5,
                           energy_trace: list | None = None) -> GroundStateResult:
     """Energy minimizer at prescribed mass q by normalized gradient descent.
 
@@ -303,27 +288,21 @@ def constrained_minimizer(q: float, params: ModelParams,
     supercritical_free = (params.criticality == "supercritical"
                           and ball_radius is None)
 
-    r = grid.r
     w = grid.weights
-    rb = grid.r_pow(-params.b)
-    trap_coeff = params.gamma ** 2 * r ** 2
-    b, p = params.b, params.p
+    r2 = grid.r_pow(2.0)
+    dim, b, p, gamma = params.dim, params.b, params.p, params.gamma
+    trap_coeff = gamma ** 2 * r2
 
-    u = np.exp(-params.gamma * r ** 2 / 2.0)
+    u = np.exp(-gamma * r2 / 2.0)
     u *= math.sqrt(q / float(np.sum(w * u * u)))
-
-    def energy_of(x):
-        g = gradient_sq(x, grid)
-        v = float(np.sum(w * r ** 2 * x * x))
-        P = float(np.sum(w * rb * np.abs(x) ** (p + 1.0)))
-        return 0.5 * g + 0.5 * params.gamma ** 2 * v - P / (p + 1.0), g, v, P
 
     # Multiplier-shifted semi-implicit step: with the current multiplier in
     # the implicit operator, discrete stationary states are exact fixed
     # points of the normalized step (the unshifted variant stalls at an
     # O(dtau)-biased profile).
-    E_prev, g0, v0, P0 = energy_of(u)
-    omega = (P0 - g0 - params.gamma ** 2 * v0) / q
+    dtau = 0.5
+    m = _moments(u, grid, b, p)
+    E_prev, g0, omega = m.energy(p, gamma, 1.0), m.G, m.multiplier(gamma)
     g_prev = g0
     grow = 0
     flow_tol = max(math.sqrt(tol), 100.0 * tol)
@@ -334,11 +313,11 @@ def constrained_minimizer(q: float, params: ModelParams,
     while it < max_iter:
         it += 1
         solve = factor_operator(
-            grid, trap_coeff + max(omega, -params.gamma * params.dim),
-            scale=dtau, shift=1.0)
+            grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0)
         u_new = solve(u + dtau * nonlinearity(u, grid, b, p))
         u_new *= math.sqrt(q / float(np.sum(w * u_new * u_new)))
-        E_new, g, v, P = energy_of(u_new)
+        m = _moments(u_new, grid, b, p)
+        E_new, g = m.energy(p, gamma, 1.0), m.G
         if E_new > E_prev + 1e-10 * max(1.0, abs(E_prev)):
             if dtau <= 1e-8:
                 break
@@ -369,7 +348,7 @@ def constrained_minimizer(q: float, params: ModelParams,
         E_prev = E_new
         if energy_trace is not None:
             energy_trace.append(E_new)
-        omega = (P - g - params.gamma ** 2 * v) / q
+        omega = m.multiplier(gamma)
         res = float(np.max(np.abs(
             stationary_residual(u, grid, trap_coeff + omega, b, p))))
         if res < flow_tol:
@@ -383,11 +362,10 @@ def constrained_minimizer(q: float, params: ModelParams,
         raise ConvergenceError(
             f"nonconvergence: {max_iter} descent steps without stationarity")
 
-    _, g, v, P = energy_of(u)
-    omega = (P - g - params.gamma ** 2 * v) / q
+    omega = _moments(u, grid, b, p).multiplier(gamma)
     if status == "converged":
         u, omega, res, newton_iters = _bordered_newton(
-            u, omega, q, grid, params, tol)
+            u, omega, q, grid, trap_coeff, b, p, tol)
         if res > tol:
             raise ConvergenceError(
                 f"stationary residual {res:.3e} above tolerance {tol:.1e}")
@@ -398,18 +376,19 @@ def constrained_minimizer(q: float, params: ModelParams,
             stationary_residual(u, grid, trap_coeff + omega, b, p))))
 
     prof = RadialField(grid, u)
+    m = _moments(prof.values, grid, b, p)
     if status == "converged" and ball_radius is not None:
-        hsq = grad_norm_sq(prof) + params.gamma ** 2 * variance(prof)
+        hsq = m.h_norm_sq(gamma, 0.0)
         if hsq > 0.99 * ball_radius:
             raise ConvergenceError(
                 f"minimizer not strictly inside the ball: ||u||_H^2 = {hsq} "
                 f"vs ball_radius = {ball_radius}")
-    id1, id2 = _identity_residuals(prof, params, omega, params.gamma)
+    id1, id2 = m.pohozaev(dim, b, p, gamma, omega)
     # a plain float, so save_profile writes a literal load_profile can read
     return GroundStateResult(
         profile=prof, omega=float(omega), residual_sup=res,
-        pohozaev_1=id1, pohozaev_2=id2, mass=mass(prof),
-        energy=_energy(prof, params), iterations=it,
+        pohozaev_1=id1, pohozaev_2=id2, mass=m.M,
+        energy=m.energy(p, gamma, 1.0), iterations=it,
         converged=(status == "converged"), status=status)
 
 

@@ -14,13 +14,14 @@ from gpelab.core import (ModelParams, RadialField, RadialGrid, grad_norm_sq,
 from gpelab.closedforms import (BlowupFamilyParams, ProfileInterpolant,
                                 caustic_time, lens_forward, lens_inverse,
                                 minimal_mass_solution, oscillator_mode,
-                                snapshot_sampler, _minimal_mass_values)
+                                _minimal_mass_values)
 from gpelab.evolve import (EvolveConfig, evolve, predict_collapse_time,
                            virial_check)
 from gpelab.experiments import (dichotomy_run, estimate_d_n_upper,
-                                estimate_d_omega, random_trial_field,
-                                scale_amplitude, scale_mass_preserving,
-                                stability_run, threshold_sweep)
+                                estimate_d_omega, lens_check,
+                                random_trial_field, scale_amplitude,
+                                scale_mass_preserving, stability_run,
+                                threshold_sweep)
 from gpelab.functionals import (SetLabel, action, energy, h_omega_norm_sq,
                                 nehari, potential, virial, weinstein)
 from gpelab.groundstate import (constrained_minimizer, solve_bound_state,
@@ -154,32 +155,11 @@ def test_criterion_06_sharp_threshold(soliton, grid, params_critical):
 
 def test_criterion_07_lens_equivalence(params_critical):
     grid = RadialGrid(h=2e-3, rmax=12.0, dim=3)
-    free_grid = RadialGrid(h=2e-3, rmax=40.0, dim=3)
-    t_max = 0.8 * caustic_time(params_critical)
-    checks = np.linspace(0.0, t_max, 6)[1:]
-    free_times = [math.tan(2.0 * t) / 2.0 for t in checks]
-
-    def bump(r):
-        return 0.4 * np.exp(-r ** 2 / 2)
-
-    u0f = RadialField.from_function(free_grid, bump)
-    cfgf = EvolveConfig(dt=1e-3, t_end=free_times[-1], free_equation=True,
-                        record_every=10 ** 9,
-                        snapshot_times=tuple(free_times),
-                        blowup_gradient_factor=1e9)
-    runf = evolve(u0f, params_critical, cfgf)
-    sampler = snapshot_sampler(runf.snapshots)
-    u0t = RadialField.from_function(grid, bump)
-    cfgt = EvolveConfig(dt=1e-3, t_end=float(checks[-1]),
-                        record_every=10 ** 9,
-                        snapshot_times=tuple(float(t) for t in checks),
-                        blowup_gradient_factor=1e9)
-    runt = evolve(u0t, params_critical, cfgt)
-    mismatch = max(
-        math.sqrt(mass(lens_forward(sampler, float(t), params_critical, grid)
-                       - next(f for ts, f in runt.snapshots
-                              if abs(ts - t) <= 1e-9)))
-        for t in checks)
+    _, mismatches, _ = lens_check(
+        params_critical, grid, free_rmax=40.0, dt=1e-3,
+        t_max=0.8 * caustic_time(params_critical), n_check=5, amplitude=0.4,
+        width=1.0)
+    mismatch = max(mismatches)
     ok_fwd = mismatch < 1e-4
 
     # algebraic round trip: inverse(forward) = identity up to interpolation

@@ -49,6 +49,10 @@ class TestConfigParsing:
         path = write_config(tmp_path, "[modle]\nb = 0.5\n")
         with pytest.raises(ConfigError, match="modle"):
             load_config(path)
+        # no command reads a [stability] section
+        path = write_config(tmp_path, "[stability]\nq = 1.0\n")
+        with pytest.raises(ConfigError, match=r"\[stability\]"):
+            load_config(path)
 
     def test_bad_value_named(self, tmp_path):
         path = write_config(tmp_path, "[model]\nb = not_a_number\n")
@@ -172,6 +176,24 @@ record_every = 40
         csv_lines = (out / "sweep.csv").read_text().strip().split("\n")
         body = [ln for ln in csv_lines if not ln.startswith("#")]
         assert body[0] == "c,lambda,outcome,t_blow,t_pred,max_grad_ratio"
+
+    def test_lens_report(self, tmp_path):
+        # coarse meshes: the free mesh of radius 20 holds the dispersing bump
+        path = write_config(tmp_path, BASE.replace("h = 0.004", "h = 0.01")
+                            + """
+[lens]
+dt = 2e-3
+n_check = 3
+free_rmax = 20.0
+""")
+        out = tmp_path / "out"
+        assert run("lens", path, out) == 0
+        payload = json.loads((out / "lens_report.json").read_text())
+        assert len(payload["check_times"]) == 3
+        assert payload["check_times"][-1] == pytest.approx(0.2 * np.pi)
+        assert payload["max_l2_mismatch"] == max(payload["l2_mismatch"])
+        assert payload["max_l2_mismatch"] < 1e-3
+        assert payload["roundtrip_sup_error"] < 1e-4
 
     def test_determinism_byte_identical(self, tmp_path):
         path = write_config(tmp_path, BASE + """

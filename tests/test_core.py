@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
-                         ParameterError, RadialField, RadialGrid,
+                         ModelParams, ParameterError, RadialField, RadialGrid,
                          apply_laplacian, factor_operator, grad_norm_sq,
                          integrate_radial, mass, sigma_norm_sq,
                          stationary_residual, validate_params, variance)
@@ -64,6 +64,13 @@ class TestValidateParams:
     def test_gamma_positive(self):
         with pytest.raises(ParameterError, match="gamma"):
             validate_params(dim=3, b=0.5, p=2.0, gamma=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_gamma_and_omega_rejected(self, bad):
+        with pytest.raises(ParameterError, match="gamma"):
+            ModelParams(dim=3, b=0.5, p=2.0, gamma=bad)
+        with pytest.raises(ParameterError, match="omega"):
+            ModelParams(dim=3, b=0.5, p=2.0, omega=bad)
 
 
 class TestGrid:

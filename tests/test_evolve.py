@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         mass, variance)
+                         grad_norm_sq, mass, variance)
 from gpelab.evolve import (DiagnosticSeries, EvolveConfig, evolve,
                            predict_collapse_time, virial_check)
 from gpelab.closedforms import ProfileInterpolant, discrete_oscillator_mode
 from gpelab.functionals import energy
+
+from helpers import rel_err
 
 
 def scaled_soliton(soliton, grid, c, lam=1.0):
@@ -29,6 +31,11 @@ class TestConfig:
                 EvolveConfig(dt=bad, t_end=1.0)
             with pytest.raises(ParameterError, match="finite"):
                 EvolveConfig(dt=1e-3, t_end=bad)
+            # nan would switch blow-up detection off without a word
+            with pytest.raises(ParameterError, match="blowup_gradient_factor"):
+                EvolveConfig(dt=1e-3, t_end=1.0, blowup_gradient_factor=bad)
+            with pytest.raises(ParameterError, match="coupling"):
+                EvolveConfig(dt=1e-3, t_end=1.0, coupling=bad)
 
     def test_trap_resolution_required(self, grid, params_critical):
         u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
@@ -116,6 +123,22 @@ class TestConservation:
         dev = np.max(np.abs(res_b.final.values
                             - res_a.final.values * np.exp(1j * theta)))
         assert dev < 1e-11
+
+
+class TestDiagnosticRow:
+    @pytest.mark.parametrize("coupling", [1.0, 0.5])
+    def test_first_row_equals_functionals(self, grid, params_critical,
+                                          coupling):
+        # the recorded row and the public functionals share one quadrature
+        u0 = RadialField.from_function(
+            grid, lambda r: 0.8 * np.exp(-r ** 2 / 2) * (1.0 + 0.3j * r))
+        cfg = EvolveConfig(dt=1e-3, t_end=0.01, coupling=coupling)
+        s = evolve(u0, params_critical, cfg).series
+        for got, want in ((s.mass[0], mass(u0)),
+                          (s.energy[0], energy(u0, params_critical, coupling)),
+                          (s.grad_sq[0], grad_norm_sq(u0)),
+                          (s.f[0], variance(u0))):
+            assert rel_err(got, want) < 1e-12
 
 
 class TestStandingWavePersistence:

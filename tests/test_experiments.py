@@ -120,6 +120,15 @@ class TestCrossLevel:
         with pytest.raises(ParameterError):
             construct_cross_point(bound_state.profile, params_critical, 3.0)
 
+    def test_no_cross_point_keeps_each_reason(self, bound_state,
+                                              params_critical):
+        with pytest.raises(ParameterError) as info:
+            estimate_d_n_upper(bound_state.profile, params_critical,
+                               lambdas=[0.9, 3.0])
+        msg = str(info.value)
+        assert "lambda=0.9: need an amplitude factor lam > 1" in msg
+        assert "lambda=3.0: " in msg
+
     def test_upper_bound_positive(self, bound_state, grid, params_critical):
         dn, points = estimate_d_n_upper(bound_state.profile, params_critical)
         assert dn > 0

@@ -3,8 +3,8 @@ import pytest
 
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
                          default_grid, grad_norm_sq, mass, variance)
-from gpelab.functionals import (action, h_omega_norm_sq, nehari, potential,
-                                virial)
+from gpelab.functionals import (action, energy, h_omega_norm_sq, nehari,
+                                potential, virial)
 from gpelab.groundstate import (ConstraintEmptyError, ConvergenceError,
                                 EnergyUnboundedError, OutsideHypothesesError,
                                 _nehari_descent, _polish,
@@ -164,6 +164,27 @@ class TestStationaryResiduals:
         assert r1 == pytest.approx(g + 0.0 * m + v - P, rel=1e-12)
         expect2 = (-0.5 * g - 0.0 * m - 2.5 * v + 2.5 / 3.0 * P)
         assert r2 == pytest.approx(expect2, rel=1e-12)
+
+
+class TestOneFormula:
+    """Result fields equal the public functionals of the returned profile."""
+
+    def test_bound_state_fields(self, bound_state, params_critical):
+        prof = bound_state.profile
+        assert rel_err(bound_state.energy,
+                       energy(prof, params_critical)) < 1e-12
+        assert rel_err(bound_state.mass, mass(prof)) < 1e-12
+        # near-zero identities: absolute bound on the scale of P
+        P = potential(prof, params_critical)
+        r1, r2 = stationary_residuals(prof, params_critical)
+        assert abs(r1 - bound_state.pohozaev_1) <= 1e-12 * P
+        assert abs(r2 - bound_state.pohozaev_2) <= 1e-12 * P
+
+    def test_minimizer_fields(self, params_subcritical, grid):
+        res = constrained_minimizer(1.0, params_subcritical, grid)
+        assert rel_err(res.energy,
+                       energy(res.profile, params_subcritical)) < 1e-12
+        assert rel_err(res.mass, mass(res.profile)) < 1e-12
 
 
 class TestConstrainedMinimizer:
