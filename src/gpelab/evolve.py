@@ -1,12 +1,12 @@
 """Time integration of the trapped equation and of its free-space variant,
 with conservation diagnostics, variance tracking and blow-up detection.
 
-Scheme: Strang splitting.  The trap and the nonlinearity are pointwise
-multipliers in the radial representation, so their half-step flow is an
-exact phase rotation (exactly mass-preserving); only the Laplacian needs an
-implicit midpoint (Crank-Nicolson) tridiagonal solve, which is unitary for
-the self-adjoint discrete Laplacian.  Fixed dt with an early stop on the
-gradient-ratio blow-up flag; no adaptive collapse-chasing.
+Scheme: Strang splitting.  The nonlinear flow is an exact phase rotation
+that keeps |u|, so the closing half-phase of a step and the opening one of
+the next merge into one phase; the linear part -Lap + V(r) takes one
+Crank-Nicolson solve in Cayley form, unitary for the self-adjoint discrete
+operator.  Fixed dt with an early stop on the gradient-ratio blow-up flag;
+no adaptive collapse-chasing.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ModelParams, ParameterError, RadialField, apply_laplacian,
-                   factor_operator, variance_rate)
+from .core import (ModelParams, ParameterError, RadialField, factor_operator,
+                   variance_rate)
 from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
@@ -69,7 +69,8 @@ class EvolveConfig:
 @dataclass
 class DiagnosticSeries:
     """Recorded time series; f is the variance ||x u||^2 and f_prime its
-    exact first variation 4 Im int conj(u) (grad u . x)."""
+    exact first variation 4 Im int conj(u) (grad u . x).  free_equation
+    says which equation produced it; it is not written to the CSV."""
 
     t: np.ndarray
     mass: np.ndarray
@@ -77,11 +78,10 @@ class DiagnosticSeries:
     grad_sq: np.ndarray
     f: np.ndarray
     f_prime: np.ndarray
+    free_equation: bool = False
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        lines = []
-        for key, val in (metadata or {}).items():
-            lines.append(f"# {key} = {val}")
+        lines = [f"# {k} = {v}" for k, v in (metadata or {}).items()]
         lines.append("t,mass,energy,grad_sq,f,f_prime")
         for row in zip(self.t, self.mass, self.energy, self.grad_sq,
                        self.f, self.f_prime):
@@ -105,10 +105,13 @@ class EvolveResult:
         return self.snapshots[-1][0]
 
 
-def _diag_row(vals, grid, params, gamma_eff, coupling):
-    m = _moments(vals, grid, params.b, params.p)
-    E = m.energy(params.p, gamma_eff, coupling)
-    return m.M, E, m.G, m.V, variance_rate(vals, grid)
+def _phase(eta, tau):
+    """exp(i tau eta) for a real node array eta, built as cos + i sin."""
+    x = tau * eta
+    z = np.empty(x.shape, complex)
+    np.cos(x, out=z.real)
+    np.sin(x, out=z.imag)
+    return z
 
 
 def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveResult:
@@ -132,78 +135,73 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
         if not 0.0 <= ts <= cfg.t_end + 1e-12:
             raise ParameterError(f"snapshot time {ts} outside [0, t_end]")
 
-    rb = grid.r_pow(-params.b)
     gamma_eff = 0.0 if cfg.free_equation else params.gamma
     trap = gamma_eff ** 2 * grid.r_pow(2.0)
-    coupling = cfg.coupling
+    coupled_rb = cfg.coupling * grid.r_pow(-params.b)
 
-    def phase_half(vals, dt):
-        # nonlinear multiplier coupling r^(-b)|u|^(p-1): exact phase flow
-        eta = coupling * rb * np.abs(vals) ** (params.p - 1.0)
-        return vals * np.exp(0.5j * dt * eta)
+    def rate(vals):
+        # coupling r^(-b)|u|^(p-1), for the closing and next opening phase
+        return coupled_rb * np.abs(vals) ** (params.p - 1.0)
 
-    def cn_solver(dt):
-        # Crank-Nicolson for the linear part -Lap + V(r): V is diagonal, so
-        # keeping the stiff trap inside the implicit solve (instead of the
-        # split phase) removes the large [Lap, r^2] splitting commutator and
-        # makes the linear-equation limit exactly a Cayley rotation
+    def cayley(dt):
+        # (1 + A)^(-1)(1 - A) v = 2 (1 + A)^(-1) v - v, A = (i dt/2)(-Lap + V);
+        # the stiff trap inside the solve avoids the [Lap, r^2] commutator
         solve = factor_operator(grid, trap, scale=0.5j * dt, shift=1.0)
-        return lambda v: solve(v - 0.5j * dt * (-apply_laplacian(v, grid)
-                                                + trap * v))
+        return lambda v: 2.0 * solve(v) - v
 
-    boundaries = sorted({float(ts) for ts in cfg.snapshot_times} | {cfg.t_end})
-    boundaries = [t for t in boundaries if t > 1e-14]
+    def diag_row(t, vals):
+        # one DiagnosticSeries row, in field order
+        m = _moments(vals, grid, params.b, params.p)
+        return (t, m.M, m.energy(params.p, gamma_eff, cfg.coupling), m.G,
+                m.V, variance_rate(vals, grid))
 
+    snap_times = {float(ts) for ts in cfg.snapshot_times}
+
+    def schedule():
+        # (dt, t, lands): steps of cfg.dt, and a shortened one where needed,
+        # landing on each snapshot time and t_end; none for a zero-length span
+        start = 0.0
+        for target in sorted(snap_times | {cfg.t_end}):
+            span = target - start
+            nfull = int(math.floor(span / cfg.dt + 1e-9))
+            dt_last = span - nfull * cfg.dt
+            nsteps = nfull + 1 if dt_last > 1e-12 else nfull
+            for k in range(1, nsteps):
+                yield cfg.dt, start + k * cfg.dt, False
+            if nsteps:
+                yield (dt_last if nsteps > nfull else cfg.dt), target, True
+                start = target
+
+    # vals owes the half-phase `pending`; record steps close a copy, so the
+    # trajectory does not depend on record_every
     vals = u0.values.astype(complex)
-    t = 0.0
-    rows = [(0.0, *_diag_row(vals, grid, params, gamma_eff, coupling))]
-    snaps = []
-    if any(abs(ts) <= 1e-14 for ts in cfg.snapshot_times):
-        snaps.append((0.0, RadialField(grid, vals)))
-    grad0 = rows[0][3]
-    blowup_time = None
-
-    cn_full = cn_solver(cfg.dt)
-    step_count = 0
-    stopped = False
-    for t_target in boundaries:
-        if stopped:
+    closed, eta, pending = vals, rate(vals), 0.0
+    t, blowup_time = 0.0, None
+    rows = [diag_row(0.0, vals)]
+    snaps = ([(0.0, RadialField(grid, vals))]
+             if any(ts <= 1e-14 for ts in snap_times) else [])
+    cn_full = cayley(cfg.dt)
+    for step, (dt, t, lands) in enumerate(schedule(), 1):
+        cn = cn_full if dt == cfg.dt else cayley(dt)
+        # the pending closing half-phase merged with this step's opening
+        vals = cn(vals * _phase(eta, pending + 0.5 * dt))
+        eta, pending = rate(vals), 0.5 * dt
+        if step % cfg.record_every and not lands:
+            continue
+        closed = vals * _phase(eta, pending)
+        if not np.all(np.isfinite(closed)):
+            raise EvolveNaNError(rows[-1][0])
+        rows.append(diag_row(t, closed))
+        if lands and t in snap_times:
+            snaps.append((t, RadialField(grid, closed)))
+        if rows[-1][3] > cfg.blowup_gradient_factor * rows[0][3]:
+            blowup_time = t
             break
-        seg_start = t
-        span = t_target - seg_start
-        nfull = int(math.floor(span / cfg.dt + 1e-9))
-        dt_last = span - nfull * cfg.dt
-        nsteps = nfull + 1 if dt_last > 1e-12 else nfull
-        for k in range(nsteps):
-            if k < nfull:
-                dt, cn = cfg.dt, cn_full
-            else:
-                dt, cn = dt_last, cn_solver(dt_last)
-            vals = phase_half(vals, dt)
-            vals = cn(vals)
-            vals = phase_half(vals, dt)
-            step_count += 1
-            at_boundary = k == nsteps - 1
-            t = t_target if at_boundary else seg_start + (k + 1) * cfg.dt
-            if step_count % cfg.record_every == 0 or at_boundary:
-                if not np.all(np.isfinite(vals)):
-                    raise EvolveNaNError(rows[-1][0])
-                row = (t, *_diag_row(vals, grid, params, gamma_eff, coupling))
-                if row[0] > rows[-1][0] + 1e-14:
-                    rows.append(row)
-                if row[3] > cfg.blowup_gradient_factor * grad0:
-                    blowup_time = t
-                    stopped = True
-                    break
-        if not stopped and any(abs(t - ts) <= 1e-12 for ts in cfg.snapshot_times):
-            snaps.append((t, RadialField(grid, vals)))
-
     if not snaps or abs(snaps[-1][0] - t) > 1e-12:
-        snaps.append((t, RadialField(grid, vals)))
+        snaps.append((t, RadialField(grid, closed)))
 
-    arr = np.array(rows)
-    series = DiagnosticSeries(t=arr[:, 0], mass=arr[:, 1], energy=arr[:, 2],
-                              grad_sq=arr[:, 3], f=arr[:, 4], f_prime=arr[:, 5])
+    series = DiagnosticSeries(*np.array(rows).T,
+                              free_equation=cfg.free_equation)
     return EvolveResult(snapshots=snaps, series=series, blowup_time=blowup_time)
 
 
@@ -225,8 +223,11 @@ def virial_check(series: DiagnosticSeries, params: ModelParams) -> float:
     max |f - fit| over the series.  Away from the critical power the full
     second-order identity is checked with centered second differences of f
     (uniform record spacing required); the return value is the maximum
-    absolute residual, which shrinks like the square of the spacing.
+    absolute residual, which shrinks like the square of the spacing.  A
+    free-equation series (no trap term) is rejected.
     """
+    if series.free_equation:
+        raise ParameterError("no variance law for a free equation series")
     if len(series.t) < 3:
         raise ParameterError("horizon too short to fit the variance law")
     gamma = params.gamma
@@ -276,9 +277,7 @@ def predict_collapse_time(u0: RadialField, params: ModelParams,
     amp, theta, mean = _sinusoid_from_initial(f0, fp0, E0, gamma)
     if amp == 0.0:
         return None if mean > 0.0 else 0.0
-    s = -mean / amp
-    s = min(1.0, max(-1.0, s))
-    base = math.asin(s)
+    base = math.asin(min(1.0, max(-1.0, -mean / amp)))
     cands = []
     for k in range(-2, 4):
         for x in (base + 2.0 * math.pi * k, math.pi - base + 2.0 * math.pi * k):

@@ -122,7 +122,7 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     """
     rng = np.random.default_rng(seed)
     coeff = params.require_omega() + params.gamma ** 2 * grid.r_pow(2.0)
-    best = math.inf
+    best, skipped = math.inf, []
     trials = []
     if reference is not None:
         trials.append(RadialField(grid, reference.values.real))
@@ -131,10 +131,11 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
             trials.append(reference + scale_amplitude(bump, 1e-2))
     for _ in range(n_random):
         trials.append(random_trial_field(grid, rng))
-    for trial in trials:
+    for i, trial in enumerate(trials):
         try:
             proj, _ = nehari_project(trial, params)
-        except ParameterError:
+        except ParameterError as exc:
+            skipped.append(f"trial {i}: {exc}")
             continue
         best = min(best, action(proj, params))
         refined, _ = _nehari_descent(trial.values.real, coeff, grid, params.b,
@@ -142,7 +143,7 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
                                      rtol=None)
         best = min(best, action(RadialField(grid, refined), params))
     if not math.isfinite(best):
-        raise ParameterError("all trials degenerate (vanishing P)")
+        raise ParameterError("all trials degenerate; " + "; ".join(skipped))
     return best
 
 
@@ -288,7 +289,7 @@ class SweepRow:
     outcome: str                    # "global_bounded" | "blowup" | "failed"
     t_blow: float | None
     t_pred: float | None
-    max_grad_ratio: float
+    max_grad_ratio: float           # blowup: at the flag, rounding-sensitive
     reason: str | None = None       # "<ExcType>: <message>" of a failed row
 
     def as_dict(self) -> dict:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import gpelab.evolve as evolve_module
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         grad_norm_sq, mass, variance)
+                         apply_laplacian, factor_operator, grad_norm_sq, mass,
+                         variance)
 from gpelab.evolve import (DiagnosticSeries, EvolveConfig, evolve,
                            predict_collapse_time, virial_check)
 from gpelab.closedforms import ProfileInterpolant, discrete_oscillator_mode
@@ -42,6 +44,109 @@ class TestConfig:
         cfg = EvolveConfig(dt=0.1, t_end=1.0)  # dt > (pi/2)/200
         with pytest.raises(ParameterError, match="resolve"):
             evolve(u0, params_critical, cfg)
+
+
+SERIES_FIELDS = ("t", "mass", "energy", "grad_sq", "f", "f_prime")
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestStepping:
+    """The merged-phase loop with its Cayley-form solve, against the
+    two-half-phase Strang step with the explicit Crank-Nicolson side."""
+
+    @staticmethod
+    def strang_reference(u0, params, dt, nsteps):
+        grid = u0.grid
+        rb = grid.r_pow(-params.b)
+        trap = params.gamma ** 2 * grid.r_pow(2.0)
+        solve = factor_operator(grid, trap, scale=0.5j * dt, shift=1.0)
+
+        def half(v):
+            return v * np.exp(0.5j * dt * rb * np.abs(v) ** (params.p - 1.0))
+
+        v = u0.values.astype(complex)
+        for _ in range(nsteps):
+            v = half(v)
+            v = solve(v - 0.5j * dt * (-apply_laplacian(v, grid) + trap * v))
+            v = half(v)
+        return v
+
+    def test_matches_two_half_phase_strang(self, params_critical):
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        u0 = RadialField.from_function(
+            grid, lambda r: 1.2 * np.exp(-r ** 2 / 2) * (1.0 + 0.2j * r))
+        want = self.strang_reference(u0, params_critical, 1e-3, 1000)
+        res = evolve(u0, params_critical,
+                     EvolveConfig(dt=1e-3, t_end=1.0, record_every=1000))
+        assert res.final_time == 1.0
+        assert max_rel(res.final.values, want) < 1e-11
+
+    def test_cayley_step_matches_explicit_side(self, grid, params_critical):
+        # coupling 0 leaves only the linear step: (1+A)^(-1)(1-A) v
+        u0 = RadialField.from_function(
+            grid, lambda r: np.exp(-r ** 2 / 2) * (1.0 + 0.3j * r))
+        dt = 1e-3
+        res = evolve(u0, params_critical,
+                     EvolveConfig(dt=dt, t_end=dt, coupling=0.0))
+        trap = grid.r_pow(2.0)
+        solve = factor_operator(grid, trap, scale=0.5j * dt, shift=1.0)
+        v = u0.values
+        want = solve(v - 0.5j * dt * (-apply_laplacian(v, grid) + trap * v))
+        assert max_rel(res.final.values, want) < 1e-13
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_record_cadence_bit_identical(self, grid, params_critical, free):
+        # recording closes a copy, never the propagated state; t_end = 0.2345
+        # ends on a shortened step
+        u0 = RadialField.from_function(
+            grid, lambda r: 1.1 * np.exp(-r ** 2 / 2) * (1.0 + 0.2j * r))
+        extra = (dict(free_equation=True) if free
+                 else dict(snapshot_times=(0.1,)))
+        dense, sparse = (evolve(u0, params_critical,
+                                EvolveConfig(dt=1e-3, t_end=0.2345,
+                                             record_every=k, **extra))
+                         for k in (1, 7))
+        shared = np.isin(dense.series.t, sparse.series.t)
+        assert shared.sum() == len(sparse.series.t) > 30
+        for name in SERIES_FIELDS:
+            assert np.array_equal(getattr(dense.series, name)[shared],
+                                  getattr(sparse.series, name))
+        assert len(dense.snapshots) == len(sparse.snapshots)
+        for (ta, fa), (tb, fb) in zip(dense.snapshots, sparse.snapshots):
+            assert ta == tb and np.array_equal(fa.values, fb.values)
+        assert np.array_equal(dense.final.values, sparse.final.values)
+
+    def test_one_phase_and_one_solve_per_step(self, grid, params_critical,
+                                              monkeypatch):
+        counts = {"phase": 0, "solve": 0}
+        phase, factor = evolve_module._phase, evolve_module.factor_operator
+
+        def counted_phase(eta, tau):
+            counts["phase"] += 1
+            return phase(eta, tau)
+
+        def counted_factor(*args, **kwargs):
+            solve = factor(*args, **kwargs)
+
+            def counted_solve(rhs):
+                counts["solve"] += 1
+                return solve(rhs)
+            return counted_solve
+
+        monkeypatch.setattr(evolve_module, "_phase", counted_phase)
+        monkeypatch.setattr(evolve_module, "factor_operator", counted_factor)
+        u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2 / 2))
+        cfg = EvolveConfig(dt=1e-3, t_end=0.0505, record_every=4,
+                           snapshot_times=(0.02,))
+        res = evolve(u0, params_critical, cfg)
+        # 20 steps to 0.02, then 30 whole steps and one of 5e-4; records at
+        # every 4th step and at both segment ends
+        nsteps, nrecords = 51, 5 + 8
+        assert len(res.series.t) == 1 + nrecords
+        assert counts == {"phase": nsteps + nrecords, "solve": nsteps}
 
 
 class TestLinearOscillator:
@@ -244,6 +349,31 @@ class TestVirialLaw:
                                   f_prime=np.zeros(2))
         with pytest.raises(ParameterError, match="horizon"):
             virial_check(series, params_critical)
+
+    def test_free_series_rejected(self, params_subcritical):
+        # the free variance has no trap term; the trapped law gave 48.29 here
+        g = RadialGrid(h=1e-2, rmax=12.0, dim=3)
+        u0 = RadialField.from_function(g, lambda r: 0.5 * np.exp(-r ** 2 / 2))
+        free, trapped = (evolve(u0, params_subcritical,
+                                EvolveConfig(dt=2e-3, t_end=0.5,
+                                             record_every=5, free_equation=fe))
+                         for fe in (True, False))
+        assert free.series.free_equation and not trapped.series.free_equation
+        with pytest.raises(ParameterError, match="free equation"):
+            virial_check(free.series, params_subcritical)
+        assert virial_check(trapped.series, params_subcritical) < 1e-2
+
+    def test_free_flag_not_written_to_csv(self, tmp_path, params_critical):
+        g = RadialGrid(h=1e-2, rmax=12.0, dim=3)
+        u0 = RadialField.from_function(g, lambda r: 0.5 * np.exp(-r ** 2 / 2))
+        series = evolve(u0, params_critical,
+                        EvolveConfig(dt=2e-3, t_end=0.02,
+                                     free_equation=True)).series
+        plain = DiagnosticSeries(*(getattr(series, k) for k in SERIES_FIELDS))
+        series.to_csv(tmp_path / "free.csv")
+        plain.to_csv(tmp_path / "plain.csv")
+        assert ((tmp_path / "free.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
 
     def test_fprime_consistent_with_differences(self, grid, params_critical):
         # recorded f' (quadrature form) matches centered differences of f

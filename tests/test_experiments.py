@@ -102,6 +102,22 @@ class TestNehariLevel:
                                   n_random=15, seed=3)
         assert abs(d_rand - d_ref) <= 1e-2 * d_ref
 
+    def test_all_degenerate_keeps_each_reason(self, grid, params_critical,
+                                              monkeypatch):
+        calls = []
+
+        def degenerate(field, params):
+            calls.append(field)
+            raise ParameterError(f"vanishing P in call {len(calls)}")
+
+        monkeypatch.setattr(experiments, "nehari_project", degenerate)
+        with pytest.raises(ParameterError, match="all trials degenerate") as info:
+            estimate_d_omega(params_critical, grid, n_random=3)
+        msg = str(info.value)
+        assert len(calls) == 3
+        for i in range(3):
+            assert f"trial {i}: vanishing P in call {i + 1}" in msg
+
 
 class TestCrossLevel:
     def test_cross_point_admissible(self, bound_state, params_critical):
