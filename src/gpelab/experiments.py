@@ -38,10 +38,17 @@ class HypothesisError(ParameterError):
 
 # ------------------------------------------------------------------ scalings
 
-def _rescale(u: RadialField, mu: float, prefactor: float,
-             singular_exponent=None) -> RadialField:
-    interp = ProfileInterpolant(u, singular_exponent=singular_exponent)
-    return RadialField(u.grid, prefactor * interp(mu * u.grid.r))
+def _rescale(interp: ProfileInterpolant, grid: RadialGrid, mu: float,
+             prefactor: float) -> RadialField:
+    return RadialField(grid, prefactor * interp(mu * grid.r))
+
+
+def _dilate(interp: ProfileInterpolant, grid: RadialGrid, mu: float,
+            params: ModelParams) -> RadialField:
+    """mu^((2-b)/(p-1)) interp(mu r) on grid: scale_dilation of the
+    interpolated profile."""
+    return _rescale(interp, grid, mu,
+                    mu ** ((2.0 - params.b) / (params.p - 1.0)))
 
 
 def scale_amplitude(u: RadialField, lam: float) -> RadialField:
@@ -51,21 +58,23 @@ def scale_amplitude(u: RadialField, lam: float) -> RadialField:
 
 def scale_mass_preserving(u: RadialField, mu: float) -> RadialField:
     """u -> mu^(N/2) u(mu x); preserves the L^2 norm."""
-    return _rescale(u, mu, mu ** (u.grid.dim / 2.0))
+    return _rescale(ProfileInterpolant(u), u.grid, mu,
+                    mu ** (u.grid.dim / 2.0))
 
 
 def scale_dilation(u: RadialField, mu: float, params: ModelParams) -> RadialField:
     """u -> mu^((2-b)/(p-1)) u(mu x), the dilation whose kinetic term scales
     with the positive exponent dilation_exponent(params)."""
-    return _rescale(u, mu, mu ** ((2.0 - params.b) / (params.p - 1.0)),
-                    singular_exponent=2.0 - params.b)
+    interp = ProfileInterpolant(u, singular_exponent=2.0 - params.b)
+    return _dilate(interp, u.grid, mu, params)
 
 
 def scale_potential_preserving(u: RadialField, mu: float,
                                params: ModelParams) -> RadialField:
     """u -> mu^((N-b)/(p+1)) u(mu x); preserves the potential term P."""
-    return _rescale(u, mu, mu ** ((params.dim - params.b) / (params.p + 1.0)),
-                    singular_exponent=2.0 - params.b)
+    interp = ProfileInterpolant(u, singular_exponent=2.0 - params.b)
+    return _rescale(interp, u.grid, mu,
+                    mu ** ((params.dim - params.b) / (params.p + 1.0)))
 
 
 def dilation_exponent(params: ModelParams) -> float:
@@ -115,8 +124,9 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
                      n_random: int = 40, seed: int = 0) -> float:
     """Least action on the nehari zero set, estimated by projected search.
 
-    Every trial is projected onto the zero set and refined by 150 descent
-    steps of size 0.2; the reported value is the smallest action seen.
+    Every trial is projected onto the zero set and refined by the Nehari
+    descent of the ground-state solve, with its stopping rule; the reported
+    value is the smallest action seen.
     With reference set (a computed minimizer) the reference and perturbed
     copies of it join the trial pool, so the estimate matches its action.
     """
@@ -139,8 +149,7 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
             continue
         best = min(best, action(proj, params))
         refined, _ = _nehari_descent(trial.values.real, coeff, grid, params.b,
-                                     params.p, step=0.2, max_iter=150,
-                                     rtol=None)
+                                     params.p)
         best = min(best, action(RadialField(grid, refined), params))
     if not math.isfinite(best):
         raise ParameterError("all trials degenerate; " + "; ".join(skipped))
@@ -181,8 +190,10 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
         raise ParameterError(
             f"dilation coefficient not positive at lam = {lam}")
 
+    interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
+
     def I_of(mu):
-        return virial(scale_dilation(v, mu, params), params)
+        return virial(_dilate(interp, v.grid, mu, params), params)
 
     lo, hi = 1.0, 1.5
     while I_of(hi) < 0.0:
@@ -202,7 +213,7 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
             lo = mu
         else:
             hi = mu
-    point = scale_dilation(v, mu, params)
+    point = _dilate(interp, v.grid, mu, params)
     m = _field_moments(point, params)
     I_val, K_val = m.virial(gamma, c_I), m.nehari(gamma, omega)
     if abs(I_val) >= tol or K_val >= 0.0:
@@ -320,8 +331,7 @@ class SweepResult:
 def _scaled_soliton(soliton: RadialField, grid: RadialGrid, c: float,
                     lam: float, singular_exponent=None) -> RadialField:
     interp = ProfileInterpolant(soliton, singular_exponent=singular_exponent)
-    vals = c * lam ** (grid.dim / 2.0) * interp(lam * grid.r)
-    return RadialField(grid, vals)
+    return _rescale(interp, grid, lam, c * lam ** (grid.dim / 2.0))
 
 
 def _sweep_row(soliton, grid, params, cfg, criterion_tol, c, lam) -> SweepRow:

@@ -73,7 +73,13 @@ class GroundStateResult:
 
 # ------------------------------------------------------------------ descent
 
-def _nehari_descent(u, coeff, grid, b, p, step=10.0, max_iter=500, rtol=1e-3):
+# Step size, step cap and relative stop of every Nehari descent.
+_DESCENT_STEP = 10.0
+_DESCENT_MAX_ITER = 500
+_DESCENT_RTOL = 1e-3
+
+
+def _nehari_descent(u, coeff, grid, b, p):
     """Preconditioned descent of the action with reprojection onto the
     Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v.
 
@@ -82,12 +88,12 @@ def _nehari_descent(u, coeff, grid, b, p, step=10.0, max_iter=500, rtol=1e-3):
     <L v, v> = P(v), which removes the one unstable (amplitude) direction of
     the least-action state (Li & Zhou, SIAM J. Sci. Comput. 23 (2001); cf.
     the Petviashvili iteration).  Stationary states are fixed points.  Stops
-    after max_iter steps or, unless rtol is None, once
-    max|F| < rtol max|r^(-b)|v|^(p-1)v| for the stationary residual F.
+    once max|F| < _DESCENT_RTOL max|r^(-b)|v|^(p-1)v| for the stationary
+    residual F, or after _DESCENT_MAX_ITER steps of size _DESCENT_STEP.
     Returns (v, steps taken).
     """
     w = grid.weights
-    solve = factor_operator(grid, coeff, scale=step, shift=1.0)
+    solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0)
 
     def project(x):
         Lx = -apply_laplacian(x, grid) + coeff * x
@@ -102,11 +108,11 @@ def _nehari_descent(u, coeff, grid, b, p, step=10.0, max_iter=500, rtol=1e-3):
         return lam * x, lam * Lx - f, f
 
     v, F, f = project(np.asarray(u, dtype=float))
-    for it in range(max_iter):
-        if rtol is not None and np.max(np.abs(F)) < rtol * np.max(np.abs(f)):
+    for it in range(_DESCENT_MAX_ITER):
+        if np.max(np.abs(F)) < _DESCENT_RTOL * np.max(np.abs(f)):
             return v, it
-        v, F, f = project(solve(v + step * f))
-    return v, max_iter
+        v, F, f = project(solve(v + _DESCENT_STEP * f))
+    return v, _DESCENT_MAX_ITER
 
 
 # ------------------------------------------------------------------- Newton

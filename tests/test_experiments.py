@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpelab import experiments
+from gpelab.closedforms import ProfileInterpolant
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
                          mass)
 from gpelab.evolve import EvolveConfig
@@ -102,6 +103,19 @@ class TestNehariLevel:
                                   n_random=15, seed=3)
         assert abs(d_rand - d_ref) <= 1e-2 * d_ref
 
+    @pytest.mark.parametrize("params_name, state_name", [
+        ("params_critical", "bound_state"),
+        ("params_supercritical", "bound_state_super")])
+    def test_random_estimate_bounds_least_action_from_above(
+            self, request, grid, params_name, state_name):
+        # the descent stops early, so a random-trial estimate sits just
+        # above the discrete least action and never below it
+        params = request.getfixturevalue(params_name)
+        S = action(request.getfixturevalue(state_name).profile, params)
+        d_rand = estimate_d_omega(params, grid, reference=None, n_random=10,
+                                  seed=11)
+        assert -1e-9 < (d_rand - S) / S < 1e-6
+
     def test_all_degenerate_keeps_each_reason(self, grid, params_critical,
                                               monkeypatch):
         calls = []
@@ -125,6 +139,25 @@ class TestCrossLevel:
         assert pt.nehari < 0
         assert abs(pt.virial) < 1e-8 * grad_norm_sq(pt.field)
         assert pt.action > 0
+
+    def test_cross_point_builds_one_interpolant(self, bound_state,
+                                                params_critical, monkeypatch):
+        builds = []
+
+        class CountingInterpolant(ProfileInterpolant):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        phi = bound_state.profile
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "ProfileInterpolant",
+                          CountingInterpolant)
+            pt = construct_cross_point(phi, params_critical, 1.05)
+        assert len(builds) == 1
+        expected = scale_dilation(scale_amplitude(phi, 1.05), pt.mu,
+                                  params_critical)
+        assert pt.field.values.tobytes() == expected.values.tobytes()
 
     def test_needs_amplitude_above_one(self, bound_state, params_critical):
         with pytest.raises(ParameterError):

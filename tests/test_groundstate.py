@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         default_grid, grad_norm_sq, mass, variance)
+                         default_grid, grad_norm_sq, mass, nonlinearity,
+                         stationary_residual, variance)
+from gpelab.experiments import random_trial_field
 from gpelab.functionals import (action, energy, h_omega_norm_sq, nehari,
                                 potential, virial)
 from gpelab.groundstate import (ConstraintEmptyError, ConvergenceError,
@@ -132,6 +134,22 @@ class TestNontriviality:
         assert np.max(_polish(guess, coeff, grid, b, p, 1e-8)[0]) > 1.0
         with pytest.raises(ConvergenceError, match="trivial"):
             _polish(1e-12 * guess, coeff, grid, b, p, 1e-8)
+
+
+class TestNehariDescent:
+    def test_random_trial_meets_stop_rule_on_nehari_set(self, grid,
+                                                        params_critical, rng):
+        params = params_critical
+        b, p = params.b, params.p
+        coeff = params.omega + params.gamma ** 2 * grid.r_pow(2.0)
+        start = random_trial_field(grid, rng).values.real
+        v, steps = _nehari_descent(start, coeff, grid, b, p)
+        assert steps < 500
+        F = stationary_residual(v, grid, coeff, b, p)
+        f = nonlinearity(v, grid, b, p)
+        assert np.max(np.abs(F)) < 1e-3 * np.max(np.abs(f))
+        u = RadialField(grid, v)
+        assert abs(nehari(u, params)) < 1e-10 * h_omega_norm_sq(u, params)
 
 
 class TestStationaryResiduals:
