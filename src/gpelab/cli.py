@@ -37,48 +37,37 @@ class ConfigError(ValueError):
 _FLOAT_LIST = "float_list"
 _BOOL = "bool"
 
-_SCHEMA = {
-    "model": {"dim": int, "b": float, "p": float, "gamma": float,
-              "omega": float},
-    "grid": {"h": float, "rmax": float},
-    "run": {"seed": int, "workers": int},
-    "groundstate": {"method": str, "tol": float, "q": float,
-                    "ball_radius": float, "rmax": float},
-    "evolve": {"dt": float, "t_end": float, "free_equation": _BOOL,
-               "blowup_gradient_factor": float, "record_every": int,
-               "coupling": float, "initial": str, "amplitude": float,
-               "dilation": float, "width": float},
-    "sweep": {"c_values": _FLOAT_LIST, "lambda_values": _FLOAT_LIST,
-              "dt": float, "t_end": float, "record_every": int,
-              "blowup_gradient_factor": float, "criterion_tol": float},
-    "levels": {"n_random": int},
-    "lens": {"dt": float, "t_max_frac": float, "n_check": int,
-             "amplitude": float, "width": float, "free_rmax": float},
-    "uniqueness": {"r_max": float, "n_samples": int},
-}
-
-_DEFAULTS = {
-    "model": {"dim": 3, "b": 0.5, "p": 2.0, "gamma": 1.0, "omega": 0.0},
-    "grid": {"h": 2e-3, "rmax": 8.0},
-    "run": {"seed": 12345, "workers": 1},
-    "groundstate": {"method": "shoot", "tol": 1e-8},
-    "evolve": {"dt": 1e-3, "t_end": 1.0, "free_equation": False,
-               "blowup_gradient_factor": 1e3, "record_every": 10,
-               "coupling": 1.0, "initial": "oscillator_mode",
-               "amplitude": 1.0, "dilation": 1.0, "width": 1.0},
-    "sweep": {"c_values": [0.8, 0.9, 0.95, 1.0, 1.05, 1.1],
-              "lambda_values": [1.65], "dt": 2e-4, "t_end": math.pi,
-              "record_every": 20, "blowup_gradient_factor": 1e3,
-              "criterion_tol": 1e-3},
-    "levels": {"n_random": 20},
-    "lens": {"dt": 1e-3, "t_max_frac": 0.8, "n_check": 5,
-             "amplitude": 0.4, "width": 1.0, "free_rmax": 40.0},
-    "uniqueness": {"r_max": 10.0, "n_samples": 200},
+# (type, default) per key; a key with default None stays out of the resolved
+# config unless the file sets it
+_CONFIG = {
+    "model": {"dim": (int, 3), "b": (float, 0.5), "p": (float, 2.0),
+              "gamma": (float, 1.0), "omega": (float, 0.0)},
+    "grid": {"h": (float, 2e-3), "rmax": (float, 8.0)},
+    "run": {"seed": (int, 12345), "workers": (int, 1)},
+    "groundstate": {"method": (str, "shoot"), "tol": (float, 1e-8),
+                    "q": (float, None), "ball_radius": (float, None),
+                    "rmax": (float, None)},
+    "evolve": {"dt": (float, 1e-3), "t_end": (float, 1.0),
+               "free_equation": (_BOOL, False),
+               "blowup_gradient_factor": (float, 1e3),
+               "record_every": (int, 10), "coupling": (float, 1.0),
+               "initial": (str, "oscillator_mode"), "amplitude": (float, 1.0),
+               "dilation": (float, 1.0), "width": (float, 1.0)},
+    "sweep": {"c_values": (_FLOAT_LIST, [0.8, 0.9, 0.95, 1.0, 1.05, 1.1]),
+              "lambda_values": (_FLOAT_LIST, [1.65]), "dt": (float, 2e-4),
+              "t_end": (float, math.pi), "record_every": (int, 20),
+              "blowup_gradient_factor": (float, 1e3),
+              "criterion_tol": (float, 1e-3)},
+    "levels": {"n_random": (int, 20)},
+    "lens": {"dt": (float, 1e-3), "t_max_frac": (float, 0.8),
+             "n_check": (int, 5), "amplitude": (float, 0.4),
+             "width": (float, 1.0), "free_rmax": (float, 40.0)},
+    "uniqueness": {"r_max": (float, 10.0), "n_samples": (int, 200)},
 }
 
 
 def _convert(section, key, raw):
-    kind = _SCHEMA[section][key]
+    kind = _CONFIG[section][key][0]
     try:
         if kind is _BOOL:
             low = raw.strip().lower()
@@ -102,14 +91,16 @@ def load_config(path) -> dict:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    cfg = {section: dict(values) for section, values in _DEFAULTS.items()}
+    cfg = {section: {key: default for key, (_, default) in keys.items()
+                     if default is not None}
+           for section, keys in _CONFIG.items()}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _CONFIG:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
-            if key not in _SCHEMA[section]:
+            if key not in _CONFIG[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            cfg.setdefault(section, {})[key] = _convert(section, key, raw)
+            cfg[section][key] = _convert(section, key, raw)
     if cfg["run"]["workers"] < 1:
         raise ConfigError(
             f"[run] workers must be >= 1, got {cfg['run']['workers']}")
@@ -157,8 +148,7 @@ def _json_default(obj):
 def _cmd_groundstate(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     section = cfg["groundstate"]
-    method = section.get("method", "shoot")
-    tol = section.get("tol", 1e-8)
+    method, tol = section["method"], section["tol"]
     if method == "soliton":
         grid = gs.soliton_grid(params, h=cfg["grid"]["h"],
                                rmax=section.get("rmax", 20.0))
@@ -209,7 +199,7 @@ def _initial_state(cfg, params, grid) -> RadialField:
         crit = params if params.is_critical else ModelParams(
             params.dim, params.b, params.p_critical, params.gamma, params.omega)
         sol = gs.solve_soliton(crit, gs.soliton_grid(crit, h=grid.h))
-        return experiments._scaled_soliton(sol.profile, grid, amp,
+        return experiments._scaled_soliton(sol.profile, grid, crit, amp,
                                            section["dilation"])
     raise ConfigError(f"unknown [evolve] initial: {kind}")
 

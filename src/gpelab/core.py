@@ -202,7 +202,7 @@ class RadialGrid:
             raise GridMismatchError(f"grids differ: {self} vs {other}")
 
     def laplacian_bands(self) -> np.ndarray:
-        """Banded (3, n) form of the radial Laplacian, solve_banded layout.
+        """Banded (3, n) form of the radial Laplacian, in LAPACK band storage.
 
         Row 0 holds the super-diagonal (shifted right), row 1 the diagonal,
         row 2 the sub-diagonal (shifted left).  The operator is the
@@ -415,3 +415,21 @@ def default_grid(params: ModelParams, h: float = 2e-3,
     """Default trapped-problem mesh; gamma*rmax^2 >= 40 keeps the Gaussian
     truncation error below the quadrature error."""
     return RadialGrid(h=h, rmax=rmax, dim=params.dim)
+
+
+def _table_cell(x) -> str:
+    if x is None:
+        return ""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def _write_table(path, header: str, rows,
+                 metadata: dict | None = None) -> None:
+    """Write a CSV table: '# key = value' metadata lines, the header, then one
+    line per row with floats to 17 significant digits and None as an empty
+    cell."""
+    lines = [f"# {k} = {v}" for k, v in (metadata or {}).items()]
+    lines.append(header)
+    lines.extend(",".join(map(_table_cell, row)) for row in rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

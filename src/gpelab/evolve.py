@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ModelParams, ParameterError, RadialField, factor_operator,
-                   variance_rate)
+from .core import (ModelParams, ParameterError, RadialField, _write_table,
+                   factor_operator, variance_rate)
 from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
@@ -81,13 +81,9 @@ class DiagnosticSeries:
     free_equation: bool = False
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        lines = [f"# {k} = {v}" for k, v in (metadata or {}).items()]
-        lines.append("t,mass,energy,grad_sq,f,f_prime")
-        for row in zip(self.t, self.mass, self.energy, self.grad_sq,
-                       self.f, self.f_prime):
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_table(path, "t,mass,energy,grad_sq,f,f_prime",
+                     zip(self.t, self.mass, self.energy, self.grad_sq, self.f,
+                         self.f_prime), metadata)
 
 
 @dataclass

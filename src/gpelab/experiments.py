@@ -9,11 +9,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
                           snapshot_sampler)
 from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   mass, sigma_inner, sigma_norm_sq)
+                   _write_table, mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, action, classify,
                           h_omega_norm_sq, virial, virial_coefficient)
@@ -159,7 +160,7 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
 @dataclass(frozen=True)
 class CrossPoint:
     """A field with nehari < 0 and virial = 0 (within tolerance), built by
-    amplitude scaling followed by dilation bisection."""
+    amplitude scaling followed by a root search in the dilation."""
 
     field: RadialField
     lam: float
@@ -169,13 +170,18 @@ class CrossPoint:
     virial: float
 
 
+def _dilated_virial(mu, interp, grid, params):
+    return virial(_dilate(interp, grid, mu, params), params)
+
+
 def construct_cross_point(phi: RadialField, params: ModelParams,
                           lam: float) -> CrossPoint:
     """Constructive cross-constrained point from a stationary profile.
 
     Amplitude-scale phi past 1 (making both sign functionals negative),
-    verify the dilation coefficient is positive, then bisect the dilation
-    mu <= 64 until |virial| < 1e-8 min(||grad v||^2, 1), v = lam phi.
+    verify the dilation coefficient is positive, bracket the root of the
+    virial in the dilation mu <= 64 and find it by Brent's method; the point
+    is accepted when |virial| < 1e-8 min(||grad v||^2, 1), v = lam phi.
     """
     if lam <= 1.0:
         raise ParameterError("need an amplitude factor lam > 1")
@@ -190,29 +196,20 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
         raise ParameterError(
             f"dilation coefficient not positive at lam = {lam}")
 
-    interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
-
-    def I_of(mu):
-        return virial(_dilate(interp, v.grid, mu, params), params)
-
-    lo, hi = 1.0, 1.5
-    while I_of(hi) < 0.0:
-        hi *= 2.0
-        if hi > 64.0:
-            raise ParameterError("dilation bisection bracket failure")
     # absolute cap keeps the accepted points on the constraint even for
     # large profiles
     tol = min(1e-8 * m.G, 1e-8)
-    mu = hi
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        val = I_of(mu)
-        if abs(val) < tol:
-            break
-        if val < 0.0:
-            lo = mu
-        else:
-            hi = mu
+    interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
+    # interp goes through args: brentq wraps its callable in a self-referencing
+    # function, so a closure over interp would keep it alive until gc runs
+    args = (interp, v.grid, params)
+    hi = 1.5
+    while _dilated_virial(hi, *args) < 0.0:
+        hi *= 2.0
+        if hi > 64.0:
+            raise ParameterError("dilation bracket failure")
+    mu = brentq(_dilated_virial, 1.0, hi, args=args, xtol=1e-15, rtol=1e-15,
+                disp=False)
     point = _dilate(interp, v.grid, mu, params)
     m = _field_moments(point, params)
     I_val, K_val = m.virial(gamma, c_I), m.nehari(gamma, omega)
@@ -266,12 +263,8 @@ class LevelEstimates:
                 "d": self.d, "trial_count": self.trial_count}
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        lines = [f"# {k} = {v}" for k, v in (metadata or {}).items()]
-        lines.append("d_omega,d_n_upper,d,trial_count")
-        lines.append(f"{self.d_omega:.17g},{self.d_n_upper:.17g},"
-                     f"{self.d:.17g},{self.trial_count}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        row = (self.d_omega, self.d_n_upper, self.d, self.trial_count)
+        _write_table(path, "d_omega,d_n_upper,d,trial_count", [row], metadata)
 
 
 def estimate_levels(params: ModelParams, grid: RadialGrid,
@@ -314,29 +307,23 @@ class SweepResult:
     rows: list
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        lines = [f"# {k} = {v}" for k, v in (metadata or {}).items()]
-        lines.append("c,lambda,outcome,t_blow,t_pred,max_grad_ratio")
-        for row in self.rows:
-            t_blow = "" if row.t_blow is None else f"{row.t_blow:.17g}"
-            t_pred = "" if row.t_pred is None else f"{row.t_pred:.17g}"
-            lines.append(f"{row.c:.17g},{row.lam:.17g},{row.outcome},"
-                         f"{t_blow},{t_pred},{row.max_grad_ratio:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_table(path, "c,lambda,outcome,t_blow,t_pred,max_grad_ratio",
+                     [(row.c, row.lam, row.outcome, row.t_blow, row.t_pred,
+                       row.max_grad_ratio) for row in self.rows], metadata)
 
     def as_dict(self) -> dict:
         return {"rows": [row.as_dict() for row in self.rows]}
 
 
-def _scaled_soliton(soliton: RadialField, grid: RadialGrid, c: float,
-                    lam: float, singular_exponent=None) -> RadialField:
-    interp = ProfileInterpolant(soliton, singular_exponent=singular_exponent)
+def _scaled_soliton(soliton: RadialField, grid: RadialGrid,
+                    params: ModelParams, c: float, lam: float) -> RadialField:
+    """c lam^(N/2) Q(lam x) on grid, with the r^(2-b) origin fit."""
+    interp = ProfileInterpolant(soliton, singular_exponent=2.0 - params.b)
     return _rescale(interp, grid, lam, c * lam ** (grid.dim / 2.0))
 
 
 def _sweep_row(soliton, grid, params, cfg, criterion_tol, c, lam) -> SweepRow:
-    u0 = _scaled_soliton(soliton, grid, c, lam,
-                         singular_exponent=2.0 - params.b)
+    u0 = _scaled_soliton(soliton, grid, params, c, lam)
     t_pred = predict_collapse_time(u0, params, coupling=cfg.coupling,
                                    criterion_tol=criterion_tol)
     res = evolve(u0, params, cfg)

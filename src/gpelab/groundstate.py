@@ -245,12 +245,14 @@ def stationary_residuals(u: RadialField, params: ModelParams):
 def _bordered_newton(u, omega, q, grid, trap, b, p, tol, max_iter=40):
     """Newton on the stationary system with unknown multiplier, at fixed mass."""
     w = grid.weights
-    for it in range(1, max_iter + 1):
+    # one pass more than max_iter updates, so the residual returned is that
+    # of the state returned
+    for it in range(1, max_iter + 2):
         F = stationary_residual(u, grid, trap + omega, b, p)
         C = float(np.sum(w * u * u)) - q
         res = float(np.max(np.abs(F)))
-        if res < tol and abs(C) < 1e-12 * q:
-            return u, omega, res, it
+        if (res < tol and abs(C) < 1e-12 * q) or it > max_iter:
+            return u, omega, res, min(it, max_iter)
         solve = factor_operator(grid, _jacobian_coeff(u, trap + omega, grid,
                                                       b, p))
         x0 = solve(-F)
@@ -261,7 +263,6 @@ def _bordered_newton(u, omega, q, grid, trap, b, p, tol, max_iter=40):
         domega = (-C - 2.0 * float(np.sum(w * u * x0))) / denom
         u = u + x0 + domega * x1
         omega = omega + domega
-    return u, omega, res, max_iter
 
 
 def constrained_minimizer(q: float, params: ModelParams,
@@ -457,19 +458,17 @@ def uniqueness_report(params: ModelParams,
 # ------------------------------------------------------------ serialization
 
 def save_profile(path, result_or_field, params: ModelParams,
-                 omega: float | None = None,
                  extra_header: dict | None = None) -> None:
     """Write a real radial profile as two-column text with a header.
 
     The header records the model parameters, the mesh, the stationary
-    frequency and any extra metadata; values carry 17 significant digits.
+    frequency of a GroundStateResult (None for a bare field) and any extra
+    metadata; values carry 17 significant digits.
     """
     if isinstance(result_or_field, GroundStateResult):
-        field = result_or_field.profile
-        if omega is None:
-            omega = result_or_field.omega
+        field, omega = result_or_field.profile, result_or_field.omega
     else:
-        field = result_or_field
+        field, omega = result_or_field, None
     vals = field.values
     if np.max(np.abs(vals.imag)) > 1e-12 * max(np.max(np.abs(vals)), 1e-300):
         raise ValueError("profile serialization is defined for real profiles")
@@ -493,21 +492,16 @@ def save_profile(path, result_or_field, params: ModelParams,
 def load_profile(path):
     """Read a profile written by save_profile; returns (field, header dict)."""
     header = {}
-    rows = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
+                key, eq, val = line[1:].partition("=")
+                if eq:
                     header[key.strip()] = ast.literal_eval(val.strip())
-                continue
-            a, bcol = line.split()
-            rows.append((float(a), float(bcol)))
-    data = np.array(rows)
+    data = np.loadtxt(path, ndmin=2)
+    if data.size and data.shape[1] != 2:
+        raise ValueError(f"profile rows hold {data.shape[1]} numbers, not 2")
     grid = RadialGrid(h=header["grid_h"],
                       rmax=header["grid_rmax"],
                       dim=int(header["dim"]))

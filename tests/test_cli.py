@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from gpelab import cli, experiments
 from gpelab.cli import ConfigError, load_config, main, run
-from gpelab.groundstate import load_profile
+from gpelab.core import ModelParams, RadialField, RadialGrid, mass
+from gpelab.groundstate import load_profile, solve_bound_state
 
 
 BASE = """
@@ -18,6 +21,30 @@ omega = 0.0
 [grid]
 h = 0.004
 rmax = 8.0
+"""
+
+# every verify check passes at h = 0.005 (the oscillator ones fail at 0.01)
+COARSE = BASE.replace("h = 0.004", "h = 0.005")
+
+SMALL_RUNS = """
+[sweep]
+c_values = 0.9, 1.1
+lambda_values = 1.65
+dt = 5e-4
+t_end = 0.5
+record_every = 40
+
+[lens]
+dt = 2e-3
+n_check = 2
+free_rmax = 20.0
+"""
+
+SHORT_EVOLVE = """
+[evolve]
+dt = 1e-3
+t_end = 0.05
+record_every = 10
 """
 
 
@@ -70,6 +97,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[run\] workers"):
             load_config(path)
         assert run("uniqueness", path, tmp_path / "out") == 2
+
+    def test_empty_file_resolves_to_defaults(self, tmp_path):
+        expected = {
+            "model": {"dim": 3, "b": 0.5, "p": 2.0, "gamma": 1.0,
+                      "omega": 0.0},
+            "grid": {"h": 2e-3, "rmax": 8.0},
+            "run": {"seed": 12345, "workers": 1},
+            "groundstate": {"method": "shoot", "tol": 1e-8},
+            "evolve": {"dt": 1e-3, "t_end": 1.0, "free_equation": False,
+                       "blowup_gradient_factor": 1e3, "record_every": 10,
+                       "coupling": 1.0, "initial": "oscillator_mode",
+                       "amplitude": 1.0, "dilation": 1.0, "width": 1.0},
+            "sweep": {"c_values": [0.8, 0.9, 0.95, 1.0, 1.05, 1.1],
+                      "lambda_values": [1.65], "dt": 2e-4,
+                      "t_end": math.pi, "record_every": 20,
+                      "blowup_gradient_factor": 1e3, "criterion_tol": 1e-3},
+            "levels": {"n_random": 20},
+            "lens": {"dt": 1e-3, "t_max_frac": 0.8, "n_check": 5,
+                     "amplitude": 0.4, "width": 1.0, "free_rmax": 40.0},
+            "uniqueness": {"r_max": 10.0, "n_samples": 200},
+        }
+        cfg = load_config(write_config(tmp_path, ""))
+        assert cfg == expected
+        # json tells 3 from 3.0, so the embedded configs keep their bytes
+        assert json.dumps(cfg) == json.dumps(expected)
+
+    @pytest.mark.parametrize("raw, value", [
+        ("yes", True), ("On", True), ("1", True), ("true", True),
+        ("no", False), ("OFF", False), ("0", False), ("False", False)])
+    def test_bool_values(self, tmp_path, raw, value):
+        path = write_config(tmp_path, f"[evolve]\nfree_equation = {raw}\n")
+        assert load_config(path)["evolve"]["free_equation"] is value
+
+    def test_bad_bool_named(self, tmp_path):
+        path = write_config(tmp_path, "[evolve]\nfree_equation = maybe\n")
+        with pytest.raises(ConfigError, match=r"\[evolve\] free_equation"):
+            load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -226,3 +290,118 @@ n_random = 2
         assert "FAIL" not in captured
         payload = json.loads((out / "verify_report.json").read_text())
         assert payload["failed"] == 0
+
+    @pytest.mark.parametrize("command, extra", [
+        ("groundstate", ""),
+        ("groundstate", "[groundstate]\nmethod = soliton\nrmax = 15.0\n"),
+        ("groundstate", "[groundstate]\nmethod = flow\nq = 1.0\n"),
+        ("evolve", SHORT_EVOLVE + "initial = bound_state\n"),
+        ("sweep", ""),
+        ("lens", ""),
+        ("uniqueness", ""),
+        ("verify", ""),
+    ], ids=["shoot", "soliton", "flow", "evolve", "sweep", "lens",
+            "uniqueness", "verify"])
+    def test_every_command_byte_identical(self, tmp_path, command, extra):
+        path = write_config(tmp_path, COARSE + SMALL_RUNS + extra)
+        assert run(command, path, tmp_path / "a") == 0
+        assert run(command, path, tmp_path / "b") == 0
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_groundstate_soliton_rmax(self, tmp_path):
+        path = write_config(tmp_path, COARSE + """
+[groundstate]
+method = soliton
+rmax = 15.0
+""")
+        out = tmp_path / "out"
+        assert run("groundstate", path, out) == 0
+        payload = json.loads((out / "groundstate.json").read_text())
+        assert payload["omega"] == 1.0
+        assert payload["residual_sup"] < 1e-8
+        assert payload["config"]["groundstate.rmax"] == 15.0
+        field, header = load_profile(out / "profile.txt")
+        assert header["grid_rmax"] == pytest.approx(15.0)
+        assert field.grid.n == round(15.0 / 0.005)
+        assert np.all(np.diff(field.values.real) < 0)
+
+
+def _diagnostics(out):
+    """Columns of diagnostics.csv by name."""
+    lines = [ln for ln in (out / "diagnostics.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    return dict(zip(lines[0].split(","), rows.T))
+
+
+class TestEvolveInitialStates:
+    grid = RadialGrid(h=0.005, rmax=8.0, dim=3)
+    params = ModelParams(dim=3, b=0.5, p=2.0, gamma=1.0, omega=0.0)
+
+    def run_evolve(self, tmp_path, lines, name="out"):
+        path = write_config(tmp_path, COARSE + SHORT_EVOLVE + lines,
+                            name=f"{name}.ini")
+        assert run("evolve", path, tmp_path / name) == 0
+        return _diagnostics(tmp_path / name)
+
+    def test_gaussian(self, tmp_path):
+        diag = self.run_evolve(tmp_path, "initial = gaussian\n"
+                               "amplitude = 0.8\nwidth = 1.3\n")
+        r = self.grid.r
+        u0 = RadialField(self.grid, 0.8 * np.exp(-r ** 2 / (2.0 * 1.3 ** 2)))
+        assert diag["mass"][0] == pytest.approx(mass(u0), rel=1e-13)
+
+    def test_bound_state(self, tmp_path):
+        diag = self.run_evolve(tmp_path, "initial = bound_state\n"
+                               "amplitude = 1.05\n")
+        phi = solve_bound_state(self.params, self.grid)
+        assert diag["mass"][0] == pytest.approx(1.05 ** 2 * phi.mass,
+                                                rel=1e-13)
+
+    def test_soliton_scaled_keeps_scaled_mass(self, tmp_path):
+        # mass(c lam^(N/2) Q(lam x)) = c^2 mass(Q), up to interpolation
+        diag = self.run_evolve(tmp_path, "initial = soliton_scaled\n"
+                               "amplitude = 0.95\ndilation = 1.65\n")
+        q_mass = 59.95388554159379      # frozen soliton mass of the suite
+        assert diag["mass"][0] == pytest.approx(0.95 ** 2 * q_mass, rel=1e-5)
+
+    def test_soliton_scaled_is_the_sweep_row_state(self, tmp_path,
+                                                   monkeypatch):
+        seen = {}
+
+        def capture(name):
+            def fake_evolve(u0, params, cfg):
+                seen[name] = u0.values
+                raise RuntimeError("captured")
+            return fake_evolve
+
+        monkeypatch.setattr(cli, "run_evolution", capture("evolve"))
+        monkeypatch.setattr(experiments, "evolve", capture("sweep"))
+        path = write_config(tmp_path, COARSE + """
+[evolve]
+initial = soliton_scaled
+amplitude = 0.95
+dilation = 1.65
+
+[sweep]
+c_values = 0.95
+lambda_values = 1.65
+""")
+        run("evolve", path, tmp_path / "evolve")
+        run("sweep", path, tmp_path / "sweep")
+        assert seen["evolve"].tobytes() == seen["sweep"].tobytes()
+
+    def test_free_equation_flag(self, tmp_path):
+        gauss = "initial = gaussian\n"
+        trapped = self.run_evolve(tmp_path, gauss, name="trapped")
+        free = self.run_evolve(tmp_path, gauss + "free_equation = yes\n",
+                               name="free")
+        payload = json.loads((tmp_path / "free" / "evolve.json").read_text())
+        assert payload["config"]["evolve.free_equation"] is True
+        # the free energy drops the trap term gamma^2 ||x u||^2 / 2
+        assert free["energy"][0] == pytest.approx(
+            trapped["energy"][0] - 0.5 * free["f"][0], rel=1e-12)

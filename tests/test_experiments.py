@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
                          mass)
 from gpelab.evolve import EvolveConfig
 from gpelab.functionals import (SetLabel, action, h_omega_norm_sq, nehari,
-                                potential)
+                                potential, virial)
 from gpelab.core import grad_norm_sq
 from gpelab.experiments import (HypothesisError, construct_cross_point,
                                 dichotomy_run, dilation_exponent,
@@ -158,6 +161,47 @@ class TestCrossLevel:
         expected = scale_dilation(scale_amplitude(phi, 1.05), pt.mu,
                                   params_critical)
         assert pt.field.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("power", ["critical", "supercritical"])
+    def test_cross_points_on_constraint(self, request, power, monkeypatch):
+        params = request.getfixturevalue(f"params_{power}")
+        phi = request.getfixturevalue(
+            "bound_state" if power == "critical" else "bound_state_super")
+        probes = []
+
+        def counting_virial(field, prm):
+            probes.append(field)
+            return virial(field, prm)
+
+        monkeypatch.setattr(experiments, "virial", counting_virial)
+        _, points = estimate_d_n_upper(phi.profile, params)
+        assert len(points) == 6
+        assert len(probes) <= 15 * len(points)
+        for pt in points:
+            assert pt.nehari < 0
+            assert abs(pt.virial) <= 1e-12 * max(1.0, grad_norm_sq(pt.field))
+
+    def test_cross_point_frees_its_interpolant(self, bound_state,
+                                               params_critical, monkeypatch):
+        # the root search must not tie the interpolant into a reference
+        # cycle, which only the cyclic collector would free
+        refs = []
+
+        class TrackedInterpolant(ProfileInterpolant):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(experiments, "ProfileInterpolant",
+                            TrackedInterpolant)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            construct_cross_point(bound_state.profile, params_critical, 1.05)
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_needs_amplitude_above_one(self, bound_state, params_critical):
         with pytest.raises(ParameterError):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         default_grid, grad_norm_sq, mass, nonlinearity,
-                         stationary_residual, variance)
+from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
+                         RadialField, RadialGrid, default_grid, grad_norm_sq,
+                         mass, nonlinearity, stationary_residual, variance)
 from gpelab.experiments import random_trial_field
-from gpelab.functionals import (action, energy, h_omega_norm_sq, nehari,
-                                potential, virial)
+from gpelab.functionals import (_moments, action, energy, h_omega_norm_sq,
+                                nehari, potential, virial)
 from gpelab.groundstate import (ConstraintEmptyError, ConvergenceError,
                                 EnergyUnboundedError, OutsideHypothesesError,
-                                _nehari_descent, _polish,
+                                _bordered_newton, _nehari_descent, _polish,
                                 constrained_minimizer, load_profile,
                                 save_profile, solve_bound_state,
                                 solve_soliton, soliton_grid,
@@ -345,9 +345,60 @@ class TestSerialization:
         with pytest.raises(ValueError):
             save_profile(tmp_path / "x.txt", u, params_critical)
 
+    def test_bare_field_round_trip_is_exact(self, tmp_path, bound_state,
+                                            params_critical):
+        path = tmp_path / "profile.txt"
+        save_profile(path, bound_state.profile, params_critical)
+        field, header = load_profile(path)
+        assert header["stationary_omega"] is None
+        assert np.array_equal(field.values, bound_state.profile.values)
+
+    @pytest.mark.parametrize("row, error", [
+        ("1.0 2.0 3.0", ValueError),
+        ("1.0", ValueError),
+        ("1.0 two", ValueError),
+        ("", GridMismatchError),
+    ])
+    def test_malformed_last_row_raises(self, tmp_path, bound_state,
+                                       params_critical, row, error):
+        path = tmp_path / "profile.txt"
+        save_profile(path, bound_state, params_critical)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [row]) + "\n")
+        with pytest.raises(error):
+            load_profile(path)
+
+    def test_three_columns_everywhere_raise(self, tmp_path, bound_state,
+                                            params_critical):
+        path = tmp_path / "profile.txt"
+        save_profile(path, bound_state, params_critical)
+        lines = [ln if ln.startswith("#") else ln + " 0"
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not 2"):
+            load_profile(path)
+
 
 class TestShootingInternals:
     def test_gradient_flow_newton_mass_exact(self, params_critical, grid,
                                              soliton):
         res = constrained_minimizer(30.0, params_critical, grid)
         assert abs(mass(res.profile) - 30.0) < 1e-10 * 30.0
+
+
+class TestBorderedNewton:
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_residual_is_that_of_returned_state(self, grid, max_iter):
+        # from a Gaussian the polish needs more than three updates, so each
+        # run ends on max_iter
+        params = ModelParams(dim=3, b=0.5, p=1.5, gamma=1.0, omega=0.0)
+        q, trap = 1.0, grid.r_pow(2.0)
+        u = np.exp(-trap / 2.0)
+        u *= np.sqrt(q / np.sum(grid.weights * u * u))
+        omega = _moments(u, grid, params.b, params.p).multiplier(params.gamma)
+        u, omega, res, iters = _bordered_newton(
+            u, omega, q, grid, trap, params.b, params.p, 1e-8,
+            max_iter=max_iter)
+        assert iters == max_iter
+        assert res == np.max(np.abs(stationary_residual(
+            u, grid, trap + omega, params.b, params.p)))
