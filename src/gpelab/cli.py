@@ -16,6 +16,7 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -260,14 +261,7 @@ def _cmd_uniqueness(cfg, out_dir: Path) -> int:
     section = cfg["uniqueness"]
     samples = np.linspace(0.05, section["r_max"], section["n_samples"])
     report = gs.uniqueness_report(params, r_samples=samples)
-    _write_json(out_dir / "uniqueness.json", {
-        "A": report.A, "B": report.B, "C": report.C, "k": report.k,
-        "conditions_hold": report.conditions_hold,
-        "r_samples": report.r_samples,
-        "a_of_r": report.a_of_r,
-        "beta_of_r": report.beta_of_r,
-        "c_of_r": report.c_of_r,
-    }, cfg)
+    _write_json(out_dir / "uniqueness.json", asdict(report), cfg)
     return 0
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -259,8 +259,7 @@ class LevelEstimates:
     trial_count: int
 
     def as_dict(self) -> dict:
-        return {"d_omega": self.d_omega, "d_n_upper": self.d_n_upper,
-                "d": self.d, "trial_count": self.trial_count}
+        return asdict(self)
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
         row = (self.d_omega, self.d_n_upper, self.d, self.trial_count)

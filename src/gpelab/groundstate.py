@@ -57,6 +57,11 @@ class GroundStateResult:
     and the extracted Lagrange multiplier for constrained flows.
     pohozaev_1/2 are the residuals of the two stationarity identities
     (pairing with u and with x . grad u) for that same equation.
+    iterations counts the Newton updates made; for the minimizer it adds
+    the gradient-flow steps tried before them.  status is "converged" for
+    an accepted stationary state and "gradient_diverging" for a critical
+    minimizer flow stopped on a diverging gradient (no Newton polish);
+    converged is status == "converged".
     """
 
     profile: RadialField
@@ -67,8 +72,37 @@ class GroundStateResult:
     mass: float
     energy: float
     iterations: int
-    converged: bool = True
     status: str = "converged"
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+
+def _result(params, grid, u, gamma, omega, res, iters, status="converged"):
+    """The GroundStateResult of node values u of the stationary equation
+    with trap strength gamma and frequency omega."""
+    prof = RadialField(grid, u)
+    b, p = params.b, params.p
+    m = _moments(prof.values, grid, b, p)
+    id1, id2 = m.pohozaev(params.dim, b, p, gamma, omega)
+    return GroundStateResult(
+        profile=prof, omega=omega, residual_sup=res, pohozaev_1=id1,
+        pohozaev_2=id2, mass=m.M, energy=m.energy(p, gamma, 1.0),
+        iterations=iters, status=status)
+
+
+def _check_entry(params, grid, **positive):
+    """The entry check of every stationary solver: grid and params share
+    the dimension, and each named input that is given (tol, and q and
+    ball_radius of the minimizer) is positive and finite."""
+    if grid.dim != params.dim:
+        raise GridMismatchError(
+            f"grid dim {grid.dim} differs from params dim {params.dim}")
+    for name, value in positive.items():
+        if value is not None and not (value > 0.0 and math.isfinite(value)):
+            raise ParameterError(
+                f"{name} must be positive and finite, got {value}")
 
 
 # ------------------------------------------------------------------ descent
@@ -117,47 +151,53 @@ def _nehari_descent(u, coeff, grid, b, p):
 
 # ------------------------------------------------------------------- Newton
 
-def _jacobian_coeff(u, linear_coeff, grid, b, p):
-    """Linear coefficient of the Jacobian of the stationary residual at u."""
-    return linear_coeff - p * grid.r_pow(-b) * np.abs(u) ** (p - 1.0)
+def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
+    """Newton for -Lap u + (coeff + omega) u - r^(-b)|u|^(p-1)u = 0.
 
-
-def _newton(u, linear_coeff, grid, b, p, tol, max_iter=60):
-    """Newton iteration for -Lap u + linear_coeff u - r^(-b)|u|^(p-1)u = 0."""
-    F = stationary_residual(u, grid, linear_coeff, b, p)
-    res = float(np.max(np.abs(F)))
-    res_prev = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        if res < tol * 1e-3 or (res >= 0.7 * res_prev and res < tol):
-            return u, res, it
+    With a mass target q the Jacobian is bordered by ||u||^2 = q and omega
+    is solved for as well; without one omega stays fixed.  Stops once the
+    sup residual is below tol/1000, or below tol after an update that cut
+    it by less than 30%, and with q only once |mass - q| <= 1e-12 q.  Each
+    update is halved until it lowers the residual (at most down to 1/1000
+    of the full step).  Returns (u, omega, residual of that u, Newton
+    updates made).
+    """
+    w = grid.weights
+    F = stationary_residual(u, grid, coeff + omega, b, p)
+    res, res_prev = float(np.max(np.abs(F))), np.inf
+    for it in range(max_iter + 1):
+        done = res < tol * 1e-3 or (res >= 0.7 * res_prev and res < tol)
+        if q is not None:
+            gap = float(np.dot(w, u * u)) - q
+            done = done and abs(gap) <= 1e-12 * q
+        if done or it == max_iter:
+            return u, omega, res, it
         res_prev = res
-        solve = factor_operator(grid, _jacobian_coeff(u, linear_coeff, grid,
-                                                      b, p))
-        step = solve(-F)
+        solve = factor_operator(grid, coeff + omega
+                                - p * grid.r_pow(-b) * np.abs(u) ** (p - 1.0))
+        step, domega = solve(-F), 0.0
+        if q is not None:
+            x1 = solve(-u)
+            denom = 2.0 * float(np.dot(w, u * x1))
+            if denom == 0.0:
+                raise ConvergenceError("singular bordered system")
+            domega = (-gap - 2.0 * float(np.dot(w, u * step))) / denom
+            step = step + domega * x1
         scale = 1.0
         for _ in range(12):
-            u_try = u + scale * step
-            F = stationary_residual(u_try, grid, linear_coeff, b, p)
+            u_try, omega_try = u + scale * step, omega + scale * domega
+            F = stationary_residual(u_try, grid, coeff + omega_try, b, p)
             if np.max(np.abs(F)) < res or scale < 1e-3:
                 break
             scale *= 0.5
-        u = u_try
+        u, omega = u_try, omega_try
         res = float(np.max(np.abs(F)))
-    return u, res, it
 
 
-def _check_shape(u):
-    if not np.all(u > 0.0):
-        raise ConvergenceError("profile is not strictly positive on the grid")
-    if not np.all(np.diff(u) <= 0.0):
-        raise ConvergenceError("profile is not monotone nonincreasing")
-
-
-def _polish(guess, coeff, grid, b, p, tol):
+def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
     """Newton from guess, accepted only as a nontrivial positive monotone
-    state within tol; returns (u, residual, Newton iterations)."""
-    u, res, iters = _newton(guess, coeff, grid, b, p, tol)
+    state within tol; returns what _newton returns."""
+    u, omega, res, iters = _newton(guess, coeff, grid, b, p, tol, q, omega)
     if res > tol:
         raise ConvergenceError(
             f"stationary residual {res:.3e} above tolerance {tol:.1e}")
@@ -167,32 +207,26 @@ def _polish(guess, coeff, grid, b, p, tol):
         raise ConvergenceError(
             f"Newton fell to the trivial state: max|u| = {top:.3e} from a "
             f"guess of max {start:.3e}")
-    _check_shape(u)
-    return u, res, iters
+    if not np.all(u > 0.0):
+        raise ConvergenceError("profile is not strictly positive on the grid")
+    if not np.all(np.diff(u) <= 0.0):
+        raise ConvergenceError("profile is not monotone nonincreasing")
+    return u, omega, res, iters
 
 
 def _ground_state(params, grid, tol, omega, gamma_eff):
     """Least-action state of -Lap u + (omega + gamma_eff^2 r^2) u
     = r^(-b) u^p: the Nehari descent from exp(-gamma_eff r^2/2) (exp(-r)
     when gamma_eff = 0), polished by Newton."""
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
-    if grid.dim != params.dim:
-        raise GridMismatchError("grid dim differs from params dim")
-    dim, b, p = params.dim, params.b, params.p
+    _check_entry(params, grid, tol=tol)
+    b, p = params.b, params.p
     r2 = grid.r_pow(2.0)
     coeff = omega + gamma_eff ** 2 * r2
     start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
              else np.exp(-grid.r))
     guess, _ = _nehari_descent(start, coeff, grid, b, p)
-    u, res, iters = _polish(guess, coeff, grid, b, p, tol)
-    prof = RadialField(grid, u)
-    m = _moments(prof.values, grid, b, p)
-    id1, id2 = m.pohozaev(dim, b, p, gamma_eff, omega)
-    return GroundStateResult(
-        profile=prof, omega=omega, residual_sup=res,
-        pohozaev_1=id1, pohozaev_2=id2, mass=m.M,
-        energy=m.energy(p, gamma_eff, 1.0), iterations=iters)
+    u, _, res, iters = _polish(guess, coeff, grid, b, p, tol)
+    return _result(params, grid, u, gamma_eff, omega, res, iters)
 
 
 def soliton_grid(params: ModelParams, h: float = 2e-3,
@@ -242,29 +276,6 @@ def stationary_residuals(u: RadialField, params: ModelParams):
 
 # ------------------------------------------------- constrained minimization
 
-def _bordered_newton(u, omega, q, grid, trap, b, p, tol, max_iter=40):
-    """Newton on the stationary system with unknown multiplier, at fixed mass."""
-    w = grid.weights
-    # one pass more than max_iter updates, so the residual returned is that
-    # of the state returned
-    for it in range(1, max_iter + 2):
-        F = stationary_residual(u, grid, trap + omega, b, p)
-        C = float(np.sum(w * u * u)) - q
-        res = float(np.max(np.abs(F)))
-        if (res < tol and abs(C) < 1e-12 * q) or it > max_iter:
-            return u, omega, res, min(it, max_iter)
-        solve = factor_operator(grid, _jacobian_coeff(u, trap + omega, grid,
-                                                      b, p))
-        x0 = solve(-F)
-        x1 = solve(-u)
-        denom = 2.0 * float(np.sum(w * u * x1))
-        if denom == 0.0:
-            raise ConvergenceError("singular bordered system")
-        domega = (-C - 2.0 * float(np.sum(w * u * x0))) / denom
-        u = u + x0 + domega * x1
-        omega = omega + domega
-
-
 def constrained_minimizer(q: float, params: ModelParams,
                           grid: RadialGrid | None = None,
                           ball_radius: float | None = None,
@@ -284,10 +295,9 @@ def constrained_minimizer(q: float, params: ModelParams,
     q <= ball_radius / (gamma N), and the minimizer must end up strictly
     inside the ball (checked a posteriori with a 1% margin).
     """
-    if q <= 0.0:
-        raise ParameterError("the mass target q must be positive")
     if grid is None:
         grid = default_grid(params)
+    _check_entry(params, grid, tol=tol, q=q, ball_radius=ball_radius)
     if ball_radius is not None and q > ball_radius / (params.gamma * params.dim):
         raise ConstraintEmptyError(
             f"constraint set empty: q = {q} exceeds ball_radius/(gamma N) = "
@@ -314,8 +324,6 @@ def constrained_minimizer(q: float, params: ModelParams,
     grow = 0
     flow_tol = max(math.sqrt(tol), 100.0 * tol)
     it = 0
-    status = "converged"
-    res = math.inf
     res_mark = math.inf
     while it < max_iter:
         it += 1
@@ -345,9 +353,11 @@ def constrained_minimizer(q: float, params: ModelParams,
                     "energy unbounded: the descent diverges (supercritical "
                     "power without a ball constraint)")
             if params.is_critical and ball_radius is None:
-                status = "gradient_diverging"
-                u = u_new
-                break
+                omega = m.multiplier(gamma)
+                res = float(np.max(np.abs(stationary_residual(
+                    u_new, grid, trap_coeff + omega, b, p))))
+                return _result(params, grid, u_new, gamma, omega, res, it,
+                               "gradient_diverging")
             raise ConvergenceError(
                 "descent diverged; the mass target is outside the "
                 "admissible range for this constraint")
@@ -369,34 +379,15 @@ def constrained_minimizer(q: float, params: ModelParams,
         raise ConvergenceError(
             f"nonconvergence: {max_iter} descent steps without stationarity")
 
-    omega = _moments(u, grid, b, p).multiplier(gamma)
-    if status == "converged":
-        u, omega, res, newton_iters = _bordered_newton(
-            u, omega, q, grid, trap_coeff, b, p, tol)
-        if res > tol:
-            raise ConvergenceError(
-                f"stationary residual {res:.3e} above tolerance {tol:.1e}")
-        _check_shape(u)
-        it += newton_iters
-    else:
-        res = float(np.max(np.abs(
-            stationary_residual(u, grid, trap_coeff + omega, b, p))))
-
-    prof = RadialField(grid, u)
-    m = _moments(prof.values, grid, b, p)
-    if status == "converged" and ball_radius is not None:
-        hsq = m.h_norm_sq(gamma, 0.0)
+    u, omega, res, newton_iters = _polish(u, trap_coeff, grid, b, p, tol, q,
+                                          omega)
+    if ball_radius is not None:
+        hsq = _moments(u, grid, b, p).h_norm_sq(gamma, 0.0)
         if hsq > 0.99 * ball_radius:
             raise ConvergenceError(
                 f"minimizer not strictly inside the ball: ||u||_H^2 = {hsq} "
                 f"vs ball_radius = {ball_radius}")
-    id1, id2 = m.pohozaev(dim, b, p, gamma, omega)
-    # a plain float, so save_profile writes a literal load_profile can read
-    return GroundStateResult(
-        profile=prof, omega=float(omega), residual_sup=res,
-        pohozaev_1=id1, pohozaev_2=id2, mass=m.M,
-        energy=m.energy(p, gamma, 1.0), iterations=it,
-        converged=(status == "converged"), status=status)
+    return _result(params, grid, u, gamma, omega, res, it + newton_iters)
 
 
 # --------------------------------------------------------------- uniqueness

@@ -9,7 +9,7 @@ from gpelab.functionals import (_moments, action, energy, h_omega_norm_sq,
                                 nehari, potential, virial)
 from gpelab.groundstate import (ConstraintEmptyError, ConvergenceError,
                                 EnergyUnboundedError, OutsideHypothesesError,
-                                _bordered_newton, _nehari_descent, _polish,
+                                _nehari_descent, _newton, _polish,
                                 constrained_minimizer, load_profile,
                                 save_profile, solve_bound_state,
                                 solve_soliton, soliton_grid,
@@ -386,19 +386,64 @@ class TestShootingInternals:
         assert abs(mass(res.profile) - 30.0) < 1e-10 * 30.0
 
 
-class TestBorderedNewton:
-    @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_residual_is_that_of_returned_state(self, grid, max_iter):
-        # from a Gaussian the polish needs more than three updates, so each
-        # run ends on max_iter
+class TestNewton:
+    """The one Newton, plain and bordered by a mass target q."""
+
+    @staticmethod
+    def _run(grid, q, max_iter):
+        # Gaussian start at p = 1.5, omega = 0; with q it is normalized to
+        # mass q and omega starts at its multiplier
         params = ModelParams(dim=3, b=0.5, p=1.5, gamma=1.0, omega=0.0)
-        q, trap = 1.0, grid.r_pow(2.0)
-        u = np.exp(-trap / 2.0)
-        u *= np.sqrt(q / np.sum(grid.weights * u * u))
-        omega = _moments(u, grid, params.b, params.p).multiplier(params.gamma)
-        u, omega, res, iters = _bordered_newton(
-            u, omega, q, grid, trap, params.b, params.p, 1e-8,
-            max_iter=max_iter)
-        assert iters == max_iter
+        trap = grid.r_pow(2.0)
+        u, omega = np.exp(-trap / 2.0), 0.0
+        if q is not None:
+            u *= np.sqrt(q / np.sum(grid.weights * u * u))
+            omega = _moments(u, grid, params.b,
+                             params.p).multiplier(params.gamma)
+        u, omega, res, iters = _newton(u, trap, grid, params.b, params.p,
+                                       1e-8, q, omega, max_iter=max_iter)
         assert res == np.max(np.abs(stationary_residual(
             u, grid, trap + omega, params.b, params.p)))
+        return u, iters
+
+    @pytest.mark.parametrize("q", [None, 1.0])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_residual_is_that_of_returned_state(self, grid, q, max_iter):
+        # from a Gaussian Newton needs more than three updates, so each run
+        # ends on max_iter
+        assert self._run(grid, q, max_iter)[1] == max_iter
+
+    def test_converged_run_counts_updates(self, grid):
+        # the bordered polish meets its stop rule after the fourth update
+        u, iters = self._run(grid, 1.0, 60)
+        assert iters == 4
+        assert abs(np.sum(grid.weights * u * u) - 1.0) <= 1e-12
+
+
+class TestEntryChecks:
+    BAD = [np.nan, np.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_tol_must_be_positive_and_finite(self, params_critical,
+                                             params_subcritical, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            solve_bound_state(params_critical, tol=tol)
+        with pytest.raises(ParameterError, match="tol"):
+            solve_soliton(params_critical, tol=tol)
+        with pytest.raises(ParameterError, match="tol"):
+            constrained_minimizer(1.0, params_subcritical, tol=tol)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_minimizer_inputs_must_be_positive_and_finite(
+            self, params_supercritical, bad):
+        with pytest.raises(ParameterError, match="q must be positive"):
+            constrained_minimizer(bad, params_supercritical)
+        with pytest.raises(ParameterError,
+                           match="ball_radius must be positive"):
+            constrained_minimizer(1e-2, params_supercritical,
+                                  ball_radius=bad)
+
+    def test_minimizer_grid_must_match_params(self, params_subcritical):
+        grid = RadialGrid(h=2e-3, rmax=8.0, dim=2)
+        with pytest.raises(GridMismatchError):
+            constrained_minimizer(1.0, params_subcritical, grid)
