@@ -105,6 +105,11 @@ def load_config(path) -> dict:
     if cfg["run"]["workers"] < 1:
         raise ConfigError(
             f"[run] workers must be >= 1, got {cfg['run']['workers']}")
+    for key in ("tol", "q", "ball_radius"):
+        value = cfg["groundstate"].get(key)
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"[groundstate] {key} must be positive and "
+                              f"finite, got {value}")
     return cfg
 
 

@@ -185,6 +185,7 @@ class RadialGrid:
             a.setflags(write=False)
         self._lap_bands = None
         self._r_pow = {}
+        self._weighted_r_pow = {}
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -230,6 +231,18 @@ class RadialGrid:
             out = self.r ** e
             out.setflags(write=False)
             self._r_pow[e] = out
+        return out
+
+    def weighted_r_pow(self, e: float) -> np.ndarray:
+        """weights * r^e at the nodes, computed once per exponent (read-only).
+
+        The same product `weights * r_pow(e) * x` forms left to right, so
+        quadratures that use it keep their bits."""
+        out = self._weighted_r_pow.get(e)
+        if out is None:
+            out = self.weights * self.r_pow(e)
+            out.setflags(write=False)
+            self._weighted_r_pow[e] = out
         return out
 
 
@@ -300,7 +313,7 @@ def mass(u: RadialField) -> float:
 def variance(u: RadialField) -> float:
     """Squared weighted norm ||x u||_{L^2}^2."""
     g = u.grid
-    return float(np.sum(g.weights * g.r_pow(2.0) * np.abs(u.values) ** 2))
+    return float(np.sum(g.weighted_r_pow(2.0) * np.abs(u.values) ** 2))
 
 
 def _grad_form(x, y, grid: RadialGrid) -> complex:
@@ -312,7 +325,7 @@ def _grad_form(x, y, grid: RadialGrid) -> complex:
     contribution 2 x_{n-1} conj(y_{n-1}) / h.
     """
     dx = np.diff(x)
-    dy = np.diff(y)
+    dy = dx if y is x else np.diff(y)
     s = np.sum(grid.face_w[1:grid.n] * dx * np.conj(dy)) / grid.h
     s += grid.face_w[grid.n] * 2.0 * x[-1] * np.conj(y[-1]) / grid.h
     return grid.sphere * s
@@ -338,7 +351,7 @@ def sigma_inner(u: RadialField, v: RadialField) -> complex:
     u.grid.compatible(v.grid)
     g = u.grid
     s = _grad_form(u.values, v.values, g)
-    s += np.sum(g.weights * g.r_pow(2.0) * u.values * np.conj(v.values))
+    s += np.sum(g.weighted_r_pow(2.0) * u.values * np.conj(v.values))
     return complex(s)
 
 
@@ -361,8 +374,8 @@ def variance_rate(values, grid: RadialGrid) -> float:
     """f' = 4 Im int conj(u) (grad u . x), the exact first variation of the
     variance ||x u||^2 along the flow, from node samples."""
     du = _centered_derivative(values, grid.h)
-    return 4.0 * float(np.imag(np.sum(grid.weights * np.conj(values) * du
-                                      * grid.r)))
+    return 4.0 * float(np.imag(np.vdot(values,
+                                       grid.weighted_r_pow(1.0) * du)))
 
 
 def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -78,13 +78,13 @@ class _Moments(NamedTuple):
 def _moments(values, grid, b, p) -> _Moments:
     """(M, G, V, P) of node samples by the node quadrature; P is
     int r^(-b)|u|^(p+1).  The only place these integrals are written."""
-    w = grid.weights
-    density = np.abs(values) ** 2
+    modulus = np.abs(values)
+    density = modulus ** 2
     return _Moments(
-        M=float(np.sum(w * density)),
+        M=float(np.sum(grid.weights * density)),
         G=gradient_sq(values, grid),
-        V=float(np.sum(w * grid.r_pow(2.0) * density)),
-        P=float(np.sum(w * grid.r_pow(-b) * np.abs(values) ** (p + 1))))
+        V=float(np.sum(grid.weighted_r_pow(2.0) * density)),
+        P=float(np.sum(grid.weighted_r_pow(-b) * modulus ** (p + 1))))
 
 
 def _check(u: RadialField, params: ModelParams) -> None:

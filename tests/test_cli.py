@@ -98,6 +98,14 @@ class TestConfigParsing:
             load_config(path)
         assert run("uniqueness", path, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("key", ["tol", "q", "ball_radius"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    def test_groundstate_value_not_positive_finite_rejected(self, tmp_path,
+                                                            key, bad):
+        path = write_config(tmp_path, f"[groundstate]\n{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=rf"\[groundstate\] {key}"):
+            load_config(path)
+
     def test_empty_file_resolves_to_defaults(self, tmp_path):
         expected = {
             "model": {"dim": 3, "b": 0.5, "p": 2.0, "gamma": 1.0,
@@ -151,6 +159,12 @@ class TestExitCodes:
     def test_invalid_model_is_2(self, tmp_path):
         path = write_config(tmp_path, "[model]\ndim = 2\nb = 2.5\np = 1.5\n")
         assert run("uniqueness", path, tmp_path / "out") == 2
+
+    def test_bad_groundstate_tol_is_2_without_marker(self, tmp_path):
+        path = write_config(tmp_path, BASE + "[groundstate]\ntol = nan\n")
+        out = tmp_path / "out"
+        assert run("groundstate", path, out) == 2
+        assert not (out / "groundstate.failed").exists()
 
     def test_solver_error_is_1_with_marker(self, tmp_path):
         # constraint set empty: q > ball_radius / (gamma N)

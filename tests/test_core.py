@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          ModelParams, ParameterError, RadialField, RadialGrid,
-                         apply_laplacian, factor_operator, grad_norm_sq,
-                         integrate_radial, mass, sigma_norm_sq,
-                         stationary_residual, validate_params, variance)
+                         _grad_form, apply_laplacian, factor_operator,
+                         grad_norm_sq, gradient_sq, integrate_radial, mass,
+                         sigma_norm_sq, stationary_residual, validate_params,
+                         variance)
 from gpelab.groundstate import ConvergenceError, solve_bound_state
 
 from helpers import rel_err
@@ -226,6 +227,15 @@ class TestNorms:
     def test_soliton_mass_regression(self, soliton):
         # frozen from an independent adaptive-integrator shooting oracle
         assert rel_err(soliton.mass, 59.95388554159379) < 1e-5
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_gradient_sq_is_the_paired_form_bit_for_bit(self, grid, rng,
+                                                         imag):
+        # one difference of x serves both sides of the form; a copy takes
+        # the two-difference path.  Rough O(1) samples keep rounding
+        # differences of single terms visible in the sum.
+        x = rng.normal(size=grid.n) + imag * 1j * rng.normal(size=grid.n)
+        assert gradient_sq(x, grid) == np.real(_grad_form(x, x.copy(), grid))
 
     def test_sigma_norm_is_gamma_free(self, grid):
         u = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))

@@ -28,6 +28,12 @@ class TestConfig:
             EvolveConfig(dt=1e-3, t_end=-1.0)
         with pytest.raises(ParameterError):
             EvolveConfig(dt=1e-3, t_end=1.0, record_every=0)
+        # 2.5 would record every 5th step without a word
+        for bad in (2.5, 5.0, "5"):
+            with pytest.raises(ParameterError, match="record_every"):
+                EvolveConfig(dt=1e-3, t_end=1.0, record_every=bad)
+        assert EvolveConfig(dt=1e-3, t_end=1.0,
+                            record_every=np.int64(5)).record_every == 5
         for bad in (math.nan, math.inf):
             with pytest.raises(ParameterError, match="finite"):
                 EvolveConfig(dt=bad, t_end=1.0)
@@ -147,6 +153,25 @@ class TestStepping:
         nsteps, nrecords = 51, 5 + 8
         assert len(res.series.t) == 1 + nrecords
         assert counts == {"phase": nsteps + nrecords, "solve": nsteps}
+
+
+class TestPhase:
+    def test_matches_exp_on_the_unit_circle(self):
+        # tau * eta across [0, 1e3], with the angles next to odd multiples
+        # of pi, where the half-angle tangent is largest
+        odd = (2.0 * np.arange(318) + 1.0) * np.pi
+        x = np.concatenate((np.linspace(0.0, 1e3, 100001), odd,
+                            np.nextafter(odd, 0.0), np.nextafter(odd, 2e3)))
+        tau = 2e-4
+        eta = x / tau
+        z = evolve_module._phase(eta, tau)
+        assert np.max(np.abs(z - np.exp(1j * (tau * eta)))) <= 5e-16
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 5e-16
+        assert np.all(np.isfinite(z))
+
+    def test_zero_rate_is_exactly_one(self):
+        z = evolve_module._phase(np.zeros(7), 0.3)
+        assert np.array_equal(z, np.ones(7, complex))
 
 
 class TestLinearOscillator:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gpelab.core import ParameterError, RadialField, mass
-from gpelab.functionals import (AmbiguousSignError, SetLabel, action,
-                                classify, energy, energy_gradient, gn_slack,
-                                h_omega_norm_sq, nehari, potential, report,
-                                virial, weinstein)
+from gpelab.core import ParameterError, RadialField, _grad_form, mass
+from gpelab.functionals import (AmbiguousSignError, SetLabel, _moments,
+                                action, classify, energy, energy_gradient,
+                                gn_slack, h_omega_norm_sq, nehari, potential,
+                                report, virial, weinstein)
 from gpelab.core import grad_norm_sq
 from gpelab.experiments import random_trial_field, scale_amplitude
 
@@ -69,6 +69,23 @@ class TestEnergyAndPotential:
             inner = float(np.sum(grid.weights
                                  * (grad * np.conj(v.values)).real))
             assert rel_err(inner, fd) < 1e-5
+
+
+class TestMoments:
+    @pytest.mark.parametrize("b, p", [(0.5, 2.0), (0.5, 2.5), (1.9, 1.15)])
+    def test_real_input_matches_explicit_sums_bit_for_bit(self, grid, rng,
+                                                          b, p):
+        # the stationary solvers see real arrays: their quadrature keeps
+        # every bit of the explicit weighted sums.  A few nonzero samples
+        # keep the rounding of single terms visible in the sums.
+        u = np.zeros(grid.n)
+        u[rng.choice(grid.n, 6, replace=False)] = 3.0 * rng.normal(size=6)
+        w = grid.weights
+        want = (float(np.sum(w * np.abs(u) ** 2)),
+                float(np.real(_grad_form(u, u.copy(), grid))),
+                float(np.sum(w * grid.r_pow(2.0) * np.abs(u) ** 2)),
+                float(np.sum(w * grid.r_pow(-b) * np.abs(u) ** (p + 1))))
+        assert tuple(_moments(u, grid, b, p)) == want
 
 
 class TestStationaryFunctionals:
