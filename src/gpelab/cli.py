@@ -26,7 +26,8 @@ from . import groundstate as gs
 from .evolve import EvolveConfig, evolve as run_evolution
 from .evolve import predict_collapse_time
 from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   grad_norm_sq, integrate_radial, mass, validate_params)
+                   grad_norm_sq, integrate_radial, mass,
+                   require_positive_finite, validate_params)
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -37,6 +38,8 @@ class ConfigError(ValueError):
 
 _FLOAT_LIST = "float_list"
 _BOOL = "bool"
+_COUNT = "count"          # an integer >= 1
+_POSITIVE = "positive"    # a positive, finite float
 
 # (type, default) per key; a key with default None stays out of the resolved
 # config unless the file sets it
@@ -44,16 +47,16 @@ _CONFIG = {
     "model": {"dim": (int, 3), "b": (float, 0.5), "p": (float, 2.0),
               "gamma": (float, 1.0), "omega": (float, 0.0)},
     "grid": {"h": (float, 2e-3), "rmax": (float, 8.0)},
-    "run": {"seed": (int, 12345), "workers": (int, 1)},
-    "groundstate": {"method": (str, "shoot"), "tol": (float, 1e-8),
-                    "q": (float, None), "ball_radius": (float, None),
+    "run": {"seed": (int, 12345), "workers": (_COUNT, 1)},
+    "groundstate": {"method": (str, "shoot"), "tol": (_POSITIVE, 1e-8),
+                    "q": (_POSITIVE, None), "ball_radius": (_POSITIVE, None),
                     "rmax": (float, None)},
     "evolve": {"dt": (float, 1e-3), "t_end": (float, 1.0),
                "free_equation": (_BOOL, False),
                "blowup_gradient_factor": (float, 1e3),
                "record_every": (int, 10), "coupling": (float, 1.0),
                "initial": (str, "oscillator_mode"), "amplitude": (float, 1.0),
-               "dilation": (float, 1.0), "width": (float, 1.0)},
+               "dilation": (float, 1.0), "width": (_POSITIVE, 1.0)},
     "sweep": {"c_values": (_FLOAT_LIST, [0.8, 0.9, 0.95, 1.0, 1.05, 1.1]),
               "lambda_values": (_FLOAT_LIST, [1.65]), "dt": (float, 2e-4),
               "t_end": (float, math.pi), "record_every": (int, 20),
@@ -61,14 +64,15 @@ _CONFIG = {
               "criterion_tol": (float, 1e-3)},
     "levels": {"n_random": (int, 20)},
     "lens": {"dt": (float, 1e-3), "t_max_frac": (float, 0.8),
-             "n_check": (int, 5), "amplitude": (float, 0.4),
-             "width": (float, 1.0), "free_rmax": (float, 40.0)},
-    "uniqueness": {"r_max": (float, 10.0), "n_samples": (int, 200)},
+             "n_check": (_COUNT, 5), "amplitude": (float, 0.4),
+             "width": (_POSITIVE, 1.0), "free_rmax": (float, 40.0)},
+    "uniqueness": {"r_max": (float, 10.0), "n_samples": (_COUNT, 200)},
 }
 
 
 def _convert(section, key, raw):
     kind = _CONFIG[section][key][0]
+    name = f"[{section}] {key}"
     try:
         if kind is _BOOL:
             low = raw.strip().lower()
@@ -80,36 +84,36 @@ def _convert(section, key, raw):
         if kind is _FLOAT_LIST:
             return [float(tok) for tok in raw.replace(";", ",").split(",")
                     if tok.strip()]
-        return kind(raw)
+        value = {_COUNT: int, _POSITIVE: float}.get(kind, kind)(raw)
     except ValueError as exc:
-        raise ConfigError(
-            f"bad value for [{section}] {key}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
+    # the keys that no library constructor checks
+    if kind is _COUNT and value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    if kind is _POSITIVE:
+        _from_config(require_positive_finite, name, value)
+    return value
 
 
 def load_config(path) -> dict:
     """Parse and validate a config file; unknown keys are rejected by name."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     cfg = {section: {key: default for key, (_, default) in keys.items()
                      if default is not None}
            for section, keys in _CONFIG.items()}
-    for section in parser.sections():
-        if section not in _CONFIG:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in _CONFIG[section]:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            cfg[section][key] = _convert(section, key, raw)
-    if cfg["run"]["workers"] < 1:
-        raise ConfigError(
-            f"[run] workers must be >= 1, got {cfg['run']['workers']}")
-    for key in ("tol", "q", "ball_radius"):
-        value = cfg["groundstate"].get(key)
-        if value is not None and not 0.0 < value < math.inf:
-            raise ConfigError(f"[groundstate] {key} must be positive and "
-                              f"finite, got {value}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in _CONFIG:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in parser[section].items():
+                if key not in _CONFIG[section]:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
+                cfg[section][key] = _convert(section, key, raw)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: "
+                          + " ".join(str(exc).split())) from exc
     return cfg
 
 
@@ -121,17 +125,23 @@ def _flatten(cfg: dict) -> dict:
     return flat
 
 
-def _model(cfg) -> ModelParams:
-    m = dict(cfg["model"])
+def _from_config(build, *args, **kwargs):
+    """build(*args, **kwargs) on config values: the one place where a
+    ParameterError becomes a ConfigError (exit 2, no marker).  Errors
+    raised while solving stay solver failures."""
     try:
-        return validate_params(m)
+        return build(*args, **kwargs)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _model(cfg) -> ModelParams:
+    return _from_config(validate_params, cfg["model"])
+
+
 def _grid(cfg, params) -> RadialGrid:
     g = cfg["grid"]
-    return RadialGrid(h=g["h"], rmax=g["rmax"], dim=params.dim)
+    return _from_config(RadialGrid, h=g["h"], rmax=g["rmax"], dim=params.dim)
 
 
 def _write_json(path, payload, cfg):
@@ -156,8 +166,8 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
     section = cfg["groundstate"]
     method, tol = section["method"], section["tol"]
     if method == "soliton":
-        grid = gs.soliton_grid(params, h=cfg["grid"]["h"],
-                               rmax=section.get("rmax", 20.0))
+        grid = _from_config(gs.soliton_grid, params, h=cfg["grid"]["h"],
+                            rmax=section.get("rmax", 20.0))
         result = gs.solve_soliton(params, grid, tol=tol)
     elif method == "shoot":
         result = gs.solve_bound_state(params, _grid(cfg, params), tol=tol)
@@ -214,12 +224,12 @@ def _cmd_evolve(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     grid = _grid(cfg, params)
     section = cfg["evolve"]
-    u0 = _initial_state(cfg, params, grid)
-    run_cfg = EvolveConfig(
-        dt=section["dt"], t_end=section["t_end"],
+    run_cfg = _from_config(
+        EvolveConfig, dt=section["dt"], t_end=section["t_end"],
         free_equation=section["free_equation"],
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"], coupling=section["coupling"])
+    u0 = _initial_state(cfg, params, grid)
     result = run_evolution(u0, params, run_cfg)
     result.series.to_csv(out_dir / "diagnostics.csv", metadata=_flatten(cfg))
     _write_json(out_dir / "evolve.json", {
@@ -234,11 +244,12 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     grid = _grid(cfg, params)
     section = cfg["sweep"]
-    soliton = gs.solve_soliton(params, gs.soliton_grid(params, h=grid.h))
-    run_cfg = EvolveConfig(
-        dt=section["dt"], t_end=section["t_end"],
+    _from_config(params.require_critical, "the threshold sweep")
+    run_cfg = _from_config(
+        EvolveConfig, dt=section["dt"], t_end=section["t_end"],
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"])
+    soliton = gs.solve_soliton(params, gs.soliton_grid(params, h=grid.h))
     result = experiments.threshold_sweep(
         soliton.profile, params, grid, section["c_values"],
         section["lambda_values"], run_cfg,
@@ -273,8 +284,7 @@ def _cmd_uniqueness(cfg, out_dir: Path) -> int:
 def _cmd_lens(cfg, out_dir: Path) -> int:
     """Free-side run mapped through the lens versus the direct trapped run."""
     params = _model(cfg)
-    if not params.is_critical:
-        raise ConfigError("the lens equivalence holds at the critical power")
+    _from_config(params.require_critical, "the lens equivalence")
     section = cfg["lens"]
     checks, mismatches, roundtrip = experiments.lens_check(
         params, _grid(cfg, params), section["free_rmax"], section["dt"],

@@ -52,8 +52,7 @@ def oscillator_mode(params: ModelParams, grid: RadialGrid) -> RadialField:
     quotient is gamma N and it saturates the harmonic uncertainty
     inequality.
     """
-    if grid.dim != params.dim:
-        raise ParameterError("grid dim differs from params dim")
+    params.require_grid(grid)
     vals = np.pi ** (-params.dim / 2.0) * np.exp(-params.gamma * grid.r ** 2 / 2.0)
     return RadialField(grid, vals)
 
@@ -206,8 +205,7 @@ def lens_inverse(sampler, t: float, params: ModelParams,
     equation matches the trapped one only at the critical power, which is
     required here.
     """
-    if not params.is_critical:
-        raise ParameterError("the lens equivalence holds at the critical power")
+    params.require_critical("the lens equivalence")
     gamma = params.gamma
     m2 = 1.0 + 4.0 * (gamma * t) ** 2
     m = math.sqrt(m2)
@@ -274,8 +272,7 @@ def minimal_mass_solution(fp: BlowupFamilyParams, t: float,
     mass equals the critical mass at every t and the gradient norm diverges
     as t approaches T.
     """
-    if not params.is_critical:
-        raise ParameterError("minimal-mass solution needs the critical power")
+    params.require_critical("the minimal-mass solution")
     if fp.lambda0 is None or fp.T is None:
         raise ParameterError("minimal_mass_solution needs fp.lambda0 and fp.T")
     if not 0.0 < fp.T < caustic_time(params):
@@ -296,8 +293,7 @@ def minimal_mass_initial(fp: BlowupFamilyParams, params: ModelParams,
     is exp(i 4 gamma beta0^2 / sin 4 gamma T), as derived by substituting
     t = 0 into the composite formula.
     """
-    if not params.is_critical:
-        raise ParameterError("minimal-mass solution needs the critical power")
+    params.require_critical("the minimal-mass initial state")
     if fp.lambda0 is None or fp.T is None:
         raise ParameterError("minimal_mass_initial needs fp.lambda0 and fp.T")
     gamma = params.gamma

@@ -28,12 +28,18 @@ class ParameterError(ValueError):
     """A model, grid or solver parameter violates its admissible range."""
 
 
-class GridMismatchError(ValueError):
-    """Fields or sample arrays live on incompatible grids."""
+class GridMismatchError(ParameterError):
+    """Fields, sample arrays or model parameters live on different grids."""
 
 
 class ConvergenceError(RuntimeError):
     """A solver failed to reach its tolerance."""
+
+
+def require_positive_finite(name: str, value) -> None:
+    """Raise ParameterError naming `name` unless 0 < value < inf (nan fails)."""
+    if not 0.0 < value < np.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def sphere_area(dim: int) -> float:
@@ -69,9 +75,7 @@ class ModelParams:
         if not (1.0 < self.p < self.p_max):
             raise ParameterError(
                 f"p must satisfy 1 < p < {self.p_max}, got p = {self.p}")
-        if not 0.0 < self.gamma < np.inf:
-            raise ParameterError(
-                f"gamma must be positive and finite, got {self.gamma}")
+        require_positive_finite("gamma", self.gamma)
         if (self.omega is not None
                 and not -self.gamma * self.dim < self.omega < np.inf):
             raise ParameterError(
@@ -113,6 +117,20 @@ class ModelParams:
         if self.omega is None:
             raise ParameterError("this operation needs params.omega")
         return self.omega
+
+    def require_critical(self, what: str) -> None:
+        """Raise ParameterError unless p is the mass-critical power; `what`
+        names the operation that needs it."""
+        if not self.is_critical:
+            raise ParameterError(
+                f"{what} needs the critical power p = {self.p_critical}, "
+                f"got p = {self.p}")
+
+    def require_grid(self, grid: "RadialGrid") -> None:
+        """Raise GridMismatchError unless grid has the model's dimension."""
+        if grid.dim != self.dim:
+            raise GridMismatchError(
+                f"grid dim {grid.dim} differs from params dim {self.dim}")
 
     def as_dict(self) -> dict:
         return {"dim": self.dim, "b": self.b, "p": self.p,
@@ -157,10 +175,8 @@ class RadialGrid:
     """
 
     def __init__(self, h: float, rmax: float, dim: int):
-        if not (0.0 < h < np.inf and 0.0 < rmax < np.inf):
-            raise ParameterError(
-                f"h and rmax must be positive and finite, got h = {h}, "
-                f"rmax = {rmax}")
+        require_positive_finite("h", h)
+        require_positive_finite("rmax", rmax)
         n = int(round(rmax / h))
         if n < 4 or abs(n * h - rmax) > 1e-9 * rmax:
             raise ParameterError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ModelParams, ParameterError, RadialField, _write_table,
-                   factor_operator, variance_rate)
+                   factor_operator, require_positive_finite, variance_rate)
 from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
@@ -53,11 +53,8 @@ class EvolveConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
-        if not 0.0 < self.t_end < math.inf:
-            raise ParameterError(
-                f"t_end must be positive and finite, got {self.t_end}")
+        require_positive_finite("dt", self.dt)
+        require_positive_finite("t_end", self.t_end)
         # a float would pass `step % record_every` on other steps than asked
         if not isinstance(self.record_every, numbers.Integral):
             raise ParameterError(
@@ -133,8 +130,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
     blowup_gradient_factor times its initial value (the run stops there).
     """
     grid = u0.grid
-    if grid.dim != params.dim:
-        raise ParameterError("grid dim differs from params dim")
+    params.require_grid(grid)
     if not cfg.free_equation:
         dt_max = (math.pi / (2.0 * params.gamma)) / 200.0
         if cfg.dt > dt_max:
@@ -282,8 +278,7 @@ def predict_collapse_time(u0: RadialField, params: ModelParams,
     discretization error, and a small positive tolerance recovers their
     tangency time instead of returning None.
     """
-    if not params.is_critical:
-        raise ParameterError("collapse-time prediction needs the critical power")
+    params.require_critical("collapse-time prediction")
     gamma = params.gamma
     m = _field_moments(u0, params)
     E0, f0 = m.energy(params.p, gamma, coupling), m.V

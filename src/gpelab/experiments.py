@@ -349,8 +349,7 @@ def threshold_sweep(soliton: RadialField, params: ModelParams,
     stop the sweep.  At most min(workers, rows, cpu count) processes run;
     with one the sweep runs in this process.
     """
-    if not params.is_critical:
-        raise ParameterError("the threshold sweep runs at the critical power")
+    params.require_critical("the threshold sweep")
     jobs = [(float(c), float(lam)) for c in c_values for lam in lambda_values]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     rows = []

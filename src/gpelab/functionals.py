@@ -87,14 +87,8 @@ def _moments(values, grid, b, p) -> _Moments:
         P=float(np.sum(grid.weighted_r_pow(-b) * modulus ** (p + 1))))
 
 
-def _check(u: RadialField, params: ModelParams) -> None:
-    if u.grid.dim != params.dim:
-        raise ParameterError(
-            f"grid dim {u.grid.dim} differs from params dim {params.dim}")
-
-
 def _field_moments(u: RadialField, params: ModelParams) -> _Moments:
-    _check(u, params)
+    params.require_grid(u.grid)
     return _moments(u.values, u.grid, params.b, params.p)
 
 
@@ -116,7 +110,7 @@ def energy_gradient(u: RadialField, params: ModelParams,
     d/de E(u + e v) = 2 Re <grad, v>_w with the node quadrature weights,
     because grad_norm_sq is exactly the Laplacian quadratic form.
     """
-    _check(u, params)
+    params.require_grid(u.grid)
     g = u.grid
     out = (-apply_laplacian(u.values, g)
            + (params.gamma ** 2 * g.r_pow(2.0)) * u.values)
@@ -151,20 +145,13 @@ def virial(u: RadialField, params: ModelParams) -> float:
                                             virial_coefficient(params))
 
 
-def _require_critical(params: ModelParams, what: str) -> None:
-    if not params.is_critical:
-        raise ParameterError(
-            f"{what} is defined only at the critical power "
-            f"p = {params.p_critical}, got p = {params.p}")
-
-
 def weinstein(u: RadialField, params: ModelParams) -> float:
     """Interpolation quotient ||grad u||^2 ||u||^s / P(u), s = (4-2b)/N.
 
     Defined at the critical power only; invariant under amplitude scaling
     and mass-preserving dilation; minimized by the decaying ground profile.
     """
-    _require_critical(params, "the interpolation quotient")
+    params.require_critical("the interpolation quotient")
     m = _field_moments(u, params)
     if m.P <= 0.0:
         raise ParameterError("quotient undefined for the zero field")
@@ -179,7 +166,7 @@ def gn_slack(u: RadialField, params: ModelParams, critical_mass: float) -> float
     where critical_mass is the squared L^2 norm of the decaying ground
     profile and s = (4-2b)/N.  Nonnegative up to discretization slack.
     """
-    _require_critical(params, "the sharp-constant check")
+    params.require_critical("the sharp-constant check")
     if critical_mass <= 0.0:
         raise ParameterError("critical_mass must be positive")
     m = _field_moments(u, params)

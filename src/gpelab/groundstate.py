@@ -23,7 +23,7 @@ import numpy as np
 from .core import (ConvergenceError, GridMismatchError, ModelParams,
                    ParameterError, RadialField, RadialGrid, apply_laplacian,
                    default_grid, factor_operator, nonlinearity,
-                   stationary_residual)
+                   require_positive_finite, stationary_residual)
 from .functionals import _field_moments, _moments
 
 __all__ = [
@@ -96,13 +96,10 @@ def _check_entry(params, grid, **positive):
     """The entry check of every stationary solver: grid and params share
     the dimension, and each named input that is given (tol, and q and
     ball_radius of the minimizer) is positive and finite."""
-    if grid.dim != params.dim:
-        raise GridMismatchError(
-            f"grid dim {grid.dim} differs from params dim {params.dim}")
+    params.require_grid(grid)
     for name, value in positive.items():
-        if value is not None and not (value > 0.0 and math.isfinite(value)):
-            raise ParameterError(
-                f"{name} must be positive and finite, got {value}")
+        if value is not None:
+            require_positive_finite(name, value)
 
 
 # ------------------------------------------------------------------ descent
@@ -247,10 +244,7 @@ def solve_soliton(params: ModelParams, grid: RadialGrid | None = None,
     Defined at the critical power p = 1 + (4-2b)/N; its squared L^2 norm is
     the critical mass separating global existence from collapse.
     """
-    if not params.is_critical:
-        raise ParameterError(
-            f"the decaying ground profile is used at the critical power "
-            f"{params.p_critical}; got p = {params.p}")
+    params.require_critical("the decaying ground profile")
     return _ground_state(params, grid or soliton_grid(params), tol, 1.0, 0.0)
 
 

@@ -166,6 +166,46 @@ class TestExitCodes:
         assert run("groundstate", path, out) == 2
         assert not (out / "groundstate.failed").exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("groundstate", BASE.replace("h = 0.004", "h = nan")),
+        ("groundstate", BASE.replace("h = 0.004", "h = 0.003")),  # rmax/h
+        ("groundstate", BASE + "[groundstate]\nmethod = soliton\nrmax = nan\n"),
+        ("evolve", BASE + "[evolve]\ndt = nan\n"),
+        ("evolve", BASE + "[evolve]\nrecord_every = 0\n"),
+        ("evolve", BASE + "[evolve]\ninitial = gaussian\nwidth = 0\n"),
+        ("sweep", BASE + "[sweep]\ndt = -1\n"),
+        ("sweep", BASE.replace("p = 2.0", "p = 2.5")),
+        ("lens", BASE.replace("p = 2.0", "p = 2.5")),
+        ("lens", BASE + "[lens]\nn_check = 0\n"),
+        ("lens", BASE + "[lens]\nwidth = 0\n"),
+        ("uniqueness", BASE + "[uniqueness]\nn_samples = -1\n"),
+    ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
+            "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
+            "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
+            "lens_n_check_0", "lens_width_0", "uniqueness_n_samples_negative"])
+    def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
+                                           text):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, text), out) == 2
+        assert not (out / f"{command}.failed").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("text", [
+        BASE + "[model]\np = 2.0\n",                  # duplicate section
+        "[model]\np = 2.0\np = 2.5\n",                 # duplicate key
+        "p = 2.0\n",                                   # no section header
+    ], ids=["duplicate_section", "duplicate_key", "no_section_header"])
+    def test_malformed_ini_is_2(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=str(path)):
+            load_config(path)
+        out = tmp_path / "out"
+        assert run("uniqueness", path, out) == 2
+        assert not (out / "uniqueness.failed").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
     def test_solver_error_is_1_with_marker(self, tmp_path):
         # constraint set empty: q > ball_radius / (gamma N)
         path = write_config(tmp_path, BASE + """
