@@ -126,9 +126,10 @@ def _flatten(cfg: dict) -> dict:
 
 
 def _from_config(build, *args, **kwargs):
-    """build(*args, **kwargs) on config values: the one place where a
-    ParameterError becomes a ConfigError (exit 2, no marker).  Errors
-    raised while solving stay solver failures."""
+    """build(*args, **kwargs) on config values alone (a constructor, a
+    precondition or a closed form): the one place where a ParameterError
+    becomes a ConfigError (exit 2, no marker).  Errors raised while
+    solving stay solver failures."""
     try:
         return build(*args, **kwargs)
     except ParameterError as exc:
@@ -229,6 +230,7 @@ def _cmd_evolve(cfg, out_dir: Path) -> int:
         free_equation=section["free_equation"],
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"], coupling=section["coupling"])
+    _from_config(run_cfg.require_trap_resolved, params)
     u0 = _initial_state(cfg, params, grid)
     result = run_evolution(u0, params, run_cfg)
     result.series.to_csv(out_dir / "diagnostics.csv", metadata=_flatten(cfg))
@@ -249,6 +251,7 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
         EvolveConfig, dt=section["dt"], t_end=section["t_end"],
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"])
+    _from_config(run_cfg.require_trap_resolved, params)
     soliton = gs.solve_soliton(params, gs.soliton_grid(params, h=grid.h))
     result = experiments.threshold_sweep(
         soliton.profile, params, grid, section["c_values"],
@@ -264,6 +267,7 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
 def _cmd_levels(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     grid = _grid(cfg, params)
+    _from_config(params.require_critical_or_larger, "the level estimates")
     levels = experiments.estimate_levels(
         params, grid, n_random=cfg["levels"]["n_random"],
         seed=cfg["run"]["seed"])
@@ -276,7 +280,7 @@ def _cmd_uniqueness(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     section = cfg["uniqueness"]
     samples = np.linspace(0.05, section["r_max"], section["n_samples"])
-    report = gs.uniqueness_report(params, r_samples=samples)
+    report = _from_config(gs.uniqueness_report, params, r_samples=samples)
     _write_json(out_dir / "uniqueness.json", asdict(report), cfg)
     return 0
 
@@ -361,8 +365,11 @@ def _verify_checks(cfg):
     yield ("levels: cross points admissible", ok and dn > 0,
            f"d_n_upper {dn:.4f} from {len(pts)} points")
 
-    if params.dim >= 3 and params.b < 1.0:
+    try:
         rep = gs.uniqueness_report(params)
+    except gs.OutsideHypothesesError:
+        pass                  # the criterion claims nothing here
+    else:
         yield ("uniqueness: sign conditions", rep.conditions_hold,
                f"A {rep.A:.3g}, C {rep.C:.3g}, k {rep.k:.3g}")
 

@@ -15,7 +15,8 @@ from math import gamma as _gamma_fn
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
+from scipy.linalg.blas import ztbsv
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf
 
 CRITICALITY_TOL = 1e-12
 
@@ -124,6 +125,14 @@ class ModelParams:
         if not self.is_critical:
             raise ParameterError(
                 f"{what} needs the critical power p = {self.p_critical}, "
+                f"got p = {self.p}")
+
+    def require_critical_or_larger(self, what: str) -> None:
+        """Raise ParameterError when p is below the mass-critical power;
+        `what` names the operation that needs p >= p_c."""
+        if self.criticality == SUBCRITICAL:
+            raise ParameterError(
+                f"{what} needs p >= the critical power {self.p_critical}, "
                 f"got p = {self.p}")
 
     def require_grid(self, grid: "RadialGrid") -> None:
@@ -419,22 +428,46 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
     """Factor shift + scale (-Lap + coeff) once; returns solve(rhs).
 
     coeff is a node array or a scalar; complex coeff, scale or shift give a
-    complex factorization (LAPACK zgttrf), real ones a real one (dgttrf),
-    and solve takes right-hand sides of the same type.  Raises
-    ConvergenceError when a pivot vanishes.
+    complex factorization, real ones a real one, and solve takes right-hand
+    sides of the same type.  Real operators use LAPACK dgttrf/dgttrs
+    (Newton Jacobians pivot).  A complex zgttrf factorization without a row
+    exchange is L D U', L and U' unit bidiagonal, so its solve is two BLAS
+    sweeps and a scaling by 1/d, with no division inside a recurrence.  The
+    Crank-Nicolson operator 1 + (i dt/2)(-Lap + V), V >= 0, never needs an
+    exchange: it is strictly diagonally dominant with imaginary
+    off-diagonals, so zgttrf's |re| + |im| pivot test never swaps.  Raises
+    ConvergenceError when a pivot vanishes or a complex operator needs a
+    row exchange.
     """
     lap = grid.laplacian_bands()
     diag = shift + scale * (coeff - lap[1])
     off_lower = -scale * lap[2, :-1]
     off_upper = -scale * lap[0, 1:]
     is_complex = np.iscomplexobj(diag) or np.iscomplexobj(off_lower)
-    trf, trs = (zgttrf, zgttrs) if is_complex else (dgttrf, dgttrs)
+    trf = zgttrf if is_complex else dgttrf
     dl, d, du, du2, ipiv, info = trf(off_lower, diag, off_upper)
     if info != 0:
         raise ConvergenceError(f"operator is singular (pivot {info} vanishes)")
+    if not is_complex:
+        def solve(rhs):
+            return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+        return solve
+
+    if np.any(ipiv != np.arange(1, grid.n + 1)):
+        raise ConvergenceError("complex operator needed a row exchange; "
+                               "its solve takes unpivoted factors only")
+    # BLAS band storage, in Fortran order so that ztbsv reads it in place;
+    # the unit diagonals (row 0 of lower, row 1 of upper) are never read
+    lower = np.zeros((2, grid.n), complex, order="F")
+    lower[1, :-1] = dl
+    upper = np.zeros((2, grid.n), complex, order="F")
+    upper[0, 1:] = du / d[:-1]
+    inv_d = 1.0 / d
 
     def solve(rhs):
-        return trs(dl, d, du, du2, ipiv, rhs)[0]
+        y = ztbsv(1, lower, rhs, lower=1, diag=1)
+        y *= inv_d
+        return ztbsv(1, upper, y, diag=1, overwrite_x=1)
 
     return solve
 

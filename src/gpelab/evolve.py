@@ -67,6 +67,16 @@ class EvolveConfig:
         if not math.isfinite(self.coupling):
             raise ParameterError(f"coupling must be finite, got {self.coupling}")
 
+    def require_trap_resolved(self, params: ModelParams) -> None:
+        """Raise ParameterError unless dt resolves the trap period of the
+        trapped equation, dt <= (pi / (2 gamma)) / 200; a free-equation
+        run has no trap and passes."""
+        dt_max = (math.pi / (2.0 * params.gamma)) / 200.0
+        if not self.free_equation and self.dt > dt_max:
+            raise ParameterError(
+                f"dt = {self.dt} does not resolve the trap period; "
+                f"need dt <= {dt_max}")
+
 
 @dataclass
 class DiagnosticSeries:
@@ -131,12 +141,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
     """
     grid = u0.grid
     params.require_grid(grid)
-    if not cfg.free_equation:
-        dt_max = (math.pi / (2.0 * params.gamma)) / 200.0
-        if cfg.dt > dt_max:
-            raise ParameterError(
-                f"dt = {cfg.dt} does not resolve the trap period; "
-                f"need dt <= {dt_max}")
+    cfg.require_trap_resolved(params)
     for ts in cfg.snapshot_times:
         if not 0.0 <= ts <= cfg.t_end + 1e-12:
             raise ParameterError(f"snapshot time {ts} outside [0, t_end]")

@@ -270,8 +270,7 @@ def estimate_levels(params: ModelParams, grid: RadialGrid,
                     reference: GroundStateResult | RadialField | None = None,
                     n_random: int = 40, seed: int = 0) -> LevelEstimates:
     """Estimate both variational levels from one stationary profile."""
-    if params.criticality == "subcritical":
-        raise ParameterError("levels are probed at critical or larger powers")
+    params.require_critical_or_larger("the level estimates")
     if reference is None:
         reference = solve_bound_state(params, grid)
     prof = reference.profile if isinstance(reference, GroundStateResult) else reference

@@ -179,10 +179,16 @@ class TestExitCodes:
         ("lens", BASE + "[lens]\nn_check = 0\n"),
         ("lens", BASE + "[lens]\nwidth = 0\n"),
         ("uniqueness", BASE + "[uniqueness]\nn_samples = -1\n"),
+        ("evolve", BASE + "[evolve]\ndt = 0.1\n"),
+        ("sweep", BASE + "[sweep]\ndt = 0.1\n"),
+        ("uniqueness", BASE.replace("dim = 3", "dim = 2")),
+        ("levels", BASE.replace("p = 2.0", "p = 1.5")),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
             "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
-            "lens_n_check_0", "lens_width_0", "uniqueness_n_samples_negative"])
+            "lens_n_check_0", "lens_width_0", "uniqueness_n_samples_negative",
+            "evolve_dt_above_trap_period", "sweep_dt_above_trap_period",
+            "uniqueness_dim_2", "levels_subcritical"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
                                            text):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          ModelParams, ParameterError, RadialField, RadialGrid,
@@ -134,6 +135,47 @@ class TestOperator:
         F = stationary_residual(res.profile.values.real, grid,
                                 1.0 + grid.r ** 2, params.b, params.p)
         assert np.max(np.abs(F)) == res.residual_sup
+
+
+class TestCrankNicolsonSolve:
+    """The complex solve (two bidiagonal sweeps on zgttrf's factors) of
+    1 + (i dt/2)(-Lap + V), against LAPACK's own zgttrs."""
+
+    @staticmethod
+    def cayley_operator(rmax, dt, trapped):
+        grid = RadialGrid(h=2e-3, rmax=rmax, dim=3)
+        trap = grid.r ** 2 if trapped else np.zeros(grid.n)
+        scale = 0.5j * dt
+        return grid, trap, scale
+
+    @pytest.mark.parametrize("trapped", [True, False])
+    @pytest.mark.parametrize("dt", [2e-4, 1e-3])
+    @pytest.mark.parametrize("rmax", [8.0, 40.0])  # default and lens mesh
+    def test_matches_zgttrs(self, rmax, dt, trapped):
+        grid, trap, scale = self.cayley_operator(rmax, dt, trapped)
+        lap = grid.laplacian_bands()
+        factors = zgttrf(-scale * lap[2, :-1], 1.0 + scale * (trap - lap[1]),
+                         -scale * lap[0, 1:])
+        assert factors[-1] == 0
+        rhs = np.exp(-grid.r ** 2 / 2) * (1.0 + 0.3j * grid.r)
+        want = zgttrs(*factors[:-1], rhs)[0]
+        got = factor_operator(grid, trap, scale=scale, shift=1.0)(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_cayley_step_keeps_mass(self):
+        grid, trap, scale = self.cayley_operator(8.0, 2e-4, True)
+        solve = factor_operator(grid, trap, scale=scale, shift=1.0)
+        v = RadialField.from_function(
+            grid, lambda r: 1.2 * np.exp(-r ** 2 / 2) * (1.0 + 0.2j * r))
+        step = RadialField(grid, 2.0 * solve(v.values) - v.values)
+        assert abs(mass(step) / mass(v) - 1.0) <= 1e-14
+
+    def test_row_exchange_raises(self):
+        # a near-zero first diagonal entry: zgttrf swaps rows 0 and 1
+        grid = RadialGrid(h=0.25, rmax=4.0, dim=3)
+        coeff = grid.laplacian_bands()[1] + 1e-3j
+        with pytest.raises(ConvergenceError, match="row exchange"):
+            factor_operator(grid, coeff)
 
 
 class TestOneDimension:

@@ -1,6 +1,7 @@
 """Each precondition has one check in gpelab.core, and every entry point
 that needs it raises the same error: ModelParams.require_critical for the
-critical power, ModelParams.require_grid for the grid's dimension and
+critical power, ModelParams.require_critical_or_larger for p >= p_c,
+ModelParams.require_grid for the grid's dimension and
 require_positive_finite for positive, finite inputs."""
 
 import math
@@ -14,7 +15,7 @@ from gpelab.closedforms import (BlowupFamilyParams, lens_inverse,
 from gpelab.core import (GridMismatchError, ParameterError, RadialField,
                          RadialGrid, require_positive_finite)
 from gpelab.evolve import EvolveConfig, evolve, predict_collapse_time
-from gpelab.experiments import threshold_sweep
+from gpelab.experiments import estimate_levels, threshold_sweep
 from gpelab.functionals import (energy, energy_gradient, gn_slack, potential,
                                 weinstein)
 from gpelab.groundstate import (constrained_minimizer, solve_bound_state,
@@ -60,6 +61,22 @@ class TestCriticalPower:
 
     def test_critical_passes(self, params_critical):
         params_critical.require_critical("anything")
+
+
+class TestCriticalOrLarger:
+    def test_subcritical_levels_rejected_naming_the_operation(
+            self, small_field, params_subcritical):
+        with pytest.raises(ParameterError) as info:
+            estimate_levels(params_subcritical, small_field.grid)
+        msg = str(info.value)
+        assert msg.startswith("the level estimates needs p >= the critical "
+                              f"power {params_subcritical.p_critical}")
+        assert msg.endswith(f"got p = {params_subcritical.p}")
+
+    def test_critical_and_supercritical_pass(self, params_critical,
+                                             params_supercritical):
+        params_critical.require_critical_or_larger("anything")
+        params_supercritical.require_critical_or_larger("anything")
 
 
 GRID_AND_PARAMS = {
