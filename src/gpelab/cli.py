@@ -16,7 +16,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ class ConfigError(ValueError):
     pass
 
 
-_FLOAT_LIST = "float_list"
+_POSITIVES = "positives"  # a non-empty list of positive, finite floats
 _BOOL = "bool"
 _COUNT = "count"          # an integer >= 1
 _POSITIVE = "positive"    # a positive, finite float
@@ -56,9 +56,9 @@ _CONFIG = {
                "blowup_gradient_factor": (float, 1e3),
                "record_every": (int, 10), "coupling": (float, 1.0),
                "initial": (str, "oscillator_mode"), "amplitude": (float, 1.0),
-               "dilation": (float, 1.0), "width": (_POSITIVE, 1.0)},
-    "sweep": {"c_values": (_FLOAT_LIST, [0.8, 0.9, 0.95, 1.0, 1.05, 1.1]),
-              "lambda_values": (_FLOAT_LIST, [1.65]), "dt": (float, 2e-4),
+               "dilation": (_POSITIVE, 1.0), "width": (_POSITIVE, 1.0)},
+    "sweep": {"c_values": (_POSITIVES, [0.8, 0.9, 0.95, 1.0, 1.05, 1.1]),
+              "lambda_values": (_POSITIVES, [1.65]), "dt": (float, 2e-4),
               "t_end": (float, math.pi), "record_every": (int, 20),
               "blowup_gradient_factor": (float, 1e3),
               "criterion_tol": (float, 1e-3)},
@@ -81,17 +81,20 @@ def _convert(section, key, raw):
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        if kind is _FLOAT_LIST:
-            return [float(tok) for tok in raw.replace(";", ",").split(",")
-                    if tok.strip()]
-        value = {_COUNT: int, _POSITIVE: float}.get(kind, kind)(raw)
+        if kind is _POSITIVES:
+            value = [float(tok) for tok in raw.replace(";", ",").split(",")
+                     if tok.strip()]
+        else:
+            value = {_COUNT: int, _POSITIVE: float}.get(kind, kind)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
     # the keys that no library constructor checks
+    if kind is _POSITIVES and not value:
+        raise ConfigError(f"{name} must list at least one value")
     if kind is _COUNT and value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
-    if kind is _POSITIVE:
-        _from_config(require_positive_finite, name, value)
+    for x in {_POSITIVE: [value], _POSITIVES: value}.get(kind, ()):
+        _from_config(require_positive_finite, name, x)
     return value
 
 
@@ -199,6 +202,12 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
     return 0
 
 
+def _critical_soliton(params, h):
+    """params at the critical power, and their soliton on the h mesh."""
+    crit = params if params.is_critical else replace(params, p=params.p_critical)
+    return crit, gs.solve_soliton(crit, gs.soliton_grid(crit, h=h))
+
+
 def _initial_state(cfg, params, grid) -> RadialField:
     section = cfg["evolve"]
     kind = section["initial"]
@@ -213,9 +222,7 @@ def _initial_state(cfg, params, grid) -> RadialField:
         res = gs.solve_bound_state(params, grid)
         return experiments.scale_amplitude(res.profile, amp)
     if kind == "soliton_scaled":
-        crit = params if params.is_critical else ModelParams(
-            params.dim, params.b, params.p_critical, params.gamma, params.omega)
-        sol = gs.solve_soliton(crit, gs.soliton_grid(crit, h=grid.h))
+        crit, sol = _critical_soliton(params, grid.h)
         return experiments._scaled_soliton(sol.profile, grid, crit, amp,
                                            section["dilation"])
     raise ConfigError(f"unknown [evolve] initial: {kind}")
@@ -252,7 +259,7 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"])
     _from_config(run_cfg.require_trap_resolved, params)
-    soliton = gs.solve_soliton(params, gs.soliton_grid(params, h=grid.h))
+    _, soliton = _critical_soliton(params, grid.h)
     result = experiments.threshold_sweep(
         soliton.profile, params, grid, section["c_values"],
         section["lambda_values"], run_cfg,
@@ -288,12 +295,12 @@ def _cmd_uniqueness(cfg, out_dir: Path) -> int:
 def _cmd_lens(cfg, out_dir: Path) -> int:
     """Free-side run mapped through the lens versus the direct trapped run."""
     params = _model(cfg)
-    _from_config(params.require_critical, "the lens equivalence")
     section = cfg["lens"]
-    checks, mismatches, roundtrip = experiments.lens_check(
-        params, _grid(cfg, params), section["free_rmax"], section["dt"],
-        section["t_max_frac"] * closedforms.caustic_time(params),
-        section["n_check"], section["amplitude"], section["width"])
+    settings = (params, _grid(cfg, params), section["free_rmax"], section["dt"],
+                section["t_max_frac"] * closedforms.caustic_time(params),
+                section["n_check"], section["amplitude"], section["width"])
+    _from_config(experiments.lens_runs, *settings)
+    checks, mismatches, roundtrip = experiments.lens_check(*settings)
     _write_json(out_dir / "lens_report.json", {
         "check_times": checks,
         "l2_mismatch": mismatches,
@@ -331,9 +338,7 @@ def _verify_checks(cfg):
     yield ("oscillator: uncertainty equality", abs(hi) / m.M < 1e-6,
            f"rel defect {hi / m.M:.2e}")
 
-    crit = params if params.is_critical else ModelParams(
-        N, params.b, params.p_critical, gamma, params.omega)
-    soliton = gs.solve_soliton(crit, gs.soliton_grid(crit, h=grid.h))
+    crit, soliton = _critical_soliton(params, grid.h)
     yield ("soliton: residual", soliton.residual_sup < 1e-8,
            f"sup {soliton.residual_sup:.2e}")
     m = functionals._field_moments(soliton.profile, crit)

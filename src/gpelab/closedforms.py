@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh_tridiagonal
 
-from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   factor_operator)
+from .core import ModelParams, ParameterError, RadialField, RadialGrid
 
 __all__ = [
     "CausticError", "BlowupFamilyParams", "ProfileInterpolant",
@@ -45,6 +45,13 @@ def caustic_time(params: ModelParams) -> float:
     return math.pi / (4.0 * params.gamma)
 
 
+def require_before_caustic(name: str, t: float, params: ModelParams) -> None:
+    """Raise ParameterError naming `name` unless 0 < t < caustic_time."""
+    if not 0.0 < t < caustic_time(params):
+        raise ParameterError(
+            f"{name} must lie in (0, {caustic_time(params)}), got {t}")
+
+
 def oscillator_mode(params: ModelParams, grid: RadialGrid) -> RadialField:
     """Closed-form oscillator ground mode pi^(-N/2) exp(-gamma r^2 / 2).
 
@@ -57,23 +64,19 @@ def oscillator_mode(params: ModelParams, grid: RadialGrid) -> RadialField:
     return RadialField(grid, vals)
 
 
-def discrete_oscillator_mode(params: ModelParams, grid: RadialGrid,
-                             iters: int = 80) -> RadialField:
-    """Lowest eigenvector of the discrete oscillator -Lap + gamma^2 r^2.
-
-    Inverse iteration with a shift below gamma N; returned with unit mass.
-    The sampled closed form differs from this by O(h^2), so invariance
-    tests of the time integrator should use this discrete mode.
-    """
-    solve = factor_operator(grid, params.gamma ** 2 * grid.r_pow(2.0),
-                            shift=-0.5 * params.gamma * params.dim)
-    v = np.exp(-params.gamma * grid.r ** 2 / 2.0)
-    for _ in range(iters):
-        v = solve(v)
-        v /= math.sqrt(float(np.sum(grid.weights * v * v)))
-    if v[0] < 0.0:
-        v = -v
-    return RadialField(grid, v)
+def discrete_oscillator_mode(params: ModelParams,
+                             grid: RadialGrid) -> RadialField:
+    """Lowest eigenvector of the discrete oscillator -Lap + gamma^2 r^2, of
+    unit mass and positive first sample: one tridiagonal eigensolve of its
+    form symmetrized by the node weights w, divided by sqrt(w).  The
+    sampled closed form differs from this by O(h^2), so invariance tests
+    of the time integrator should use this discrete mode."""
+    params.require_grid(grid)
+    _, vec = eigh_tridiagonal(params.gamma ** 2 * grid.r_pow(2.0) - grid.lap_diag,
+                              -np.sqrt(grid.lap_lower * grid.lap_upper),
+                              select="i", select_range=(0, 0))
+    v = vec[:, 0] / np.sqrt(grid.weights)
+    return RadialField(grid, v if v[0] > 0.0 else -v)
 
 
 @dataclass(frozen=True)
@@ -275,9 +278,7 @@ def minimal_mass_solution(fp: BlowupFamilyParams, t: float,
     params.require_critical("the minimal-mass solution")
     if fp.lambda0 is None or fp.T is None:
         raise ParameterError("minimal_mass_solution needs fp.lambda0 and fp.T")
-    if not 0.0 < fp.T < caustic_time(params):
-        raise ParameterError(
-            f"collapse time T must lie in (0, {caustic_time(params)})")
+    require_before_caustic("collapse time T", fp.T, params)
     if not 0.0 <= t < fp.T:
         raise ParameterError(f"t = {t} outside [0, T = {fp.T})")
     q = _as_interp(soliton, 2.0 - params.b)
@@ -298,9 +299,7 @@ def minimal_mass_initial(fp: BlowupFamilyParams, params: ModelParams,
         raise ParameterError("minimal_mass_initial needs fp.lambda0 and fp.T")
     gamma = params.gamma
     T = fp.T
-    if not 0.0 < T < caustic_time(params):
-        raise ParameterError(
-            f"collapse time T must lie in (0, {caustic_time(params)})")
+    require_before_caustic("collapse time T", T, params)
     b0 = fp.beta0(gamma)
     N = params.dim
     scale = 2.0 * gamma * b0 / math.sin(2.0 * gamma * T)

@@ -43,6 +43,12 @@ def require_positive_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
+def require_dimension(dim) -> None:
+    """Raise ParameterError unless dim is an integer >= 1."""
+    if not (isinstance(dim, int) and dim >= 1):
+        raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
+
+
 def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^(dim-1) in R^dim."""
     return 2.0 * np.pi ** (dim / 2.0) / _gamma_fn(dim / 2.0)
@@ -67,8 +73,7 @@ class ModelParams:
     omega: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ParameterError(f"dim must be an integer >= 1, got {self.dim!r}")
+        require_dimension(self.dim)
         bmax = min(2.0, float(self.dim))
         if not (0.0 < self.b < bmax):
             raise ParameterError(
@@ -163,10 +168,7 @@ def validate_params(raw: Mapping | None = None, **kwargs) -> ModelParams:
     if missing:
         raise ParameterError(f"missing parameter(s): {sorted(missing)}")
     dim = data["dim"]
-    if isinstance(dim, float):
-        if dim != int(dim):
-            raise ParameterError(f"dim must be an integer, got {dim}")
-        dim = int(dim)
+    dim = int(dim) if isinstance(dim, float) and dim.is_integer() else dim
     return ModelParams(dim=dim,
                        b=float(data["b"]),
                        p=float(data["p"]),
@@ -190,25 +192,30 @@ class RadialGrid:
         if n < 4 or abs(n * h - rmax) > 1e-9 * rmax:
             raise ParameterError(
                 f"rmax = {rmax} must be an integer multiple (>= 4) of h = {h}")
-        if not (isinstance(dim, int) and dim >= 1):
-            raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
+        require_dimension(dim)
         self.h = float(h)
         self.rmax = n * self.h
         self.dim = dim
         self.n = n
         self.r = (np.arange(n) + 0.5) * self.h
-        self.face_r = np.arange(n + 1) * self.h
         self.sphere = sphere_area(dim)
         # node quadrature weights: omega_N r^(N-1) h  (midpoint rule)
         self.weights = self.sphere * self.r ** (dim - 1) * self.h
-        # face weights r_f^(N-1) for the conservative gradient/Laplacian;
-        # the origin face carries no flux in every dimension (for N = 1,
-        # 0.0**0 = 1 would put a Dirichlet wall there)
-        self.face_w = self.face_r ** (dim - 1)
-        self.face_w[0] = 0.0
-        for a in (self.r, self.face_r, self.weights, self.face_w):
+        # The flux-form Laplacian u'' + (N-1)/r u' from the face conductances
+        # r_f^(N-1): 0 at the origin face (for N = 1, 0.0**0 = 1 would put a
+        # wall there), doubled at rmax by the odd ghost for u(rmax) = 0;
+        # self-adjoint under the node weights.  lap_lower[i] couples row i+1
+        # to column i, lap_upper[i] row i to column i+1.
+        c = self.conductance = (np.arange(n + 1) * self.h) ** (dim - 1)
+        c[0] = 0.0
+        c[n] *= 2.0
+        denom = self.r ** (dim - 1) * self.h * self.h
+        self.lap_lower = c[1:n] / denom[1:]
+        self.lap_diag = -(c[1:] + c[:-1]) / denom
+        self.lap_upper = c[1:n] / denom[:-1]
+        for a in (self.r, self.weights, c, self.lap_lower, self.lap_diag,
+                  self.lap_upper):
             a.setflags(write=False)
-        self._lap_bands = None
         self._r_pow = {}
         self._weighted_r_pow = {}
 
@@ -226,28 +233,6 @@ class RadialGrid:
     def compatible(self, other: "RadialGrid") -> None:
         if self != other:
             raise GridMismatchError(f"grids differ: {self} vs {other}")
-
-    def laplacian_bands(self) -> np.ndarray:
-        """Banded (3, n) form of the radial Laplacian, in LAPACK band storage.
-
-        Row 0 holds the super-diagonal (shifted right), row 1 the diagonal,
-        row 2 the sub-diagonal (shifted left).  The operator is the
-        conservative flux form of u'' + (N-1)/r u' with a zero-flux face at
-        the origin and an odd-extension ghost enforcing u(rmax) = 0; it is
-        self-adjoint under the node quadrature weights.
-        """
-        if self._lap_bands is None:
-            n, h = self.n, self.h
-            denom = self.r ** (self.dim - 1) * h * h
-            aw = self.face_w
-            bands = np.zeros((3, n))
-            bands[0, 1:] = aw[1:n] / denom[:-1]          # super-diagonal
-            bands[1] = -(aw[1:] + aw[:-1]) / denom       # diagonal
-            bands[1, -1] = -(2.0 * aw[n] + aw[n - 1]) / denom[-1]
-            bands[2, :-1] = aw[1:n] / denom[1:]          # sub-diagonal
-            bands.setflags(write=False)
-            self._lap_bands = bands
-        return self._lap_bands
 
     def r_pow(self, e: float) -> np.ndarray:
         """r^e at the nodes, computed once per exponent (read-only)."""
@@ -344,15 +329,15 @@ def variance(u: RadialField) -> float:
 def _grad_form(x, y, grid: RadialGrid) -> complex:
     """Gradient form int grad x . conj(grad y) on node arrays.
 
-    Staggered (face) differences: this is exactly the quadratic form of the
-    discrete Laplacian, so pairing the stationary equation with u closes to
-    machine precision.  The boundary face carries the half-cell Dirichlet
-    contribution 2 x_{n-1} conj(y_{n-1}) / h.
+    Staggered (face) differences weighted by the grid's face conductances:
+    this is exactly the quadratic form of the discrete Laplacian, so pairing
+    the stationary equation with u closes to machine precision.  The face
+    at rmax pairs x_{n-1} with the ghost -x_{n-1} across half a cell.
     """
     dx = np.diff(x)
     dy = dx if y is x else np.diff(y)
-    s = np.sum(grid.face_w[1:grid.n] * dx * np.conj(dy)) / grid.h
-    s += grid.face_w[grid.n] * 2.0 * x[-1] * np.conj(y[-1]) / grid.h
+    s = np.sum(grid.conductance[1:grid.n] * dx * np.conj(dy)) / grid.h
+    s += grid.conductance[grid.n] * x[-1] * np.conj(y[-1]) / grid.h
     return grid.sphere * s
 
 
@@ -405,10 +390,9 @@ def variance_rate(values, grid: RadialGrid) -> float:
 
 def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Apply the conservative radial Laplacian to node samples."""
-    bands = grid.laplacian_bands()
-    out = bands[1] * values
-    out[:-1] += bands[0, 1:] * values[1:]
-    out[1:] += bands[2, :-1] * values[:-1]
+    out = grid.lap_diag * values
+    out[:-1] += grid.lap_upper * values[1:]
+    out[1:] += grid.lap_lower * values[:-1]
     return out
 
 
@@ -439,16 +423,14 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
     ConvergenceError when a pivot vanishes or a complex operator needs a
     row exchange.
     """
-    lap = grid.laplacian_bands()
-    diag = shift + scale * (coeff - lap[1])
-    off_lower = -scale * lap[2, :-1]
-    off_upper = -scale * lap[0, 1:]
-    is_complex = np.iscomplexobj(diag) or np.iscomplexobj(off_lower)
-    trf = zgttrf if is_complex else dgttrf
-    dl, d, du, du2, ipiv, info = trf(off_lower, diag, off_upper)
+    # a complex scale makes the diagonal complex too
+    diag = shift + scale * (coeff - grid.lap_diag)
+    trf = zgttrf if np.iscomplexobj(diag) else dgttrf
+    dl, d, du, du2, ipiv, info = trf(-scale * grid.lap_lower, diag,
+                                     -scale * grid.lap_upper)
     if info != 0:
         raise ConvergenceError(f"operator is singular (pivot {info} vanishes)")
-    if not is_complex:
+    if trf is dgttrf:
         def solve(rhs):
             return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
         return solve

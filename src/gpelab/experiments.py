@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
-                          snapshot_sampler)
+                          require_before_caustic, snapshot_sampler)
 from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
                    _write_table, mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
@@ -28,8 +28,8 @@ __all__ = [
     "scale_potential_preserving", "dilation_exponent",
     "nehari_project", "estimate_d_omega", "construct_cross_point",
     "estimate_d_n_upper", "estimate_levels",
-    "threshold_sweep", "dichotomy_run", "stability_run", "lens_check",
-    "random_trial_field",
+    "threshold_sweep", "dichotomy_run", "stability_run", "lens_runs",
+    "lens_check", "random_trial_field",
 ]
 
 
@@ -495,11 +495,33 @@ def stability_run(params: ModelParams, grid: RadialGrid, q: float,
 
 # --------------------------------------------------------------------- lens
 
+def lens_runs(params: ModelParams, grid: RadialGrid, free_rmax: float,
+              dt: float, t_max: float, n_check: int, amplitude: float,
+              width: float):
+    """The free and the trapped run of lens_check, as (initial state,
+    EvolveConfig) pairs recording only at the check times; raises
+    ParameterError for any bad setting before anything runs."""
+    params.require_critical("the lens equivalence")
+    require_before_caustic("the last lens check time", t_max, params)
+    checks = tuple(float(t) for t in np.linspace(0.0, t_max, n_check + 1)[1:])
+    g2 = 2.0 * params.gamma
+    free_times = tuple(math.tan(g2 * t) / g2 for t in checks)
+    free_grid = RadialGrid(h=grid.h, rmax=free_rmax, dim=params.dim)
+    runs = [(RadialField(g, amplitude * np.exp(-g.r ** 2 / (2.0 * width ** 2))),
+             EvolveConfig(dt=dt, t_end=times[-1], free_equation=free,
+                          record_every=10 ** 9, snapshot_times=times,
+                          blowup_gradient_factor=1e9))
+            for g, times, free in ((free_grid, free_times, True),
+                                   (grid, checks, False))]
+    runs[1][1].require_trap_resolved(params)
+    return runs
+
+
 def lens_check(params: ModelParams, grid: RadialGrid, free_rmax: float,
                dt: float, t_max: float, n_check: int, amplitude: float,
                width: float):
     """Lens map of a free run against the direct trapped run (critical
-    power, t_max below the caustic time).
+    power, 0 < t_max < the caustic time).
 
     Evolves amplitude exp(-r^2 / (2 width^2)) freely on a mesh of radius
     free_rmax (same h) and trapped on grid.  Returns the n_check times
@@ -507,26 +529,17 @@ def lens_check(params: ModelParams, grid: RadialGrid, free_rmax: float,
     run from the trapped run there, and the sup error of lens_inverse after
     lens_forward of the free state at the last time.
     """
-    gamma = params.gamma
-    checks = [float(t) for t in np.linspace(0.0, t_max, n_check + 1)[1:]]
-    free_times = [math.tan(2.0 * gamma * t) / (2.0 * gamma) for t in checks]
-
-    def run(g, times, free):
-        # records only at the check times; recording leaves the state alone
-        u0 = RadialField(g, amplitude * np.exp(-g.r ** 2 / (2.0 * width ** 2)))
-        cfg = EvolveConfig(dt=dt, t_end=times[-1], free_equation=free,
-                           record_every=10 ** 9, snapshot_times=tuple(times),
-                           blowup_gradient_factor=1e9)
-        return evolve(u0, params, cfg).snapshots
-
-    free_grid = RadialGrid(h=grid.h, rmax=free_rmax, dim=params.dim)
-    sampler = snapshot_sampler(run(free_grid, free_times, True))
-    trapped = run(grid, checks, False)
+    (free_u0, free_cfg), (u0, cfg) = lens_runs(
+        params, grid, free_rmax, dt, t_max, n_check, amplitude, width)
+    # records only at the check times; recording leaves the state alone
+    sampler = snapshot_sampler(evolve(free_u0, params, free_cfg).snapshots)
+    trapped = evolve(u0, params, cfg).snapshots
+    checks, free_last = list(cfg.snapshot_times), free_cfg.snapshot_times[-1]
     mismatches = [
         math.sqrt(mass(lens_forward(sampler, t, params, grid)
                        - next(f for ts, f in trapped if abs(ts - t) <= 1e-9)))
         for t in checks]
     mapped = ProfileInterpolant(lens_forward(sampler, checks[-1], params, grid))
-    back = lens_inverse(lambda r, s: mapped(r), free_times[-1], params, grid)
-    free_last = np.asarray(sampler(grid.r, free_times[-1]), dtype=complex)
-    return checks, mismatches, float(np.max(np.abs(back.values - free_last)))
+    back = lens_inverse(lambda r, s: mapped(r), free_last, params, grid)
+    free_state = np.asarray(sampler(grid.r, free_last), dtype=complex)
+    return checks, mismatches, float(np.max(np.abs(back.values - free_state)))

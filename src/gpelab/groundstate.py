@@ -79,7 +79,7 @@ class GroundStateResult:
         return self.status == "converged"
 
 
-def _result(params, grid, u, gamma, omega, res, iters, status="converged"):
+def _result(params, grid, u, gamma, omega, res, n_iter, status="converged"):
     """The GroundStateResult of node values u of the stationary equation
     with trap strength gamma and frequency omega."""
     prof = RadialField(grid, u)
@@ -89,7 +89,7 @@ def _result(params, grid, u, gamma, omega, res, iters, status="converged"):
     return GroundStateResult(
         profile=prof, omega=omega, residual_sup=res, pohozaev_1=id1,
         pohozaev_2=id2, mass=m.M, energy=m.energy(p, gamma, 1.0),
-        iterations=iters, status=status)
+        iterations=n_iter, status=status)
 
 
 def _check_entry(params, grid, **positive):
@@ -194,7 +194,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
 def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
     """Newton from guess, accepted only as a nontrivial positive monotone
     state within tol; returns what _newton returns."""
-    u, omega, res, iters = _newton(guess, coeff, grid, b, p, tol, q, omega)
+    u, omega, res, n_iter = _newton(guess, coeff, grid, b, p, tol, q, omega)
     if res > tol:
         raise ConvergenceError(
             f"stationary residual {res:.3e} above tolerance {tol:.1e}")
@@ -208,7 +208,7 @@ def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
         raise ConvergenceError("profile is not strictly positive on the grid")
     if not np.all(np.diff(u) <= 0.0):
         raise ConvergenceError("profile is not monotone nonincreasing")
-    return u, omega, res, iters
+    return u, omega, res, n_iter
 
 
 def _ground_state(params, grid, tol, omega, gamma_eff):
@@ -222,8 +222,8 @@ def _ground_state(params, grid, tol, omega, gamma_eff):
     start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
              else np.exp(-grid.r))
     guess, _ = _nehari_descent(start, coeff, grid, b, p)
-    u, _, res, iters = _polish(guess, coeff, grid, b, p, tol)
-    return _result(params, grid, u, gamma_eff, omega, res, iters)
+    u, _, res, n_iter = _polish(guess, coeff, grid, b, p, tol)
+    return _result(params, grid, u, gamma_eff, omega, res, n_iter)
 
 
 def soliton_grid(params: ModelParams, h: float = 2e-3,
@@ -373,15 +373,14 @@ def constrained_minimizer(q: float, params: ModelParams,
         raise ConvergenceError(
             f"nonconvergence: {max_iter} descent steps without stationarity")
 
-    u, omega, res, newton_iters = _polish(u, trap_coeff, grid, b, p, tol, q,
-                                          omega)
+    u, omega, res, n_newton = _polish(u, trap_coeff, grid, b, p, tol, q, omega)
     if ball_radius is not None:
         hsq = _moments(u, grid, b, p).h_norm_sq(gamma, 0.0)
         if hsq > 0.99 * ball_radius:
             raise ConvergenceError(
                 f"minimizer not strictly inside the ball: ||u||_H^2 = {hsq} "
                 f"vs ball_radius = {ball_radius}")
-    return _result(params, grid, u, gamma, omega, res, it + newton_iters)
+    return _result(params, grid, u, gamma, omega, res, it + n_newton)
 
 
 # --------------------------------------------------------------- uniqueness

@@ -183,12 +183,31 @@ class TestExitCodes:
         ("sweep", BASE + "[sweep]\ndt = 0.1\n"),
         ("uniqueness", BASE.replace("dim = 3", "dim = 2")),
         ("levels", BASE.replace("p = 2.0", "p = 1.5")),
+        ("lens", BASE + "[lens]\ndt = 0.1\n"),
+        ("lens", BASE + "[lens]\ndt = nan\n"),
+        ("lens", BASE.replace("h = 0.004", "h = 0.02")
+         + "[lens]\nfree_rmax = 39.9999\n"),
+        ("lens", BASE + "[lens]\nfree_rmax = -1\n"),
+        ("lens", BASE + "[lens]\nt_max_frac = 0\n"),
+        ("lens", BASE + "[lens]\nt_max_frac = 1.2\n"),
+        ("evolve", BASE + "[evolve]\ninitial = soliton_scaled\ndilation = 0\n"),
+        ("evolve", BASE + "[evolve]\ninitial = soliton_scaled\ndilation = -1\n"),
+        ("sweep", BASE + "[sweep]\nlambda_values = 0\n"),
+        ("sweep", BASE + "[sweep]\nc_values = 1, 0\n"),
+        ("sweep", BASE + "[sweep]\nc_values =\n"),
+        ("sweep", BASE + "[sweep]\nlambda_values =\n"),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
             "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
             "lens_n_check_0", "lens_width_0", "uniqueness_n_samples_negative",
             "evolve_dt_above_trap_period", "sweep_dt_above_trap_period",
-            "uniqueness_dim_2", "levels_subcritical"])
+            "uniqueness_dim_2", "levels_subcritical",
+            "lens_dt_above_trap_period", "lens_dt_nan",
+            "lens_free_rmax_not_dividing", "lens_free_rmax_negative",
+            "lens_t_max_frac_0", "lens_t_max_frac_past_caustic",
+            "evolve_dilation_0", "evolve_dilation_negative",
+            "sweep_lambda_0", "sweep_c_0", "sweep_c_values_empty",
+            "sweep_lambda_values_empty"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
                                            text):
         out = tmp_path / "out"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gpelab.core import (ParameterError, RadialField, RadialGrid,
-                         grad_norm_sq, mass, variance)
+from gpelab.core import (ModelParams, ParameterError, RadialField,
+                         RadialGrid, apply_laplacian, grad_norm_sq,
+                         integrate_radial, mass, variance)
 from gpelab.closedforms import (BlowupFamilyParams, CausticError,
                                 ProfileInterpolant, blowup_family,
                                 caustic_time, discrete_oscillator_mode,
@@ -48,6 +49,22 @@ class TestOscillatorMode:
         mode = discrete_oscillator_mode(params_critical, grid)
         scaled = mode.values * math.sqrt(mass(phi))
         assert np.max(np.abs(scaled - phi.values)) < 1e-4 * np.max(phi.values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_discrete_mode_is_the_ground_eigenvector(self, dim):
+        params = ModelParams(dim=dim, b=0.5, p=1.5)
+        h = 1e-2
+        grid = RadialGrid(h=h, rmax=8.0, dim=dim)
+        mode = discrete_oscillator_mode(params, grid)
+        v = mode.values.real
+        av = -apply_laplacian(v, grid) + grid.r ** 2 * v
+        lam = integrate_radial(v * av, grid) / mass(mode)
+        scale = np.max(np.abs(grid.lap_diag)) * np.max(np.abs(v))
+        assert np.max(np.abs(av - lam * v)) < 1e-13 * scale
+        # the ground level gamma N, not the next radial one gamma (N + 4)
+        assert abs(lam - dim) < 0.5 * h ** 2
+        assert abs(mass(mode) - 1.0) < 1e-14
+        assert v[0] > 0.0
 
 
 class TestBlowupFamily:

@@ -153,9 +153,9 @@ class TestCrankNicolsonSolve:
     @pytest.mark.parametrize("rmax", [8.0, 40.0])  # default and lens mesh
     def test_matches_zgttrs(self, rmax, dt, trapped):
         grid, trap, scale = self.cayley_operator(rmax, dt, trapped)
-        lap = grid.laplacian_bands()
-        factors = zgttrf(-scale * lap[2, :-1], 1.0 + scale * (trap - lap[1]),
-                         -scale * lap[0, 1:])
+        factors = zgttrf(-scale * grid.lap_lower,
+                         1.0 + scale * (trap - grid.lap_diag),
+                         -scale * grid.lap_upper)
         assert factors[-1] == 0
         rhs = np.exp(-grid.r ** 2 / 2) * (1.0 + 0.3j * grid.r)
         want = zgttrs(*factors[:-1], rhs)[0]
@@ -173,7 +173,7 @@ class TestCrankNicolsonSolve:
     def test_row_exchange_raises(self):
         # a near-zero first diagonal entry: zgttrf swaps rows 0 and 1
         grid = RadialGrid(h=0.25, rmax=4.0, dim=3)
-        coeff = grid.laplacian_bands()[1] + 1e-3j
+        coeff = grid.lap_diag + 1e-3j
         with pytest.raises(ConvergenceError, match="row exchange"):
             factor_operator(grid, coeff)
 
@@ -186,14 +186,16 @@ class TestOneDimension:
         grid = RadialGrid(h=1e-2, rmax=8.0, dim=1)
         return grid, RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
 
-    def test_laplacian_form_equals_gradient_norm(self, line):
-        grid, u = line
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_laplacian_form_equals_gradient_norm(self, dim):
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=dim)
+        u = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
         form = -integrate_radial(apply_laplacian(u.values.real, grid) *
                                  u.values.real, grid)
         assert form == pytest.approx(grad_norm_sq(u), rel=1e-12)
-        # int_R |d/dx e^(-x^2)|^2 dx = sqrt(pi/2)
-        assert grad_norm_sq(u) == pytest.approx(math.sqrt(math.pi / 2.0),
-                                                rel=1e-3)
+        # int_{R^N} |grad e^(-|x|^2)|^2 dx = N (pi/2)^(N/2)
+        assert grad_norm_sq(u) == pytest.approx(
+            dim * (math.pi / 2.0) ** (dim / 2.0), rel=1e-3)
 
     def test_laplacian_at_origin(self, line):
         # (e^(-x^2))'' = -2 at x = 0

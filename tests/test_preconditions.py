@@ -1,19 +1,21 @@
 """Each precondition has one check in gpelab.core, and every entry point
 that needs it raises the same error: ModelParams.require_critical for the
 critical power, ModelParams.require_critical_or_larger for p >= p_c,
-ModelParams.require_grid for the grid's dimension and
-require_positive_finite for positive, finite inputs."""
+ModelParams.require_grid for the grid's dimension,
+require_positive_finite for positive, finite inputs and require_dimension
+for the dimension itself."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gpelab.closedforms import (BlowupFamilyParams, lens_inverse,
-                                minimal_mass_initial, minimal_mass_solution,
-                                oscillator_mode)
-from gpelab.core import (GridMismatchError, ParameterError, RadialField,
-                         RadialGrid, require_positive_finite)
+from gpelab.closedforms import (BlowupFamilyParams, discrete_oscillator_mode,
+                                lens_inverse, minimal_mass_initial,
+                                minimal_mass_solution, oscillator_mode)
+from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
+                         RadialField, RadialGrid, require_positive_finite,
+                         validate_params)
 from gpelab.evolve import EvolveConfig, evolve, predict_collapse_time
 from gpelab.experiments import estimate_levels, threshold_sweep
 from gpelab.functionals import (energy, energy_gradient, gn_slack, potential,
@@ -86,6 +88,7 @@ GRID_AND_PARAMS = {
     "evolve": lambda g, p: evolve(RadialField.zeros(g), p,
                                   EvolveConfig(dt=1e-3, t_end=0.01)),
     "oscillator_mode": lambda g, p: oscillator_mode(p, g),
+    "discrete_oscillator_mode": lambda g, p: discrete_oscillator_mode(p, g),
     "solve_soliton": lambda g, p: solve_soliton(p, g),
     "solve_bound_state": lambda g, p: solve_bound_state(p, g),
     "constrained_minimizer": lambda g, p: constrained_minimizer(1.0, p, g),
@@ -114,3 +117,16 @@ class TestPositiveFinite:
     @pytest.mark.parametrize("good", [1e-300, 1.0, 1e300, 3])
     def test_accepted(self, good):
         require_positive_finite("x", good)
+
+
+class TestDimension:
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+    @pytest.mark.parametrize("build", [
+        lambda dim: ModelParams(dim=dim, b=0.5, p=2.0),
+        lambda dim: validate_params(dim=dim, b=0.5, p=2.0),
+        lambda dim: RadialGrid(dim=dim, **SMALL),
+    ], ids=["ModelParams", "validate_params", "RadialGrid"])
+    def test_one_message(self, build, bad):
+        with pytest.raises(ParameterError) as info:
+            build(bad)
+        assert str(info.value) == f"dim must be an integer >= 1, got {bad!r}"
