@@ -40,32 +40,34 @@ _POSITIVES = "positives"  # a non-empty list of positive, finite floats
 _BOOL = "bool"
 _COUNT = "count"          # an integer >= 1
 _POSITIVE = "positive"    # a positive, finite float
+_FINITE = "finite"        # a finite float
 
 # (type, default) per key; a key with default None stays out of the resolved
 # config unless the file sets it
 _CONFIG = {
     "model": {"dim": (int, 3), "b": (float, 0.5), "p": (float, 2.0),
               "gamma": (float, 1.0), "omega": (float, 0.0)},
-    "grid": {"h": (float, 2e-3), "rmax": (float, 8.0)},
+    "grid": {"h": (_POSITIVE, 2e-3), "rmax": (_POSITIVE, 8.0)},
     "run": {"seed": (int, 12345), "workers": (_COUNT, 1)},
     "groundstate": {"method": (str, "shoot"), "tol": (_POSITIVE, 1e-8),
                     "q": (_POSITIVE, None), "ball_radius": (_POSITIVE, None),
-                    "rmax": (float, None)},
-    "evolve": {"dt": (float, 1e-3), "t_end": (float, 1.0),
+                    "rmax": (_POSITIVE, None)},
+    "evolve": {"dt": (_POSITIVE, 1e-3), "t_end": (_POSITIVE, 1.0),
                "free_equation": (_BOOL, False),
                "blowup_gradient_factor": (float, 1e3),
                "record_every": (int, 10), "coupling": (float, 1.0),
-               "initial": (str, "oscillator_mode"), "amplitude": (float, 1.0),
+               "initial": (str, "oscillator_mode"),
+               "amplitude": (_FINITE, 1.0),
                "dilation": (_POSITIVE, 1.0), "width": (_POSITIVE, 1.0)},
     "sweep": {"c_values": (_POSITIVES, [0.8, 0.9, 0.95, 1.0, 1.05, 1.1]),
-              "lambda_values": (_POSITIVES, [1.65]), "dt": (float, 2e-4),
-              "t_end": (float, math.pi), "record_every": (int, 20),
+              "lambda_values": (_POSITIVES, [1.65]), "dt": (_POSITIVE, 2e-4),
+              "t_end": (_POSITIVE, math.pi), "record_every": (int, 20),
               "blowup_gradient_factor": (float, 1e3),
               "criterion_tol": (float, 1e-3)},
     "levels": {"n_random": (int, 20)},
-    "lens": {"dt": (float, 1e-3), "t_max_frac": (float, 0.8),
-             "n_check": (_COUNT, 5), "amplitude": (float, 0.4),
-             "width": (_POSITIVE, 1.0), "free_rmax": (float, 40.0)},
+    "lens": {"dt": (_POSITIVE, 1e-3), "t_max_frac": (float, 0.8),
+             "n_check": (_COUNT, 5), "amplitude": (_FINITE, 0.4),
+             "width": (_POSITIVE, 1.0), "free_rmax": (_POSITIVE, 40.0)},
     "uniqueness": {"r_max": (float, 10.0), "n_samples": (_COUNT, 200)},
 }
 
@@ -85,14 +87,18 @@ def _convert(section, key, raw):
             value = [float(tok) for tok in raw.replace(";", ",").split(",")
                      if tok.strip()]
         else:
-            value = {_COUNT: int, _POSITIVE: float}.get(kind, kind)(raw)
+            value = {_COUNT: int, _POSITIVE: float,
+                     _FINITE: float}.get(kind, kind)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-    # the keys that no library constructor checks
+    # checked here so that the message names the key; the library checks
+    # stay for callers that do not come through a config file
     if kind is _POSITIVES and not value:
         raise ConfigError(f"{name} must list at least one value")
     if kind is _COUNT and value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
+    if kind is _FINITE and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     for x in {_POSITIVE: [value], _POSITIVES: value}.get(kind, ()):
         _from_config(require_positive_finite, name, x)
     return value

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from .core import ModelParams, ParameterError, RadialField, RadialGrid
@@ -112,6 +111,8 @@ class ProfileInterpolant:
 
     def __init__(self, field: RadialField,
                  singular_exponent: float | None = None):
+        # imported on first use: it loads scipy.optimize too, about 0.3 s
+        from scipy.interpolate import CubicSpline
         fit_nodes = 10
         r = field.grid.r
         vals = np.array(field.values)

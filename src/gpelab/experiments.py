@@ -9,7 +9,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
                           require_before_caustic, snapshot_sampler)
@@ -196,6 +195,8 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
         raise ParameterError(
             f"dilation coefficient not positive at lam = {lam}")
 
+    # imported on first use, as CubicSpline is: scipy.optimize takes 0.26 s
+    from scipy.optimize import brentq
     # absolute cap keeps the accepted points on the constraint even for
     # large profiles
     tol = min(1e-8 * m.G, 1e-8)

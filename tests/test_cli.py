@@ -166,36 +166,53 @@ class TestExitCodes:
         assert run("groundstate", path, out) == 2
         assert not (out / "groundstate.failed").exists()
 
-    @pytest.mark.parametrize("command, text", [
-        ("groundstate", BASE.replace("h = 0.004", "h = nan")),
-        ("groundstate", BASE.replace("h = 0.004", "h = 0.003")),  # rmax/h
-        ("groundstate", BASE + "[groundstate]\nmethod = soliton\nrmax = nan\n"),
-        ("evolve", BASE + "[evolve]\ndt = nan\n"),
-        ("evolve", BASE + "[evolve]\nrecord_every = 0\n"),
-        ("evolve", BASE + "[evolve]\ninitial = gaussian\nwidth = 0\n"),
-        ("sweep", BASE + "[sweep]\ndt = -1\n"),
-        ("sweep", BASE.replace("p = 2.0", "p = 2.5")),
-        ("lens", BASE.replace("p = 2.0", "p = 2.5")),
-        ("lens", BASE + "[lens]\nn_check = 0\n"),
-        ("lens", BASE + "[lens]\nwidth = 0\n"),
-        ("uniqueness", BASE + "[uniqueness]\nn_samples = -1\n"),
-        ("evolve", BASE + "[evolve]\ndt = 0.1\n"),
-        ("sweep", BASE + "[sweep]\ndt = 0.1\n"),
-        ("uniqueness", BASE.replace("dim = 3", "dim = 2")),
-        ("levels", BASE.replace("p = 2.0", "p = 1.5")),
-        ("lens", BASE + "[lens]\ndt = 0.1\n"),
-        ("lens", BASE + "[lens]\ndt = nan\n"),
+    # named: the "[section] key" the one-line message must contain, or None
+    # where no single key is at fault
+    @pytest.mark.parametrize("command, text, named", [
+        ("groundstate", BASE.replace("h = 0.004", "h = nan"), "[grid] h"),
+        ("groundstate", BASE.replace("h = 0.004", "h = 0.003"), None),
+        ("groundstate", BASE + "[groundstate]\nmethod = soliton\nrmax = nan\n",
+         "[groundstate] rmax"),
+        ("evolve", BASE + "[evolve]\ndt = nan\n", "[evolve] dt"),
+        ("evolve", BASE + "[evolve]\nrecord_every = 0\n", None),
+        ("evolve", BASE + "[evolve]\ninitial = gaussian\nwidth = 0\n",
+         "[evolve] width"),
+        ("sweep", BASE + "[sweep]\ndt = -1\n", "[sweep] dt"),
+        ("sweep", BASE.replace("p = 2.0", "p = 2.5"), None),
+        ("lens", BASE.replace("p = 2.0", "p = 2.5"), None),
+        ("lens", BASE + "[lens]\nn_check = 0\n", "[lens] n_check"),
+        ("lens", BASE + "[lens]\nwidth = 0\n", "[lens] width"),
+        ("uniqueness", BASE + "[uniqueness]\nn_samples = -1\n",
+         "[uniqueness] n_samples"),
+        ("evolve", BASE + "[evolve]\ndt = 0.1\n", None),
+        ("sweep", BASE + "[sweep]\ndt = 0.1\n", None),
+        ("uniqueness", BASE.replace("dim = 3", "dim = 2"), None),
+        ("levels", BASE.replace("p = 2.0", "p = 1.5"), None),
+        ("lens", BASE + "[lens]\ndt = 0.1\n", None),
+        ("lens", BASE + "[lens]\ndt = nan\n", "[lens] dt"),
         ("lens", BASE.replace("h = 0.004", "h = 0.02")
-         + "[lens]\nfree_rmax = 39.9999\n"),
-        ("lens", BASE + "[lens]\nfree_rmax = -1\n"),
-        ("lens", BASE + "[lens]\nt_max_frac = 0\n"),
-        ("lens", BASE + "[lens]\nt_max_frac = 1.2\n"),
-        ("evolve", BASE + "[evolve]\ninitial = soliton_scaled\ndilation = 0\n"),
-        ("evolve", BASE + "[evolve]\ninitial = soliton_scaled\ndilation = -1\n"),
-        ("sweep", BASE + "[sweep]\nlambda_values = 0\n"),
-        ("sweep", BASE + "[sweep]\nc_values = 1, 0\n"),
-        ("sweep", BASE + "[sweep]\nc_values =\n"),
-        ("sweep", BASE + "[sweep]\nlambda_values =\n"),
+         + "[lens]\nfree_rmax = 39.9999\n", None),
+        ("lens", BASE + "[lens]\nfree_rmax = -1\n", "[lens] free_rmax"),
+        ("lens", BASE + "[lens]\nt_max_frac = 0\n", None),
+        ("lens", BASE + "[lens]\nt_max_frac = 1.2\n", None),
+        ("evolve", BASE + "[evolve]\ninitial = soliton_scaled\ndilation = 0\n",
+         "[evolve] dilation"),
+        ("evolve",
+         BASE + "[evolve]\ninitial = soliton_scaled\ndilation = -1\n",
+         "[evolve] dilation"),
+        ("sweep", BASE + "[sweep]\nlambda_values = 0\n",
+         "[sweep] lambda_values"),
+        ("sweep", BASE + "[sweep]\nc_values = 1, 0\n", "[sweep] c_values"),
+        ("sweep", BASE + "[sweep]\nc_values =\n", "[sweep] c_values"),
+        ("sweep", BASE + "[sweep]\nlambda_values =\n",
+         "[sweep] lambda_values"),
+        ("groundstate", BASE.replace("rmax = 8.0", "rmax = 0"), "[grid] rmax"),
+        ("evolve", BASE + "[evolve]\nt_end = -1\n", "[evolve] t_end"),
+        ("sweep", BASE + "[sweep]\nt_end = inf\n", "[sweep] t_end"),
+        ("evolve", BASE + "[evolve]\namplitude = nan\n", "[evolve] amplitude"),
+        ("evolve", BASE + "[evolve]\ninitial = gaussian\namplitude = -inf\n",
+         "[evolve] amplitude"),
+        ("lens", BASE + "[lens]\namplitude = nan\n", "[lens] amplitude"),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
             "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
@@ -207,14 +224,18 @@ class TestExitCodes:
             "lens_t_max_frac_0", "lens_t_max_frac_past_caustic",
             "evolve_dilation_0", "evolve_dilation_negative",
             "sweep_lambda_0", "sweep_c_0", "sweep_c_values_empty",
-            "sweep_lambda_values_empty"])
+            "sweep_lambda_values_empty", "grid_rmax_0",
+            "evolve_t_end_negative", "sweep_t_end_inf",
+            "evolve_amplitude_nan", "evolve_amplitude_inf",
+            "lens_amplitude_nan"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
-                                           text):
+                                           text, named):
         out = tmp_path / "out"
         assert run(command, write_config(tmp_path, text), out) == 2
         assert not (out / f"{command}.failed").exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+        assert named is None or named in err[0]
 
     @pytest.mark.parametrize("text", [
         BASE + "[model]\np = 2.0\n",                  # duplicate section
