@@ -25,8 +25,8 @@ from . import closedforms, experiments, functionals
 from . import groundstate as gs
 from .evolve import EvolveConfig, evolve as run_evolution
 from .evolve import predict_collapse_time
-from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   grad_norm_sq, integrate_radial, mass,
+from .core import (SUBCRITICAL, ModelParams, ParameterError, RadialField,
+                   RadialGrid, grad_norm_sq, integrate_radial, mass,
                    require_positive_finite, validate_params)
 
 __all__ = ["main", "run", "ConfigError"]
@@ -63,12 +63,12 @@ _CONFIG = {
               "lambda_values": (_POSITIVES, [1.65]), "dt": (_POSITIVE, 2e-4),
               "t_end": (_POSITIVE, math.pi), "record_every": (int, 20),
               "blowup_gradient_factor": (float, 1e3),
-              "criterion_tol": (float, 1e-3)},
-    "levels": {"n_random": (int, 20)},
+              "criterion_tol": (_FINITE, 1e-3)},
+    "levels": {"n_random": (_COUNT, 20)},
     "lens": {"dt": (_POSITIVE, 1e-3), "t_max_frac": (float, 0.8),
              "n_check": (_COUNT, 5), "amplitude": (_FINITE, 0.4),
              "width": (_POSITIVE, 1.0), "free_rmax": (_POSITIVE, 40.0)},
-    "uniqueness": {"r_max": (float, 10.0), "n_samples": (_COUNT, 200)},
+    "uniqueness": {"r_max": (_POSITIVE, 10.0), "n_samples": (_COUNT, 200)},
 }
 
 
@@ -77,19 +77,14 @@ def _convert(section, key, raw):
     name = f"[{section}] {key}"
     try:
         if kind is _BOOL:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         if kind is _POSITIVES:
             value = [float(tok) for tok in raw.replace(";", ",").split(",")
                      if tok.strip()]
         else:
             value = {_COUNT: int, _POSITIVE: float,
                      _FINITE: float}.get(kind, kind)(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
     # checked here so that the message names the key; the library checks
     # stay for callers that do not come through a config file
@@ -191,7 +186,7 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
         raise ConfigError(f"unknown [groundstate] method: {method}")
     gs.save_profile(out_dir / "profile.txt", result, params,
                     extra_header=_flatten(cfg))
-    rep = functionals.report(result.profile, params) if params.omega is not None else None
+    rep = functionals.report(result.profile, params)
     _write_json(out_dir / "groundstate.json", {
         "method": method,
         "omega": result.omega,
@@ -203,7 +198,7 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "status": result.status,
-        "functionals": None if rep is None else rep.__dict__,
+        "functionals": rep.__dict__,
     }, cfg)
     return 0
 
@@ -321,8 +316,6 @@ def _cmd_lens(cfg, out_dir: Path) -> int:
 def _verify_checks(cfg):
     """Yield (name, passed, detail) for the invariant suite."""
     params = _model(cfg)
-    if params.omega is None:
-        params = params.with_omega(0.0)
     grid = _grid(cfg, params)
     gamma, N = params.gamma, params.dim
 
@@ -370,11 +363,13 @@ def _verify_checks(cfg):
     S_phi = functionals.action(bound.profile, params)
     yield ("levels: least action matches minimizer",
            abs(d_om - S_phi) <= 1e-2 * S_phi, f"{d_om} vs {S_phi}")
-    dn, pts = experiments.estimate_d_n_upper(bound.profile, params)
-    ok = all(pt.nehari < 0 and abs(pt.virial) < 1e-8 * grad_norm_sq(pt.field)
-             for pt in pts)
-    yield ("levels: cross points admissible", ok and dn > 0,
-           f"d_n_upper {dn:.4f} from {len(pts)} points")
+    if params.criticality != SUBCRITICAL:   # the cross points need p >= p_c
+        dn, pts = experiments.estimate_d_n_upper(bound.profile, params)
+        ok = all(pt.nehari < 0
+                 and abs(pt.virial) < 1e-8 * grad_norm_sq(pt.field)
+                 for pt in pts)
+        yield ("levels: cross points admissible", ok and dn > 0,
+               f"d_n_upper {dn:.4f} from {len(pts)} points")
 
     try:
         rep = gs.uniqueness_report(params)

@@ -40,8 +40,9 @@ class EvolveConfig:
     """Time-stepping configuration.
 
     free_equation drops the trap term (free-space variant); coupling scales
-    the nonlinearity (0 = linear oscillator); snapshot_times are landed on
-    exactly by shortening the final step of each segment.
+    the nonlinearity (0 = linear oscillator); snapshot_times, each in
+    [0, t_end], are landed on exactly by shortening the final step of each
+    segment.
     """
 
     dt: float
@@ -66,6 +67,9 @@ class EvolveConfig:
                                  f"exceed 1, got {self.blowup_gradient_factor}")
         if not math.isfinite(self.coupling):
             raise ParameterError(f"coupling must be finite, got {self.coupling}")
+        for ts in self.snapshot_times:
+            if not 0.0 <= ts <= self.t_end:
+                raise ParameterError(f"snapshot time {ts} outside [0, t_end]")
 
     def require_trap_resolved(self, params: ModelParams) -> None:
         """Raise ParameterError unless dt resolves the trap period of the
@@ -100,17 +104,11 @@ class DiagnosticSeries:
 
 @dataclass
 class EvolveResult:
-    snapshots: list          # (time, RadialField) pairs
+    snapshots: list          # (requested time, RadialField), before the flag
     series: DiagnosticSeries
+    final: RadialField       # the state where the run stopped
+    final_time: float
     blowup_time: float | None = None
-
-    @property
-    def final(self) -> RadialField:
-        return self.snapshots[-1][1]
-
-    @property
-    def final_time(self) -> float:
-        return self.snapshots[-1][0]
 
 
 def _phase(eta, tau):
@@ -135,16 +133,14 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
     """Integrate the initial field over [0, t_end].
 
     Returns the diagnostic series sampled every record_every steps (plus all
-    segment boundaries), snapshots at cfg.snapshot_times and at the final
-    time, and the blow-up time when the squared gradient norm first exceeds
+    segment boundaries), one snapshot per cfg.snapshot_times entry that the
+    run reached before the blow-up flag, the state where it stopped, and
+    the blow-up time when the squared gradient norm first exceeds
     blowup_gradient_factor times its initial value (the run stops there).
     """
     grid = u0.grid
     params.require_grid(grid)
     cfg.require_trap_resolved(params)
-    for ts in cfg.snapshot_times:
-        if not 0.0 <= ts <= cfg.t_end + 1e-12:
-            raise ParameterError(f"snapshot time {ts} outside [0, t_end]")
 
     gamma_eff = 0.0 if cfg.free_equation else params.gamma
     trap = gamma_eff ** 2 * grid.r_pow(2.0)
@@ -195,8 +191,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
     closed, eta, pending = vals, rate(vals), 0.0
     t, blowup_time = 0.0, None
     rows = [diag_row(0.0, vals)]
-    snaps = ([(0.0, RadialField(grid, vals))]
-             if any(ts <= 1e-14 for ts in snap_times) else [])
+    snaps = [(0.0, RadialField(grid, vals))] if 0.0 in snap_times else []
     cn_full = cayley(cfg.dt)
     for step, (dt, t, lands) in enumerate(schedule(), 1):
         cn = cn_full if dt == cfg.dt else cayley(dt)
@@ -209,17 +204,17 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
         if not np.all(np.isfinite(closed)):
             raise EvolveNaNError(rows[-1][0])
         rows.append(diag_row(t, closed))
-        if lands and t in snap_times:
-            snaps.append((t, RadialField(grid, closed)))
         if rows[-1][3] > cfg.blowup_gradient_factor * rows[0][3]:
             blowup_time = t
             break
-    if not snaps or abs(snaps[-1][0] - t) > 1e-12:
-        snaps.append((t, RadialField(grid, closed)))
+        if lands and t in snap_times:
+            snaps.append((t, RadialField(grid, closed)))
 
     series = DiagnosticSeries(*np.array(rows).T,
                               free_equation=cfg.free_equation)
-    return EvolveResult(snapshots=snaps, series=series, blowup_time=blowup_time)
+    return EvolveResult(snapshots=snaps, series=series,
+                        final=RadialField(grid, closed), final_time=t,
+                        blowup_time=blowup_time)
 
 
 def _sinusoid_from_initial(f0, fp0, E0, gamma):
@@ -284,6 +279,9 @@ def predict_collapse_time(u0: RadialField, params: ModelParams,
     tangency time instead of returning None.
     """
     params.require_critical("collapse-time prediction")
+    if not math.isfinite(criterion_tol):
+        raise ParameterError(
+            f"criterion_tol must be finite, got {criterion_tol}")
     gamma = params.gamma
     m = _field_moments(u0, params)
     E0, f0 = m.energy(params.p, gamma, coupling), m.V

@@ -7,6 +7,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -351,24 +352,18 @@ def threshold_sweep(soliton: RadialField, params: ModelParams,
     """
     params.require_critical("the threshold sweep")
     jobs = [(float(c), float(lam)) for c in c_values for lam in lambda_values]
+    calls = [partial(_sweep_row, soliton, grid, params, cfg, criterion_tol,
+                     c, lam) for c, lam in jobs]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
-    rows = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_row, soliton, grid, params, cfg,
-                                   criterion_tol, c, lam) for c, lam in jobs]
-            for (c, lam), fut in zip(jobs, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    rows.append(_failed_row(c, lam, exc))
-    else:
-        for c, lam in jobs:
-            try:
-                rows.append(_sweep_row(soliton, grid, params, cfg,
-                                       criterion_tol, c, lam))
-            except Exception as exc:
-                rows.append(_failed_row(c, lam, exc))
+            calls = [pool.submit(call).result for call in calls]
+    rows = []
+    for (c, lam), call in zip(jobs, calls):
+        try:
+            rows.append(call())
+        except Exception as exc:
+            rows.append(_failed_row(c, lam, exc))
     return SweepResult(rows=rows)
 
 
@@ -393,7 +388,8 @@ def dichotomy_run(u0: RadialField, params: ModelParams, d: float,
     label invariance at the sample times; for the negative-cone label the
     run must raise the blow-up flag, for the other labels it must stay
     bounded with the squared H norm below 2 d (p+1)/(p-1) in the
-    nehari-negative case.
+    nehari-negative case.  detail names every failed check, joined by
+    "; ", and the run is consistent when there is none.
     """
     S0 = action(u0, params)
     if S0 >= d:
@@ -402,38 +398,28 @@ def dichotomy_run(u0: RadialField, params: ModelParams, d: float,
     label0 = classify(u0, params, d)
     times = tuple(ts for ts in sample_times if ts <= cfg.t_end)
     res = evolve(u0, params, replace(cfg, snapshot_times=times))
-    labels = []
-    hmax = 0.0
-    for ts, field in res.snapshots:
-        if res.blowup_time is not None and ts >= res.blowup_time:
-            continue
-        if not any(abs(ts - want) <= 1e-9 for want in times):
-            continue
-        labels.append((ts, classify(field, params, d)))
-        hmax = max(hmax, h_omega_norm_sq(field, params))
-    invariant = all(lab == label0 for _, lab in labels)
+    labels = [(ts, classify(field, params, d)) for ts, field in res.snapshots]
+    hmax = max((h_omega_norm_sq(field, params) for _, field in res.snapshots),
+               default=0.0)
     bound = None
-    detail = ""
+    problems = []
     if label0 == SetLabel.K_MINUS:
-        consistent = res.blowup_time is not None and invariant
         if res.blowup_time is None:
-            detail = "negative-cone state did not raise the blow-up flag"
+            problems.append("negative-cone state did not raise the blow-up flag")
     elif label0 in (SetLabel.R_PLUS, SetLabel.K_PLUS):
-        consistent = res.blowup_time is None and invariant
         if label0 == SetLabel.K_PLUS:
             bound = 2.0 * d * (params.p + 1.0) / (params.p - 1.0)
             if hmax >= bound:
-                consistent = False
-                detail = f"H norm {hmax} reached the global-existence bound {bound}"
+                problems.append(
+                    f"H norm {hmax} reached the global-existence bound {bound}")
         if res.blowup_time is not None:
-            detail = "bounded-label state raised the blow-up flag"
-    else:
-        consistent = invariant
-    if not invariant:
-        detail = (detail + "; " if detail else "") + "label changed along the flow"
+            problems.append("bounded-label state raised the blow-up flag")
+    if any(lab != label0 for _, lab in labels):
+        problems.append("label changed along the flow")
     return DichotomyResult(initial_label=label0, labels=labels,
                            blowup_time=res.blowup_time, hnorm_bound=bound,
-                           hnorm_max=hmax, consistent=consistent, detail=detail)
+                           hnorm_max=hmax, consistent=not problems,
+                           detail="; ".join(problems))
 
 
 # ---------------------------------------------------------------- stability
@@ -479,18 +465,12 @@ def stability_run(params: ModelParams, grid: RadialGrid, q: float,
     cfg = EvolveConfig(dt=dt, t_end=horizon, record_every=1000,
                        snapshot_times=tuple(times))
     res = evolve(u0, params, cfg)
-    dists = []
-    kept = []
-    for ts, field in res.snapshots:
-        if not any(abs(ts - want) <= 1e-9 for want in times):
-            continue
-        kept.append(ts)
-        dists.append(_aligned_sigma_distance(field, phi))
-    dists = np.asarray(dists)
+    dists = np.asarray([_aligned_sigma_distance(field, phi)
+                        for _, field in res.snapshots])
     return StabilityResult(
         sup_distance=float(np.max(dists)) if len(dists) else 0.0,
         initial_distance=_aligned_sigma_distance(u0, phi),
-        times=np.asarray(kept), distances=dists,
+        times=np.asarray([ts for ts, _ in res.snapshots]), distances=dists,
         blowup_time=res.blowup_time, ground=ground)
 
 
@@ -535,11 +515,9 @@ def lens_check(params: ModelParams, grid: RadialGrid, free_rmax: float,
     # records only at the check times; recording leaves the state alone
     sampler = snapshot_sampler(evolve(free_u0, params, free_cfg).snapshots)
     trapped = evolve(u0, params, cfg).snapshots
-    checks, free_last = list(cfg.snapshot_times), free_cfg.snapshot_times[-1]
-    mismatches = [
-        math.sqrt(mass(lens_forward(sampler, t, params, grid)
-                       - next(f for ts, f in trapped if abs(ts - t) <= 1e-9)))
-        for t in checks]
+    checks, free_last = [t for t, _ in trapped], free_cfg.snapshot_times[-1]
+    mismatches = [math.sqrt(mass(lens_forward(sampler, t, params, grid) - f))
+                  for t, f in trapped]
     mapped = ProfileInterpolant(lens_forward(sampler, checks[-1], params, grid))
     back = lens_inverse(lambda r, s: mapped(r), free_last, params, grid)
     free_state = np.asarray(sampler(grid.r, free_last), dtype=complex)

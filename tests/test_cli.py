@@ -213,6 +213,11 @@ class TestExitCodes:
         ("evolve", BASE + "[evolve]\ninitial = gaussian\namplitude = -inf\n",
          "[evolve] amplitude"),
         ("lens", BASE + "[lens]\namplitude = nan\n", "[lens] amplitude"),
+        ("sweep", BASE + "[sweep]\ncriterion_tol = nan\n",
+         "[sweep] criterion_tol"),
+        ("uniqueness", BASE + "[uniqueness]\nr_max = -1\n",
+         "[uniqueness] r_max"),
+        ("levels", BASE + "[levels]\nn_random = -3\n", "[levels] n_random"),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
             "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
@@ -227,7 +232,8 @@ class TestExitCodes:
             "sweep_lambda_values_empty", "grid_rmax_0",
             "evolve_t_end_negative", "sweep_t_end_inf",
             "evolve_amplitude_nan", "evolve_amplitude_inf",
-            "lens_amplitude_nan"])
+            "lens_amplitude_nan", "sweep_criterion_tol_nan",
+            "uniqueness_r_max_negative", "levels_n_random_negative"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
                                            text, named):
         out = tmp_path / "out"
@@ -390,6 +396,31 @@ n_random = 2
         assert "FAIL" not in captured
         payload = json.loads((out / "verify_report.json").read_text())
         assert payload["failed"] == 0
+
+    @staticmethod
+    def verify_rows(tmp_path, text):
+        out = tmp_path / "out"
+        code = run("verify", write_config(tmp_path, text), out)
+        rows = json.loads((out / "verify_report.json").read_text())["checks"]
+        return code, [row["check"] for row in rows]
+
+    def test_verify_subcritical_skips_cross_points(self, tmp_path, capsys):
+        # the cross points need p >= p_c = 2; d_omega holds below it too
+        code, checks = self.verify_rows(
+            tmp_path, COARSE.replace("p = 2.0", "p = 1.5"))
+        assert code == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert "levels: least action matches minimizer" in checks
+        assert not any(name.startswith("levels: cross points")
+                       for name in checks)
+
+    def test_verify_dim_2_skips_uniqueness(self, tmp_path):
+        # the uniqueness criterion claims nothing below N = 3; the exit
+        # status is not pinned here (two N = 2 tolerance rows fail)
+        _, checks = self.verify_rows(tmp_path,
+                                     COARSE.replace("dim = 3", "dim = 2"))
+        assert "bound state: nehari zero" in checks
+        assert not any(name.startswith("uniqueness") for name in checks)
 
     @pytest.mark.parametrize("command, extra", [
         ("groundstate", ""),

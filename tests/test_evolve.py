@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestConfig:
                 EvolveConfig(dt=1e-3, t_end=1.0, blowup_gradient_factor=bad)
             with pytest.raises(ParameterError, match="coupling"):
                 EvolveConfig(dt=1e-3, t_end=1.0, coupling=bad)
+
+    @pytest.mark.parametrize("ts", [-0.1, 0.35 + 1e-13, math.nan])
+    def test_snapshot_time_outside_span_rejected_at_build(self, ts):
+        with pytest.raises(ParameterError, match="snapshot time"):
+            EvolveConfig(dt=1e-3, t_end=0.35, snapshot_times=(0.1, ts))
+        cfg = EvolveConfig(dt=1e-3, t_end=0.35)
+        with pytest.raises(ParameterError, match="snapshot time"):
+            replace(cfg, snapshot_times=(ts,))
+        with pytest.raises(ParameterError, match="snapshot time"):
+            replace(EvolveConfig(dt=1e-3, t_end=1.0, snapshot_times=(0.5,)),
+                    t_end=0.4)
 
     def test_trap_resolution_required(self, grid, params_critical):
         u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
@@ -326,6 +338,13 @@ class TestCollapse:
         with pytest.raises(ParameterError):
             predict_collapse_time(u0, params_subcritical)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_criterion_tol_must_be_finite(self, grid, params_critical, tol):
+        # nan would make the criterion's comparison never fail
+        u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
+        with pytest.raises(ParameterError, match="criterion_tol"):
+            predict_collapse_time(u0, params_critical, criterion_tol=tol)
+
     def test_blowup_monotone_near_collapse(self, soliton, grid,
                                            params_critical):
         u0 = scaled_soliton(soliton, grid, 1.1)
@@ -420,6 +439,37 @@ class TestSnapshotsAndExport:
         times = [t for t, _ in res.snapshots]
         assert any(abs(t - 0.1234) < 1e-12 for t in times)
         assert abs(res.final_time - 0.35) < 1e-12
+
+    def test_snapshots_are_the_requested_times(self, grid, params_critical):
+        # t = 0 when asked for, no stopping state appended: that is `final`
+        u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))
+        cfg = EvolveConfig(dt=1e-3, t_end=0.35, record_every=50,
+                           snapshot_times=(0.1234, 0.0))
+        res = evolve(u0, params_critical, cfg)
+        assert [t for t, _ in res.snapshots] == [0.0, 0.1234]
+        assert np.array_equal(res.snapshots[0][1].values, u0.values)
+        assert res.final_time == 0.35
+        assert res.final.grid is grid
+        later = evolve(u0, params_critical,
+                       replace(cfg, snapshot_times=(0.1234,)))
+        assert [t for t, _ in later.snapshots] == [0.1234]
+        assert np.array_equal(later.final.values, res.final.values)
+        bare = evolve(u0, params_critical, replace(cfg, snapshot_times=()))
+        assert bare.snapshots == [] and bare.final_time == 0.35
+
+    def test_flagged_state_is_final_only(self, soliton, grid,
+                                         params_critical):
+        # a snapshot requested at the flag step is not recorded: the run
+        # stopped there, and the flagged state is `final`
+        u0 = scaled_soliton(soliton, grid, 1.5)
+        cfg = EvolveConfig(dt=1e-3, t_end=1.0, blowup_gradient_factor=10.0)
+        t_flag = evolve(u0, params_critical, cfg).blowup_time
+        assert t_flag is not None and t_flag > 0.01
+        res = evolve(u0, params_critical,
+                     replace(cfg, snapshot_times=(0.01, t_flag, 0.99)))
+        assert res.blowup_time == t_flag == res.final_time
+        assert [t for t, _ in res.snapshots] == [0.01]
+        assert res.series.grad_sq[-1] > 10.0 * res.series.grad_sq[0]
 
     def test_csv_format(self, tmp_path, grid, params_critical):
         u0 = RadialField.from_function(grid, lambda r: np.exp(-r ** 2))

@@ -8,7 +8,7 @@ from gpelab import experiments
 from gpelab.closedforms import ProfileInterpolant
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
                          mass)
-from gpelab.evolve import EvolveConfig
+from gpelab.evolve import EvolveConfig, EvolveResult
 from gpelab.functionals import (SetLabel, action, h_omega_norm_sq, nehari,
                                 potential, virial)
 from gpelab.core import grad_norm_sq
@@ -286,6 +286,83 @@ class TestDichotomy:
         assert out.blowup_time is not None
 
 
+class TestDichotomyVerdict:
+    """Each inconsistency the verdict names, with evolve and classify
+    stubbed: a run reaching these cases is not cheap."""
+
+    def verdict(self, monkeypatch, params_critical, label0, later,
+                blowup_time, snap_amplitude=0.1):
+        grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
+        u0 = RadialField.from_function(grid, lambda r: 0.1 * np.exp(-r ** 2))
+        snap = RadialField.from_function(
+            grid, lambda r: snap_amplitude * np.exp(-r ** 2))
+        d = 2.0 * action(u0, params_critical)
+
+        def stub_evolve(u, params, cfg):
+            assert cfg.snapshot_times == (0.5,)
+            return EvolveResult(snapshots=[(0.5, snap)], series=None,
+                                final=snap, final_time=0.7,
+                                blowup_time=blowup_time)
+
+        monkeypatch.setattr(experiments, "evolve", stub_evolve)
+        monkeypatch.setattr(experiments, "classify",
+                            lambda u, params, d: label0 if u is u0 else later)
+        out = dichotomy_run(u0, params_critical, d,
+                            EvolveConfig(dt=1e-3, t_end=1.0),
+                            sample_times=(0.5, 2.0))
+        assert out.labels == [(0.5, later)]
+        assert out.hnorm_max == h_omega_norm_sq(snap, params_critical)
+        return out
+
+    @pytest.mark.parametrize("label0, later, blowup_time, amplitude, detail", [
+        (SetLabel.K_MINUS, SetLabel.K_MINUS, None, 0.1,
+         "negative-cone state did not raise the blow-up flag"),
+        (SetLabel.R_PLUS, SetLabel.R_PLUS, 0.7, 0.1,
+         "bounded-label state raised the blow-up flag"),
+        (SetLabel.K_PLUS, SetLabel.K_PLUS, 0.7, 0.1,
+         "bounded-label state raised the blow-up flag"),
+        (SetLabel.R_PLUS, SetLabel.K_MINUS, None, 0.1,
+         "label changed along the flow"),
+        (SetLabel.K_MINUS, SetLabel.R_PLUS, None, 0.1,
+         "negative-cone state did not raise the blow-up flag; "
+         "label changed along the flow"),
+        (SetLabel.R_MINUS_ONLY, SetLabel.K_PLUS, None, 0.1,
+         "label changed along the flow"),
+    ], ids=["k_minus_no_flag", "r_plus_flag", "k_plus_flag", "label_changed",
+            "k_minus_no_flag_and_label_changed", "r_minus_only_changed"])
+    def test_each_problem_named(self, monkeypatch, params_critical, label0,
+                                later, blowup_time, amplitude, detail):
+        out = self.verdict(monkeypatch, params_critical, label0, later,
+                           blowup_time, amplitude)
+        assert not out.consistent
+        assert out.detail == detail
+
+    @pytest.mark.parametrize("blowup_time", [None, 0.7])
+    def test_k_plus_h_norm_bound(self, monkeypatch, params_critical,
+                                 blowup_time):
+        # the bound 2 d (p+1)/(p-1) = 12 action(u0) is reached by a snapshot
+        # of 30 times the amplitude; with the flag as well both are named
+        out = self.verdict(monkeypatch, params_critical, SetLabel.K_PLUS,
+                           SetLabel.K_PLUS, blowup_time, 3.0)
+        assert out.hnorm_max >= out.hnorm_bound
+        problems = [f"H norm {out.hnorm_max} reached the global-existence "
+                    f"bound {out.hnorm_bound}"]
+        if blowup_time is not None:
+            problems.append("bounded-label state raised the blow-up flag")
+        assert not out.consistent
+        assert out.detail == "; ".join(problems)
+
+    @pytest.mark.parametrize("label0, blowup_time", [
+        (SetLabel.K_MINUS, 0.7), (SetLabel.R_PLUS, None),
+        (SetLabel.K_PLUS, None), (SetLabel.R_MINUS_ONLY, 0.7)])
+    def test_consistent_has_no_detail(self, monkeypatch, params_critical,
+                                      label0, blowup_time):
+        out = self.verdict(monkeypatch, params_critical, label0, label0,
+                           blowup_time)
+        assert out.consistent and out.detail == ""
+        assert (out.hnorm_bound is None) == (label0 is not SetLabel.K_PLUS)
+
+
 class TestStability:
     def test_unperturbed_orbit_stays_put(self, params_subcritical, grid):
         res = stability_run(params_subcritical, grid, q=1.0, eps=0.0,
@@ -391,6 +468,18 @@ class TestThresholdSweep:
         result.to_csv(path)
         assert path.read_text().split("\n")[0] == (
             "c,lambda,outcome,t_blow,t_pred,max_grad_ratio")
+
+    def test_pool_side_failure_keeps_reason(self, coarse_sweep, monkeypatch):
+        # dt above the trap-period bound: evolve raises inside each worker
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        cfg = EvolveConfig(dt=0.1, t_end=0.5)
+        result = threshold_sweep(*coarse_sweep, c_values=(0.9, 1.0),
+                                 lambda_values=(1.0,), cfg=cfg, workers=2)
+        assert [(row.c, row.outcome) for row in result.rows] == [
+            (0.9, "failed"), (1.0, "failed")]
+        for row in result.rows:
+            assert row.reason.startswith("ParameterError: dt = 0.1 does not "
+                                         "resolve the trap period")
 
     def test_requires_critical(self, soliton, grid, params_subcritical):
         cfg = EvolveConfig(dt=1e-3, t_end=0.5)

@@ -4,6 +4,7 @@ import pytest
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
                          RadialField, RadialGrid, default_grid, grad_norm_sq,
                          mass, nonlinearity, stationary_residual, variance)
+from gpelab import groundstate as gs
 from gpelab.experiments import random_trial_field
 from gpelab.functionals import (_moments, action, energy, h_omega_norm_sq,
                                 nehari, potential, virial)
@@ -134,6 +135,23 @@ class TestNontriviality:
         assert np.max(_polish(guess, coeff, grid, b, p, 1e-8)[0]) > 1.0
         with pytest.raises(ConvergenceError, match="trivial"):
             _polish(1e-12 * guess, coeff, grid, b, p, 1e-8)
+
+    @pytest.mark.parametrize("values, res, match", [
+        (lambda r: np.exp(-r ** 2), 1e-6, "residual 1.000e-06 above"),
+        (lambda r: np.exp(-r ** 2) - 0.5, 1e-10, "not strictly positive"),
+        (lambda r: np.exp(-(r - 1.0) ** 2), 1e-10, "not monotone"),
+    ], ids=["residual", "sign", "monotone"])
+    def test_newton_result_is_rejected(self, monkeypatch, params_critical,
+                                       values, res, match):
+        # _newton stubbed to return a crafted state and residual
+        grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
+        u = values(grid.r)
+        monkeypatch.setattr(gs, "_newton",
+                            lambda guess, *args: (u, 0.0, res, 3))
+        guess = np.exp(-grid.r ** 2)
+        with pytest.raises(ConvergenceError, match=match):
+            _polish(guess, grid.r ** 2, grid, params_critical.b,
+                    params_critical.p, 1e-8)
 
 
 class TestNehariDescent:
