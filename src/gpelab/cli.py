@@ -287,7 +287,11 @@ def _cmd_levels(cfg, out_dir: Path) -> int:
 def _cmd_uniqueness(cfg, out_dir: Path) -> int:
     params = _model(cfg)
     section = cfg["uniqueness"]
-    samples = np.linspace(0.05, section["r_max"], section["n_samples"])
+    r_first = 0.05  # the samples run upward from here to r_max
+    if section["r_max"] <= r_first:
+        raise ConfigError(f"[uniqueness] r_max must exceed {r_first}, "
+                          f"got {section['r_max']}")
+    samples = np.linspace(r_first, section["r_max"], section["n_samples"])
     report = _from_config(gs.uniqueness_report, params, r_samples=samples)
     _write_json(out_dir / "uniqueness.json", asdict(report), cfg)
     return 0

@@ -57,11 +57,14 @@ class GroundStateResult:
     and the extracted Lagrange multiplier for constrained flows.
     pohozaev_1/2 are the residuals of the two stationarity identities
     (pairing with u and with x . grad u) for that same equation.
-    iterations counts the Newton updates made; for the minimizer it adds
-    the gradient-flow steps tried before them.  status is "converged" for
-    an accepted stationary state and "gradient_diverging" for a critical
-    minimizer flow stopped on a diverging gradient (no Newton polish);
-    converged is status == "converged".
+    residual_sup is the sup residual of the profile; it exceeds the
+    solver's tol only where Newton stalls at the rounding floor of a state
+    whose rounding alone exceeds tol (see _newton).  iterations counts the
+    Newton updates made; for the minimizer it adds the gradient-flow steps
+    tried before them.  status is "converged" for an accepted stationary
+    state and "gradient_diverging" for a critical minimizer flow stopped on
+    a diverging gradient (no Newton polish); converged is
+    status == "converged".
     """
 
     profile: RadialField
@@ -108,6 +111,9 @@ def _check_entry(params, grid, **positive):
 _DESCENT_STEP = 10.0
 _DESCENT_MAX_ITER = 500
 _DESCENT_RTOL = 1e-3
+# Largest log <Lu,u> of a projected state: its quadratic forms and those
+# of the Newton iterates from it stay finite.
+_LOG_FORM_MAX = math.log(1e300)
 
 
 def _nehari_descent(u, coeff, grid, b, p):
@@ -134,6 +140,12 @@ def _nehari_descent(u, coeff, grid, b, p):
         if not (H > 0.0 and P > 0.0):
             raise ConvergenceError(
                 f"no Nehari projection: <Lu,u> = {H:.3e}, P = {P:.3e}")
+        # lam^2 scales <Lx, x>; p close to 1 can ask for a state past the
+        # floating-point range
+        if math.log(H) + 2.0 * math.log(H / P) / (p - 1.0) > _LOG_FORM_MAX:
+            raise ConvergenceError(
+                f"Nehari projection out of floating-point range: <Lu,u> = "
+                f"{H:.3e}, P = {P:.3e}, p = {p}")
         lam = (H / P) ** (1.0 / (p - 1.0))
         f = lam ** p * fx
         return lam * x, lam * Lx - f, f
@@ -148,22 +160,40 @@ def _nehari_descent(u, coeff, grid, b, p):
 
 # ------------------------------------------------------------------- Newton
 
+# The rounding floor of the sup residual, per unit of max_i (|lap_diag_i|
+# + |coeff_i| + r_i^(-b)|u_i|^(p-1)) |u_i|: converged states sit at 0.1-82
+# eps times that scale, an iterate one update from the descent guess at
+# 1e4-1e9 eps.
+_FLOOR_EPS = 100.0 * np.finfo(float).eps
+
+
+def _rounding_floor(u, coeff, grid, b, p):
+    """The sup residual of -Lap u + coeff u - r^(-b)|u|^(p-1)u at which u is
+    at rounding."""
+    au = np.abs(u)
+    scale = np.max((np.abs(grid.lap_diag) + np.abs(coeff)
+                    + grid.r_pow(-b) * au ** (p - 1.0)) * au)
+    return _FLOOR_EPS * float(scale)
+
+
 def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
     """Newton for -Lap u + (coeff + omega) u - r^(-b)|u|^(p-1)u = 0.
 
     With a mass target q the Jacobian is bordered by ||u||^2 = q and omega
-    is solved for as well; without one omega stays fixed.  Stops once the
-    sup residual is below tol/1000, or below tol after an update that cut
-    it by less than 30%, and with q only once |mass - q| <= 1e-12 q.  Each
-    update is halved until it lowers the residual (at most down to 1/1000
-    of the full step).  Returns (u, omega, residual of that u, Newton
-    updates made).
+    is solved for as well; without one omega stays fixed.  Stops once an
+    update has cut the sup residual by less than 30%, to below tol or to at
+    most its _rounding_floor, and with q only once |mass - q| <= 1e-12 q:
+    Newton has then stalled at rounding, which for a state whose rounding
+    alone exceeds tol lies above tol.  Each update is halved until it
+    lowers the residual (at most down to 1/1000 of the full step).  Returns
+    (u, omega, residual of that u, Newton updates made).
     """
     w = grid.weights
     F = stationary_residual(u, grid, coeff + omega, b, p)
     res, res_prev = float(np.max(np.abs(F))), np.inf
     for it in range(max_iter + 1):
-        done = res < tol * 1e-3 or (res >= 0.7 * res_prev and res < tol)
+        done = res >= 0.7 * res_prev and (
+            res < tol or res <= _rounding_floor(u, coeff + omega, grid, b, p))
         if q is not None:
             gap = float(np.dot(w, u * u)) - q
             done = done and abs(gap) <= 1e-12 * q
@@ -193,9 +223,10 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
 
 def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
     """Newton from guess, accepted only as a nontrivial positive monotone
-    state within tol; returns what _newton returns."""
+    state whose residual is within tol or, where rounding alone exceeds
+    tol, at most its rounding floor; returns what _newton returns."""
     u, omega, res, n_iter = _newton(guess, coeff, grid, b, p, tol, q, omega)
-    if res > tol:
+    if res > tol and res > _rounding_floor(u, coeff + omega, grid, b, p):
         raise ConvergenceError(
             f"stationary residual {res:.3e} above tolerance {tol:.1e}")
     # u = 0 solves the discrete system too; Newton can fall onto it
@@ -467,22 +498,24 @@ def save_profile(path, result_or_field, params: ModelParams,
         if key not in ("dim", "b", "p", "gamma", "omega"):
             lines.append(f"# {key} = {val!r}")
     lines.append("# columns: r value")
-    for ri, vi in zip(g.r, vals.real):
-        lines.append(f"{ri:.17g} {vi:.17g}")
+    rows = np.column_stack((g.r, vals.real)).ravel().tolist()
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write("%.17g %.17g\n" * g.n % tuple(rows))
 
 
 def load_profile(path):
     """Read a profile written by save_profile; returns (field, header dict)."""
     header = {}
     with open(path) as fh:
+        # the header is the leading comment block; np.loadtxt reads the rows
         for line in fh:
             line = line.strip()
-            if line.startswith("#"):
-                key, eq, val = line[1:].partition("=")
-                if eq:
-                    header[key.strip()] = ast.literal_eval(val.strip())
+            if line and not line.startswith("#"):
+                break
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                header[key.strip()] = ast.literal_eval(val.strip())
     data = np.loadtxt(path, ndmin=2)
     if data.size and data.shape[1] != 2:
         raise ValueError(f"profile rows hold {data.shape[1]} numbers, not 2")

@@ -217,6 +217,10 @@ class TestExitCodes:
          "[sweep] criterion_tol"),
         ("uniqueness", BASE + "[uniqueness]\nr_max = -1\n",
          "[uniqueness] r_max"),
+        ("uniqueness", BASE + "[uniqueness]\nr_max = 0.01\n",
+         "[uniqueness] r_max"),
+        ("uniqueness", BASE + "[uniqueness]\nr_max = 0.05\n",
+         "[uniqueness] r_max"),
         ("levels", BASE + "[levels]\nn_random = -3\n", "[levels] n_random"),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
@@ -233,7 +237,9 @@ class TestExitCodes:
             "evolve_t_end_negative", "sweep_t_end_inf",
             "evolve_amplitude_nan", "evolve_amplitude_inf",
             "lens_amplitude_nan", "sweep_criterion_tol_nan",
-            "uniqueness_r_max_negative", "levels_n_random_negative"])
+            "uniqueness_r_max_negative",
+            "uniqueness_r_max_below_first_sample",
+            "uniqueness_r_max_at_first_sample", "levels_n_random_negative"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
                                            text, named):
         out = tmp_path / "out"

@@ -1,9 +1,15 @@
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
-                         RadialField, RadialGrid, default_grid, grad_norm_sq,
-                         mass, nonlinearity, stationary_residual, variance)
+                         RadialField, RadialGrid, default_grid,
+                         factor_operator, grad_norm_sq, mass, nonlinearity,
+                         stationary_residual, variance)
 from gpelab import groundstate as gs
 from gpelab.experiments import random_trial_field
 from gpelab.functionals import (_moments, action, energy, h_omega_norm_sq,
@@ -358,6 +364,45 @@ class TestSerialization:
         assert np.max(np.abs(field.values - bound_state.profile.values)) \
             < 1e-15 * np.max(np.abs(bound_state.profile.values))
 
+    @staticmethod
+    def _line_writer(path, result_or_field, params, extra_header=None):
+        # the one-f-string-per-row writer that save_profile replaced
+        if isinstance(result_or_field, gs.GroundStateResult):
+            field, omega = result_or_field.profile, result_or_field.omega
+        else:
+            field, omega = result_or_field, None
+        g = field.grid
+        lines = ["# gpelab radial profile"]
+        for key, val in params.as_dict().items():
+            lines.append(f"# {key} = {val!r}")
+        lines.append(f"# grid_h = {g.h!r}")
+        lines.append(f"# grid_rmax = {g.rmax!r}")
+        lines.append(f"# stationary_omega = {omega!r}")
+        for key, val in (extra_header or {}).items():
+            if key not in ("dim", "b", "p", "gamma", "omega"):
+                lines.append(f"# {key} = {val!r}")
+        lines.append("# columns: r value")
+        for ri, vi in zip(g.r, field.values.real):
+            lines.append(f"{ri:.17g} {vi:.17g}")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["result", "field"])
+    def test_bytes_match_the_line_writer(self, tmp_path, bound_state,
+                                         params_critical, bare):
+        data = bound_state
+        if bare:
+            # values of every magnitude, negative ones and signed zeros
+            grid = bound_state.profile.grid
+            values = np.tan(grid.r) * 10.0 ** (np.arange(grid.n) % 40 - 20)
+            values[:2] = [0.0, -0.0]
+            data = RadialField(grid, values)
+        extra = {"method": "shoot", "tol": 1e-8, "p": 9.0, "seed": 12345}
+        save_profile(tmp_path / "new.txt", data, params_critical, extra)
+        self._line_writer(tmp_path / "old.txt", data, params_critical, extra)
+        assert ((tmp_path / "new.txt").read_bytes()
+                == (tmp_path / "old.txt").read_bytes())
+
     def test_rejects_complex(self, tmp_path, grid, params_critical):
         u = RadialField(grid, np.exp(1j * grid.r))
         with pytest.raises(ValueError):
@@ -436,6 +481,160 @@ class TestNewton:
         u, iters = self._run(grid, 1.0, 60)
         assert iters == 4
         assert abs(np.sum(grid.weights * u * u) - 1.0) <= 1e-12
+
+
+def rounding_floor(u, coeff, grid, b, p):
+    """100 eps max_i (|lap_diag_i| + |coeff_i| + r_i^(-b)|u_i|^(p-1)) |u_i|,
+    the sup residual below which a state is at rounding."""
+    scale = (np.abs(grid.lap_diag) + np.abs(coeff)
+             + grid.r ** (-b) * np.abs(u) ** (p - 1.0)) * np.abs(u)
+    return 100.0 * np.finfo(float).eps * np.max(scale)
+
+
+class TestRoundingFloor:
+    """Newton stops where it stalls at the rounding floor of a
+    large-amplitude state, whose floor lies above tol, and the acceptance
+    passes there."""
+
+    LARGE = [(3, 1.5, 5.0), (3, 1.5, 20.0), (5, 1.6, 0.0), (3, 2.0, 80.0)]
+    IDS = ["p1.5_omega5", "p1.5_omega20", "N5_p1.6", "p2_omega80"]
+
+    @staticmethod
+    def _params(dim, p, omega):
+        return ModelParams(dim=dim, b=0.5, p=p, gamma=1.0, omega=omega)
+
+    @pytest.mark.parametrize("amp, shift", [(1.0, 0.0), (1.0, 1e9),
+                                            (1e6, 0.0)],
+                             ids=["laplacian", "coeff", "nonlinearity"])
+    def test_floor_counts_every_term(self, amp, shift):
+        # each case lets a different term of the scale dominate
+        grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
+        u = amp * np.exp(-grid.r ** 2)
+        coeff = shift + grid.r ** 2
+        assert gs._rounding_floor(u, coeff, grid, 0.5, 3.0) == pytest.approx(
+            rounding_floor(u, coeff, grid, 0.5, 3.0), rel=1e-14)
+
+    @pytest.mark.parametrize("dim,p,omega", LARGE, ids=IDS)
+    def test_large_amplitude_state_stops_at_its_floor(self, dim, p, omega):
+        params = self._params(dim, p, omega)
+        grid = default_grid(params)
+        res = solve_bound_state(params, grid)
+        u = res.profile.values.real
+        # two updates reach the floor, one or two more show the stall
+        assert res.iterations <= 4
+        assert np.max(u) > 50.0
+        assert res.residual_sup <= rounding_floor(
+            u, omega + grid.r ** 2, grid, params.b, p)
+
+    def test_floor_above_tol_is_no_stop_before_a_stall(self):
+        # the default state's floor lies above tol but its rounding below:
+        # from an iterate between the two Newton goes on to below tol
+        params = self._params(3, 2.0, 0.0)
+        grid = default_grid(params)
+        u = solve_bound_state(params, grid).profile.values.real
+        b, p, coeff = params.b, params.p, grid.r ** 2
+        # J u = (1 - p) r^(-b) u^p at a stationary u
+        v = u * (1.0 + 3e-8 / np.max((p - 1.0) * grid.r ** -b * u ** p))
+        start = np.max(np.abs(stationary_residual(v, grid, coeff, b, p)))
+        assert 1e-8 < start < rounding_floor(v, coeff, grid, b, p)
+        _, _, res, n_iter = _newton(v, coeff, grid, b, p, 1e-8)
+        assert n_iter >= 1 and res < 1e-8
+
+    @pytest.mark.parametrize("dim,p,omega", LARGE + [(3, 2.0, 0.0)],
+                             ids=IDS + ["default"])
+    def test_one_update_is_rejected(self, monkeypatch, dim, p, omega):
+        # one update from the descent guess leaves the residual far above
+        # the floor, so it is not accepted before Newton has converged
+        monkeypatch.setattr(gs, "_newton", functools.partial(_newton,
+                                                              max_iter=1))
+        with pytest.raises(ConvergenceError, match="above tolerance"):
+            solve_bound_state(self._params(dim, p, omega))
+
+    @pytest.mark.parametrize("p,omega", [(1.05, -2.9), (1.3, -2.999)])
+    def test_tiny_state_is_converged(self, p, omega):
+        # amplitudes 1e-20 and 1e-10: the descent output's residual is far
+        # below tol, yet it is 1e-6 to 1e-5 away from the discrete solution
+        params = self._params(3, p, omega)
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        res = solve_bound_state(params, grid)
+        u = res.profile.values.real
+        coeff = omega + grid.r ** 2
+        v = u
+        for _ in range(3):
+            F = stationary_residual(v, grid, coeff, params.b, p)
+            v = v + factor_operator(
+                grid, coeff - p * grid.r ** -params.b * v ** (p - 1.0))(-F)
+        assert res.iterations >= 1
+        assert np.max(np.abs(v - u)) <= 1e-8 * np.max(u)
+
+
+# Admissible draws on a coarse mesh: N <= 5, b and p as inner fractions of
+# their open ranges (p capped at 5 where p_max is infinite)
+H_COARSE = 1e-2
+
+
+def _admissible(dim, b_frac, p_frac):
+    b = min(2.0, dim) * b_frac
+    p_max = 1.0 + (4.0 - 2.0 * b) / (dim - 2) if dim >= 3 else 5.0
+    return b, 1.0 + (min(p_max, 5.0) - 1.0) * p_frac
+
+
+inner = st.floats(0.01, 0.99)
+
+
+def _check_state(res, params, grid, coeff, tol=1e-8):
+    """The outcome every accepted stationary solve must have (a positive
+    state is nontrivial)."""
+    u = res.profile.values.real
+    assert res.converged
+    assert np.all(u > 0.0) and np.all(np.diff(u) <= 0.0)
+    assert res.residual_sup <= max(
+        tol, rounding_floor(u, coeff, grid, params.b, params.p))
+    m = _moments(u, grid, params.b, params.p)
+    h_sq = m.h_norm_sq(params.gamma, res.omega)
+    assert abs(m.nehari(params.gamma, res.omega)) <= 1e-8 * h_sq
+
+
+class TestAdmissibleSet:
+    """Every admissible input ends in a nontrivial, positive, monotone
+    stationary state or in a named gpelab error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), inner, inner, st.floats(0.0, 1.0))
+    def test_bound_state(self, dim, b_frac, p_frac, omega_frac):
+        b, p = _admissible(dim, b_frac, p_frac)
+        omega = -dim + 0.01 + (dim + 30.0) * omega_frac
+        params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=omega)
+        grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+        try:
+            res = solve_bound_state(params, grid)
+        except ConvergenceError as err:
+            # p close to 1: the Nehari projection leaves the floating-point
+            # range (or underflows to 0)
+            assert "Nehari projection" in str(err)
+            return
+        _check_state(res, params, grid, omega + grid.r ** 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), inner, inner, inner)
+    def test_constrained_minimizer(self, dim, b_frac, p_frac, q_frac):
+        # a ball of radius 1 where the energy is unbounded below, with q
+        # inside its admissible range; otherwise q in (1e-3, 1e2)
+        b, p = _admissible(dim, b_frac, p_frac)
+        params = ModelParams(dim=dim, b=b, p=p, gamma=1.0)
+        ball = 1.0 if params.criticality != "subcritical" else None
+        q = q_frac / dim if ball else 10.0 ** (5.0 * q_frac - 3.0)
+        grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+        try:
+            res = constrained_minimizer(q, params, grid, ball_radius=ball)
+        except ConvergenceError as err:
+            # a flow that leaves the ball or ends on a sign-changing state;
+            # never a residual above tol
+            assert re.search("descent diverged|not strictly inside the ball"
+                             "|not strictly positive", str(err))
+            return
+        _check_state(res, params, grid, res.omega + grid.r ** 2)
+        assert abs(res.mass - q) <= 1e-10 * q
 
 
 class TestEntryChecks:
