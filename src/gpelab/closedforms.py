@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from .core import ModelParams, ParameterError, RadialField, RadialGrid
 
@@ -103,6 +104,12 @@ class ProfileInterpolant:
     """Cubic interpolant of a radial profile, even through the origin and
     zero beyond the profile's truncation radius.
 
+    The spline is the not-a-knot cubic on the uniform mesh of spacing h
+    formed by the first min(8, n) nodes mirrored through the origin
+    followed by the n nodes; its last cubic is extended from the last node
+    r = rmax - h/2 up to rmax.  Real profiles are interpolated in real
+    arithmetic.
+
     Profiles of the b-singular problem bend like r^(2-b) at the origin,
     which no polynomial spline can represent; passing singular_exponent
     = 2 - b fits that component on the first nodes, interpolates the smooth
@@ -111,13 +118,12 @@ class ProfileInterpolant:
 
     def __init__(self, field: RadialField,
                  singular_exponent: float | None = None):
-        # imported on first use: it loads scipy.optimize too, about 0.3 s
-        from scipy.interpolate import CubicSpline
         fit_nodes = 10
-        r = field.grid.r
+        grid = field.grid
+        r = grid.r
         vals = np.array(field.values)
         self._sing = None
-        if singular_exponent is not None and field.grid.n >= 2 * fit_nodes:
+        if singular_exponent is not None and grid.n >= 2 * fit_nodes:
             e = float(singular_exponent)
             rr = r[:fit_nodes]
             basis = np.stack([np.ones_like(rr), rr ** 2, rr ** e], axis=1)
@@ -125,23 +131,56 @@ class ProfileInterpolant:
             a = complex(coeffs[2])
             vals = vals - a * r ** e
             self._sing = (a, e)
-        k = min(8, len(r))
-        rr = np.concatenate([-r[:k][::-1], r])
-        vv = np.concatenate([vals[:k][::-1], vals])
-        self._real = CubicSpline(rr, vv.real)
-        self._imag = CubicSpline(rr, vv.imag) if np.any(vals.imag) else None
-        self.rmax = field.grid.rmax
+        if not np.any(vals.imag):
+            vals = vals.real
+        k = min(8, grid.n)
+        h = grid.h
+        x = np.concatenate([-r[:k][::-1], r])
+        y = np.concatenate([vals[:k][::-1], vals])
+        # second derivatives: M[i-1] + 4 M[i] + M[i+1] = rhs[i] at the
+        # interior nodes; not-a-knot (M[0] = 2 M[1] - M[2], and alike at the
+        # far end) reduces the first and last of these rows to 6 M = rhs,
+        # which leaves a symmetric positive definite system for the rest
+        rhs = (6.0 / (h * h)) * (y[2:] - 2.0 * y[1:-1] + y[:-2])
+        M = np.empty_like(y)
+        M[1], M[-2] = rhs[0] / 6.0, rhs[-1] / 6.0
+        inner = rhs[1:-1].copy()
+        inner[0] -= M[1]
+        inner[-1] -= M[-2]
+        # strictly diagonally dominant, so dptsv cannot fail; a complex
+        # profile's real and imaginary parts are two right-hand sides
+        diag, off = np.full(len(inner), 4.0), np.ones(len(inner) - 1)
+        if np.iscomplexobj(inner):
+            sol = dptsv(diag, off, np.stack([inner.real, inner.imag], 1))[2]
+            M[2:-2] = sol[:, 0] + 1j * sol[:, 1]
+        else:
+            M[2:-2] = dptsv(diag, off, inner[:, None])[2][:, 0]
+        M[0] = 2.0 * M[1] - M[2]
+        M[-1] = 2.0 * M[-2] - M[-3]
+        # each interval's cubic in powers of t = x - x[i]
+        self._x = x[:-1]
+        self._coef = (y[:-1],
+                      (y[1:] - y[:-1]) / h - h * (2.0 * M[:-1] + M[1:]) / 6.0,
+                      M[:-1] / 2.0,
+                      (M[1:] - M[:-1]) / (6.0 * h))
+        self._h = h
+        self.rmax = grid.rmax
 
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
         inside = x <= self.rmax
-        out = np.zeros(x.shape, dtype=complex)
-        out[inside] = self._real(x[inside])
-        if self._imag is not None:
-            out[inside] = out[inside] + 1j * self._imag(x[inside])
+        xin = x[inside]
+        # the mesh is uniform: the interval is a floor, clipped to the last
+        i = np.minimum(((xin - self._x[0]) / self._h).astype(np.intp),
+                       len(self._x) - 1)
+        t = xin - self._x[i]
+        c0, c1, c2, c3 = self._coef
+        vals = ((c3[i] * t + c2[i]) * t + c1[i]) * t + c0[i]
         if self._sing is not None:
             a, e = self._sing
-            out[inside] = out[inside] + a * x[inside] ** e
+            vals = vals + a * xin ** e
+        out = np.zeros(x.shape, dtype=complex)
+        out[inside] = vals
         return out
 
 

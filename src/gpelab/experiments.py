@@ -170,8 +170,61 @@ class CrossPoint:
     virial: float
 
 
-def _dilated_virial(mu, interp, grid, params):
-    return virial(_dilate(interp, grid, mu, params), params)
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
+    step SciPy's brentq: the same iterates, the stop |step| < (xtol + rtol
+    |x|) / 2 and, after maxiter steps, the last iterate.  Raises ValueError
+    when f(a) and f(b) have the same sign or f returns nan."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    return xcur
 
 
 def construct_cross_point(phi: RadialField, params: ModelParams,
@@ -196,22 +249,20 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
         raise ParameterError(
             f"dilation coefficient not positive at lam = {lam}")
 
-    # imported on first use, as CubicSpline is: scipy.optimize takes 0.26 s
-    from scipy.optimize import brentq
     # absolute cap keeps the accepted points on the constraint even for
     # large profiles
     tol = min(1e-8 * m.G, 1e-8)
     interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
-    # interp goes through args: brentq wraps its callable in a self-referencing
-    # function, so a closure over interp would keep it alive until gc runs
-    args = (interp, v.grid, params)
+
+    def dilated_virial(mu):
+        return virial(_dilate(interp, v.grid, mu, params), params)
+
     hi = 1.5
-    while _dilated_virial(hi, *args) < 0.0:
+    while dilated_virial(hi) < 0.0:
         hi *= 2.0
         if hi > 64.0:
             raise ParameterError("dilation bracket failure")
-    mu = brentq(_dilated_virial, 1.0, hi, args=args, xtol=1e-15, rtol=1e-15,
-                disp=False)
+    mu = _brentq(dilated_virial, 1.0, hi, xtol=1e-15, rtol=1e-15)
     point = _dilate(interp, v.grid, mu, params)
     m = _field_moments(point, params)
     I_val, K_val = m.virial(gamma, c_I), m.nehari(gamma, omega)

@@ -186,19 +186,26 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
     Newton has then stalled at rounding, which for a state whose rounding
     alone exceeds tol lies above tol.  Each update is halved until it
     lowers the residual (at most down to 1/1000 of the full step).  Returns
-    (u, omega, residual of that u, Newton updates made).
+    (u, omega, residual of that u, Newton updates made, why it stopped):
+    "tol" for a stall below tol, "floor" for a stall at the rounding floor,
+    "max_iter" for a run out of updates.
     """
     w = grid.weights
     F = stationary_residual(u, grid, coeff + omega, b, p)
     res, res_prev = float(np.max(np.abs(F))), np.inf
     for it in range(max_iter + 1):
-        done = res >= 0.7 * res_prev and (
-            res < tol or res <= _rounding_floor(u, coeff + omega, grid, b, p))
+        stop = None
+        if res >= 0.7 * res_prev:
+            if res < tol:
+                stop = "tol"
+            elif res <= _rounding_floor(u, coeff + omega, grid, b, p):
+                stop = "floor"
         if q is not None:
             gap = float(np.dot(w, u * u)) - q
-            done = done and abs(gap) <= 1e-12 * q
-        if done or it == max_iter:
-            return u, omega, res, it
+            if abs(gap) > 1e-12 * q:
+                stop = None
+        if stop or it == max_iter:
+            return u, omega, res, it, stop or "max_iter"
         res_prev = res
         solve = factor_operator(grid, coeff + omega
                                 - p * grid.r_pow(-b) * np.abs(u) ** (p - 1.0))
@@ -224,9 +231,11 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
 def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
     """Newton from guess, accepted only as a nontrivial positive monotone
     state whose residual is within tol or, where rounding alone exceeds
-    tol, at most its rounding floor; returns what _newton returns."""
-    u, omega, res, n_iter = _newton(guess, coeff, grid, b, p, tol, q, omega)
-    if res > tol and res > _rounding_floor(u, coeff + omega, grid, b, p):
+    tol, one at which Newton stalled at the rounding floor; returns (u,
+    omega, residual, Newton updates)."""
+    u, omega, res, n_iter, stop = _newton(guess, coeff, grid, b, p, tol, q,
+                                          omega)
+    if res > tol and stop != "floor":
         raise ConvergenceError(
             f"stationary residual {res:.3e} above tolerance {tol:.1e}")
     # u = 0 solves the discrete system too; Newton can fall onto it

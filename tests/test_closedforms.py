@@ -115,6 +115,45 @@ class TestBlowupFamily:
         assert np.max(np.abs(b.values - a.values * np.exp(1.1j))) < 1e-14 * scale
 
 
+class TestProfileInterpolant:
+    """The spline against SciPy's not-a-knot CubicSpline on the same
+    even-extended nodes, the reference it replaced."""
+
+    @staticmethod
+    def _reference(field, interp, x):
+        from scipy.interpolate import CubicSpline
+        r, vals = field.grid.r, np.asarray(field.values, dtype=complex)
+        a, e = interp._sing if interp._sing is not None else (0.0, 1.0)
+        smooth = vals - a * r ** e
+        k = min(8, field.grid.n)
+        nodes = np.concatenate([-r[:k][::-1], r])
+        y = np.concatenate([smooth[:k][::-1], smooth])
+        ax = np.abs(x)
+        out = (CubicSpline(nodes, y.real)(ax)
+               + 1j * CubicSpline(nodes, y.imag)(ax) + a * ax ** e)
+        out[ax > field.grid.rmax] = 0.0
+        return out, np.max(np.abs(y))
+
+    @pytest.mark.parametrize("h, rmax", [(0.5, 2.0), (0.02, 8.0)],
+                             ids=["n4", "n400"])
+    @pytest.mark.parametrize("exponent", [None, 1.5], ids=["plain", "sing"])
+    @pytest.mark.parametrize("phase", [0.0, 0.7], ids=["real", "complex"])
+    def test_matches_not_a_knot_cubic_spline(self, h, rmax, exponent, phase):
+        grid = RadialGrid(h=h, rmax=rmax, dim=3)
+        field = RadialField.from_function(
+            grid, lambda r: (1.0 + 0.3 * r ** 1.5) * np.exp(-r ** 2)
+            * np.exp(1j * phase * r ** 2))
+        interp = ProfileInterpolant(field, singular_exponent=exponent)
+        x = np.concatenate([[0.0, -0.3 * h, -1.7, rmax, -rmax, rmax + h,
+                             2.0 * rmax], grid.r,
+                            np.linspace(0.0, rmax, 1001)])
+        ref, scale = self._reference(field, interp, x)
+        got = interp(x)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * scale
+        assert np.all(got[np.abs(x) > rmax] == 0.0)
+        assert got.dtype == complex and np.all(got.imag == 0.0) == (phase == 0)
+
+
 class TestLens:
     def test_identity_at_time_zero(self, grid, params_critical):
         w = RadialField.from_function(grid, lambda r: (1 + 0.4j)

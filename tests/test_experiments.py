@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -12,7 +13,8 @@ from gpelab.evolve import EvolveConfig, EvolveResult
 from gpelab.functionals import (SetLabel, action, h_omega_norm_sq, nehari,
                                 potential, virial)
 from gpelab.core import grad_norm_sq
-from gpelab.experiments import (HypothesisError, construct_cross_point,
+from gpelab.experiments import (HypothesisError, _brentq, _dilate,
+                                construct_cross_point,
                                 dichotomy_run, dilation_exponent,
                                 estimate_d_n_upper, estimate_d_omega,
                                 estimate_levels, nehari_project,
@@ -244,6 +246,48 @@ class TestCrossLevel:
                                 reference=bound_state_super.profile,
                                 n_random=2)
         assert dn > 0 and d_om > 0
+
+
+class TestBrent:
+    """The root finder against SciPy's brentq, the reference it ports:
+    the same iterates, so the same root to the last bit."""
+
+    CASES = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+             (lambda x: math.cos(x) - x, 0.0, 1.0),
+             (lambda x: math.exp(x) - 1e-3, -10.0, 1.0),
+             (lambda x: (x - 1.3) ** 9, 0.0, 2.0),
+             (lambda x: math.atan(1e6 * (x - 0.3)), 0.0, 1.0),
+             (lambda x: x, -1.0, 1.0)]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("xtol, rtol", [(1e-15, 1e-15), (1e-3, 1e-3)])
+    @pytest.mark.parametrize("maxiter", [3, 100])
+    def test_same_root_as_brentq(self, case, xtol, rtol, maxiter):
+        from scipy.optimize import brentq
+        f, a, b = self.CASES[case]
+        assert _brentq(f, a, b, xtol, rtol, maxiter) == brentq(
+            f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, disp=False)
+
+    def test_cross_point_dilation_as_brentq(self, bound_state,
+                                            params_critical):
+        from scipy.optimize import brentq
+        params = params_critical
+        v = scale_amplitude(bound_state.profile, 1.05)
+        interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
+
+        def f(mu):
+            return virial(_dilate(interp, v.grid, mu, params), params)
+
+        mu = brentq(f, 1.0, 1.5, xtol=1e-15, rtol=1e-15, disp=False)
+        assert _brentq(f, 1.0, 1.5, 1e-15, 1e-15) == mu
+        assert construct_cross_point(bound_state.profile, params,
+                                     1.05).mu == mu
+
+    def test_no_sign_change_raises(self):
+        from scipy.optimize import brentq
+        for root in (brentq, _brentq):
+            with pytest.raises(ValueError, match="different signs"):
+                root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=1e-15)
 
 
 class TestDichotomy:

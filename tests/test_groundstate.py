@@ -153,7 +153,7 @@ class TestNontriviality:
         grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
         u = values(grid.r)
         monkeypatch.setattr(gs, "_newton",
-                            lambda guess, *args: (u, 0.0, res, 3))
+                            lambda guess, *args: (u, 0.0, res, 3, "tol"))
         guess = np.exp(-grid.r ** 2)
         with pytest.raises(ConvergenceError, match=match):
             _polish(guess, grid.r ** 2, grid, params_critical.b,
@@ -463,8 +463,9 @@ class TestNewton:
             u *= np.sqrt(q / np.sum(grid.weights * u * u))
             omega = _moments(u, grid, params.b,
                              params.p).multiplier(params.gamma)
-        u, omega, res, iters = _newton(u, trap, grid, params.b, params.p,
-                                       1e-8, q, omega, max_iter=max_iter)
+        u, omega, res, iters, _ = _newton(u, trap, grid, params.b,
+                                          params.p, 1e-8, q, omega,
+                                          max_iter=max_iter)
         assert res == np.max(np.abs(stationary_residual(
             u, grid, trap + omega, params.b, params.p)))
         return u, iters
@@ -537,8 +538,24 @@ class TestRoundingFloor:
         v = u * (1.0 + 3e-8 / np.max((p - 1.0) * grid.r ** -b * u ** p))
         start = np.max(np.abs(stationary_residual(v, grid, coeff, b, p)))
         assert 1e-8 < start < rounding_floor(v, coeff, grid, b, p)
-        _, _, res, n_iter = _newton(v, coeff, grid, b, p, 1e-8)
-        assert n_iter >= 1 and res < 1e-8
+        _, _, res, n_iter, stop = _newton(v, coeff, grid, b, p, 1e-8)
+        assert n_iter >= 1 and res < 1e-8 and stop == "tol"
+
+    @pytest.mark.parametrize("stop", ["max_iter", "floor"])
+    def test_residual_under_the_floor_needs_a_stall(self, monkeypatch, stop):
+        # _newton stubbed to end between tol and the floor: accepted only
+        # where Newton stalled there, not where it ran out of updates
+        grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
+        u, coeff = 1e3 * np.exp(-grid.r ** 2), grid.r ** 2
+        res = 0.5 * rounding_floor(u, coeff, grid, 0.5, 2.0)
+        assert res > 1e-8
+        monkeypatch.setattr(gs, "_newton",
+                            lambda guess, *args: (u, 0.0, res, 60, stop))
+        if stop == "floor":
+            assert _polish(u, coeff, grid, 0.5, 2.0, 1e-8)[2] == res
+        else:
+            with pytest.raises(ConvergenceError, match="above tolerance"):
+                _polish(u, coeff, grid, 0.5, 2.0, 1e-8)
 
     @pytest.mark.parametrize("dim,p,omega", LARGE + [(3, 2.0, 0.0)],
                              ids=IDS + ["default"])
@@ -597,44 +614,62 @@ def _check_state(res, params, grid, coeff, tol=1e-8):
 
 class TestAdmissibleSet:
     """Every admissible input ends in a nontrivial, positive, monotone
-    stationary state or in a named gpelab error."""
+    stationary state or in a named gpelab error, and most draws end in a
+    state: a floor on the accepted count fails a solver that raises on
+    every draw."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.integers(1, 5), inner, inner, st.floats(0.0, 1.0))
-    def test_bound_state(self, dim, b_frac, p_frac, omega_frac):
-        b, p = _admissible(dim, b_frac, p_frac)
-        omega = -dim + 0.01 + (dim + 30.0) * omega_frac
-        params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=omega)
-        grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
-        try:
-            res = solve_bound_state(params, grid)
-        except ConvergenceError as err:
-            # p close to 1: the Nehari projection leaves the floating-point
-            # range (or underflows to 0)
-            assert "Nehari projection" in str(err)
-            return
-        _check_state(res, params, grid, omega + grid.r ** 2)
+    def test_bound_state(self):
+        accepted = []
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(1, 5), inner, inner, inner)
-    def test_constrained_minimizer(self, dim, b_frac, p_frac, q_frac):
-        # a ball of radius 1 where the energy is unbounded below, with q
-        # inside its admissible range; otherwise q in (1e-3, 1e2)
-        b, p = _admissible(dim, b_frac, p_frac)
-        params = ModelParams(dim=dim, b=b, p=p, gamma=1.0)
-        ball = 1.0 if params.criticality != "subcritical" else None
-        q = q_frac / dim if ball else 10.0 ** (5.0 * q_frac - 3.0)
-        grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
-        try:
-            res = constrained_minimizer(q, params, grid, ball_radius=ball)
-        except ConvergenceError as err:
-            # a flow that leaves the ball or ends on a sign-changing state;
-            # never a residual above tol
-            assert re.search("descent diverged|not strictly inside the ball"
-                             "|not strictly positive", str(err))
-            return
-        _check_state(res, params, grid, res.omega + grid.r ** 2)
-        assert abs(res.mass - q) <= 1e-10 * q
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(st.integers(1, 5), inner, inner, st.floats(0.0, 1.0))
+        def draw(dim, b_frac, p_frac, omega_frac):
+            b, p = _admissible(dim, b_frac, p_frac)
+            omega = -dim + 0.01 + (dim + 30.0) * omega_frac
+            params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=omega)
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+            try:
+                res = solve_bound_state(params, grid)
+            except ConvergenceError as err:
+                # p close to 1: the Nehari projection leaves the
+                # floating-point range (or underflows to 0)
+                assert "Nehari projection" in str(err)
+                return
+            _check_state(res, params, grid, omega + grid.r ** 2)
+            accepted.append(params)
+
+        draw()
+        # 147 of these 150 draws are accepted; other draw sets 133-148
+        assert len(accepted) >= 120
+
+    def test_constrained_minimizer(self):
+        accepted = []
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.integers(1, 5), inner, inner, inner)
+        def draw(dim, b_frac, p_frac, q_frac):
+            # a ball of radius 1 where the energy is unbounded below, with q
+            # inside its admissible range; otherwise q in (1e-3, 1e2)
+            b, p = _admissible(dim, b_frac, p_frac)
+            params = ModelParams(dim=dim, b=b, p=p, gamma=1.0)
+            ball = 1.0 if params.criticality != "subcritical" else None
+            q = q_frac / dim if ball else 10.0 ** (5.0 * q_frac - 3.0)
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+            try:
+                res = constrained_minimizer(q, params, grid, ball_radius=ball)
+            except ConvergenceError as err:
+                # a flow that leaves the ball or ends on a sign-changing
+                # state; never a residual above tol
+                assert re.search("descent diverged|not strictly inside the "
+                                 "ball|not strictly positive", str(err))
+                return
+            _check_state(res, params, grid, res.omega + grid.r ** 2)
+            assert abs(res.mass - q) <= 1e-10 * q
+            accepted.append(params)
+
+        draw()
+        # 89 of these 100 draws are accepted; other draw sets 77-91
+        assert len(accepted) >= 70
 
 
 class TestEntryChecks:

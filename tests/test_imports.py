@@ -1,5 +1,6 @@
-"""scipy.interpolate and scipy.optimize load on first use: importing gpelab,
-a groundstate run and a config-error exit never load them."""
+"""gpelab runs on numpy and scipy.linalg alone: importing it, the CLI, a
+groundstate run, a config error, a spline, the cross points and a levels
+run never load scipy.interpolate or scipy.optimize."""
 
 import json
 import os
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import gpelab
 
-LAZY = ("scipy.interpolate", "scipy.optimize")
+UNUSED = ("scipy.interpolate", "scipy.optimize")
 
 # run in one fresh interpreter; after each step it prints the step's name
-# and the modules of LAZY that are loaded by then
+# and the modules of UNUSED that are loaded by then
 _SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 tmp = Path(sys.argv[1])
 
 def seen(step):
-    print(json.dumps([step, [m for m in {lazy!r} if m in sys.modules]]))
+    print(json.dumps([step, [m for m in {unused!r} if m in sys.modules]]))
 
 import gpelab
 seen("import gpelab")
@@ -37,10 +38,18 @@ seen("config error")
 grid = gpelab.RadialGrid(h=0.1, rmax=2.0, dim=3)
 gpelab.ProfileInterpolant(gpelab.RadialField(grid, np.exp(-grid.r ** 2)))
 seen("ProfileInterpolant")
-""".format(lazy=LAZY)
+params = gpelab.ModelParams(dim=3, b=0.5, p=2.0, gamma=1.0, omega=0.0)
+grid = gpelab.RadialGrid(h=1e-2, rmax=8.0, dim=3)
+phi = gpelab.solve_bound_state(params, grid).profile
+assert len(gpelab.experiments.estimate_d_n_upper(phi, params)[1]) > 0
+seen("estimate_d_n_upper")
+(tmp / "levels.ini").write_text("[grid]\\nh = 1e-2\\n[levels]\\nn_random = 2\\n")
+assert cli.run("levels", tmp / "levels.ini", tmp / "levels") == 0
+seen("levels")
+""".format(unused=UNUSED)
 
 
-def test_interpolate_and_optimize_load_on_first_use(tmp_path):
+def test_interpolate_and_optimize_never_load(tmp_path):
     src = str(Path(gpelab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -50,6 +59,6 @@ def test_interpolate_and_optimize_load_on_first_use(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = dict(json.loads(line) for line in proc.stdout.splitlines())
-    assert loaded == {"import gpelab": [], "import gpelab.cli": [],
-                      "groundstate": [], "config error": [],
-                      "ProfileInterpolant": list(LAZY)}
+    assert loaded == {step: [] for step in (
+        "import gpelab", "import gpelab.cli", "groundstate", "config error",
+        "ProfileInterpolant", "estimate_d_n_upper", "levels")}
