@@ -26,7 +26,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dptsv
 
-from .core import ModelParams, ParameterError, RadialField, RadialGrid
+from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
+                   symmetric_form)
 
 __all__ = [
     "CausticError", "BlowupFamilyParams", "ProfileInterpolant",
@@ -68,14 +69,13 @@ def discrete_oscillator_mode(params: ModelParams,
                              grid: RadialGrid) -> RadialField:
     """Lowest eigenvector of the discrete oscillator -Lap + gamma^2 r^2, of
     unit mass and positive first sample: one tridiagonal eigensolve of its
-    form symmetrized by the node weights w, divided by sqrt(w).  The
+    symmetric_form under the node weights w, divided by sqrt(w).  The
     sampled closed form differs from this by O(h^2), so invariance tests
     of the time integrator should use this discrete mode."""
     params.require_grid(grid)
-    _, vec = eigh_tridiagonal(params.gamma ** 2 * grid.r_pow(2.0) - grid.lap_diag,
-                              -np.sqrt(grid.lap_lower * grid.lap_upper),
-                              select="i", select_range=(0, 0))
-    v = vec[:, 0] / np.sqrt(grid.weights)
+    diag, off = symmetric_form(grid, params.gamma ** 2 * grid.r_pow(2.0))
+    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    v = vec[:, 0] / grid.sqrt_weights
     return RadialField(grid, v if v[0] > 0.0 else -v)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.linalg.blas import ztbsv
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf
 
 CRITICALITY_TOL = 1e-12
 
@@ -213,8 +213,12 @@ class RadialGrid:
         self.lap_lower = c[1:n] / denom[1:]
         self.lap_diag = -(c[1:] + c[:-1]) / denom
         self.lap_upper = c[1:n] / denom[:-1]
+        # -Lap symmetrized by the node weights w: W^(1/2) (-Lap) W^(-1/2)
+        # has this off-diagonal (see symmetric_form)
+        self.sym_offdiag = -np.sqrt(self.lap_lower * self.lap_upper)
+        self.sqrt_weights = np.sqrt(self.weights)
         for a in (self.r, self.weights, c, self.lap_lower, self.lap_diag,
-                  self.lap_upper):
+                  self.lap_upper, self.sym_offdiag, self.sqrt_weights):
             a.setflags(write=False)
         self._r_pow = {}
         self._weighted_r_pow = {}
@@ -408,21 +412,51 @@ def stationary_residual(values, grid: RadialGrid, coeff, b: float,
             - nonlinearity(values, grid, b, p))
 
 
-def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
+def symmetric_form(grid: RadialGrid, coeff):
+    """(diagonal, off-diagonal) of W^(1/2) (-Lap + coeff) W^(-1/2), the
+    symmetric tridiagonal form of -Lap + coeff under the node weights w:
+    coeff - lap_diag and -sqrt(lap_lower lap_upper).  -Lap is self-adjoint
+    under w, so this form has the operator's spectrum, and its eigenvectors
+    divided by sqrt(w) (grid.sqrt_weights) are the operator's."""
+    return coeff - grid.lap_diag, grid.sym_offdiag
+
+
+def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0,
+                    definite=False):
     """Factor shift + scale (-Lap + coeff) once; returns solve(rhs).
 
     coeff is a node array or a scalar; complex coeff, scale or shift give a
     complex factorization, real ones a real one, and solve takes right-hand
-    sides of the same type.  Real operators use LAPACK dgttrf/dgttrs
-    (Newton Jacobians pivot).  A complex zgttrf factorization without a row
-    exchange is L D U', L and U' unit bidiagonal, so its solve is two BLAS
-    sweeps and a scaling by 1/d, with no division inside a recurrence.  The
-    Crank-Nicolson operator 1 + (i dt/2)(-Lap + V), V >= 0, never needs an
-    exchange: it is strictly diagonally dominant with imaginary
-    off-diagonals, so zgttrf's |re| + |im| pivot test never swaps.  Raises
-    ConvergenceError when a pivot vanishes or a complex operator needs a
-    row exchange.
+    sides of the same type.  definite=True declares a real operator
+    positive definite, as the descent and gradient-flow operators
+    1 + step (-Lap + coeff) with -Lap + coeff >= 0 are: it is factored
+    L D L' on its symmetric_form by LAPACK dpttrf, and solve is one dpttrs
+    between the scalings by sqrt(w).  Other real operators (the indefinite
+    Newton Jacobians) use the pivoted LAPACK dgttrf/dgttrs.  A complex
+    zgttrf factorization without a row exchange is L D U', L and U' unit
+    bidiagonal, so its solve is two BLAS sweeps and a scaling by 1/d, with
+    no division inside a recurrence.  The Crank-Nicolson operator
+    1 + (i dt/2)(-Lap + V), V >= 0, never needs an exchange: it is strictly
+    diagonally dominant with imaginary off-diagonals, so zgttrf's
+    |re| + |im| pivot test never swaps.  Raises
+    ConvergenceError when a pivot vanishes, a definite operator has a pivot
+    that is not positive, or a complex operator needs a row exchange.
     """
+    if definite:
+        diag, off = symmetric_form(grid, coeff)
+        d, e, info = dpttrf(shift + scale * diag, scale * off)
+        if info != 0:
+            raise ConvergenceError(
+                f"operator is not positive definite: pivot {info} of its "
+                f"L D L' factorization is not positive")
+        sqrt_w = grid.sqrt_weights
+
+        def solve(rhs):
+            x = dpttrs(d, e, sqrt_w * rhs, overwrite_b=1)[0]
+            x /= sqrt_w
+            return x
+        return solve
+
     # a complex scale makes the diagonal complex too
     diag = shift + scale * (coeff - grid.lap_diag)
     trf = zgttrf if np.iscomplexobj(diag) else dgttrf

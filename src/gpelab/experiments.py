@@ -13,8 +13,8 @@ import numpy as np
 
 from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
                           require_before_caustic, snapshot_sampler)
-from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   _write_table, mass, sigma_inner, sigma_norm_sq)
+from .core import (ConvergenceError, ModelParams, ParameterError, RadialField,
+                   RadialGrid, _write_table, mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, action, classify,
                           h_omega_norm_sq, virial, virial_coefficient)
@@ -125,9 +125,11 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
                      n_random: int = 40, seed: int = 0) -> float:
     """Least action on the nehari zero set, estimated by projected search.
 
-    Every trial is projected onto the zero set and refined by the Nehari
-    descent of the ground-state solve, with its stopping rule; the reported
-    value is the smallest action seen.
+    Every trial is refined by the Nehari descent of the ground-state solve,
+    with its stopping rule; the descent projects each state onto the zero
+    set once, so its first state is the trial's projection.  The reported
+    value is the smallest action of a refined trial; a trial the descent
+    cannot project is skipped with its reason.
     With reference set (a computed minimizer) the reference and perturbed
     copies of it join the trial pool, so the estimate matches its action.
     """
@@ -144,13 +146,11 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
         trials.append(random_trial_field(grid, rng))
     for i, trial in enumerate(trials):
         try:
-            proj, _ = nehari_project(trial, params)
-        except ParameterError as exc:
+            refined, _ = _nehari_descent(trial.values.real, coeff, grid,
+                                         params.b, params.p)
+        except ConvergenceError as exc:
             skipped.append(f"trial {i}: {exc}")
             continue
-        best = min(best, action(proj, params))
-        refined, _ = _nehari_descent(trial.values.real, coeff, grid, params.b,
-                                     params.p)
         best = min(best, action(RadialField(grid, refined), params))
     if not math.isfinite(best):
         raise ParameterError("all trials degenerate; " + "; ".join(skipped))

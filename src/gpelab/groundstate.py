@@ -121,19 +121,23 @@ def _nehari_descent(u, coeff, grid, b, p):
     Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v.
 
     Each step solves (1 + step L) x = v + step r^(-b)|v|^(p-1)v with
-    L = -Lap + coeff, factored once per call, and rescales x onto
-    <L v, v> = P(v), which removes the one unstable (amplitude) direction of
-    the least-action state (Li & Zhou, SIAM J. Sci. Comput. 23 (2001); cf.
-    the Petviashvili iteration).  Stationary states are fixed points.  Stops
-    once max|F| < _DESCENT_RTOL max|r^(-b)|v|^(p-1)v| for the stationary
-    residual F, or after _DESCENT_MAX_ITER steps of size _DESCENT_STEP.
-    Returns (v, steps taken).
+    L = -Lap + coeff, positive definite for the trapped coeff = omega +
+    gamma^2 r^2, omega > -gamma N, and the free coeff = 1, so it is factored
+    L D L' once per call; L x = (rhs - x) / step then comes from the solve
+    itself, and only the start pays for an apply of the Laplacian.  x is
+    rescaled onto <L v, v> = P(v), which removes the one unstable
+    (amplitude) direction of the least-action state (Li & Zhou, SIAM J. Sci.
+    Comput. 23 (2001); cf. the Petviashvili iteration).  Stationary states
+    are fixed points.  Stops once max|F| < _DESCENT_RTOL
+    max|r^(-b)|v|^(p-1)v| for the stationary residual F, or after
+    _DESCENT_MAX_ITER steps of size _DESCENT_STEP.  Raises ConvergenceError
+    when a state has no Nehari projection.  Returns (v, steps taken).
     """
     w = grid.weights
-    solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0)
+    solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0,
+                            definite=True)
 
-    def project(x):
-        Lx = -apply_laplacian(x, grid) + coeff * x
+    def project(x, Lx):
         fx = nonlinearity(x, grid, b, p)
         H = float(np.dot(w, Lx * x))
         P = float(np.dot(w, fx * x))
@@ -150,11 +154,14 @@ def _nehari_descent(u, coeff, grid, b, p):
         f = lam ** p * fx
         return lam * x, lam * Lx - f, f
 
-    v, F, f = project(np.asarray(u, dtype=float))
+    x = np.asarray(u, dtype=float)
+    v, F, f = project(x, -apply_laplacian(x, grid) + coeff * x)
     for it in range(_DESCENT_MAX_ITER):
         if np.max(np.abs(F)) < _DESCENT_RTOL * np.max(np.abs(f)):
             return v, it
-        v, F, f = project(solve(v + _DESCENT_STEP * f))
+        rhs = v + _DESCENT_STEP * f
+        x = solve(rhs)
+        v, F, f = project(x, (rhs - x) / _DESCENT_STEP)
     return v, _DESCENT_MAX_ITER
 
 
@@ -362,7 +369,8 @@ def constrained_minimizer(q: float, params: ModelParams,
     while it < max_iter:
         it += 1
         solve = factor_operator(
-            grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0)
+            grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0,
+            definite=True)
         u_new = solve(u + dtau * nonlinearity(u, grid, b, p))
         u_new *= math.sqrt(q / float(np.sum(w * u_new * u_new)))
         m = _moments(u_new, grid, b, p)

@@ -10,8 +10,8 @@ from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          ModelParams, ParameterError, RadialField, RadialGrid,
                          _grad_form, apply_laplacian, factor_operator,
                          grad_norm_sq, gradient_sq, integrate_radial, mass,
-                         sigma_norm_sq, stationary_residual, validate_params,
-                         variance)
+                         sigma_norm_sq, stationary_residual, symmetric_form,
+                         validate_params, variance)
 from gpelab.groundstate import ConvergenceError, solve_bound_state
 
 from helpers import rel_err
@@ -135,6 +135,50 @@ class TestOperator:
         F = stationary_residual(res.profile.values.real, grid,
                                 1.0 + grid.r ** 2, params.b, params.p)
         assert np.max(np.abs(F)) == res.residual_sup
+
+
+class TestDefiniteSolve:
+    """The L D L' solve of the descent and gradient-flow operators against
+    the pivoted LU solve of the same operator."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("h", [1e-2, 2e-3])
+    @pytest.mark.parametrize("omega_above_min", [1e-9, 3.0, 8.0])
+    @pytest.mark.parametrize("step", [10.0, 0.5, 1e-3])
+    def test_matches_pivoted_lu(self, dim, h, omega_above_min, step):
+        # descent 1 + 10 (-Lap + omega + r^2) and flow 1 + dtau (-Lap + r^2
+        # + omega), gamma = 1, omega down to -N + 1e-9.  Both solves are
+        # backward stable, so they agree to 1e-12 relative unless eps times
+        # the condition number exceeds that: the smallest eigenvalue is
+        # about 1 and Gershgorin bounds the largest.  At omega = -N + 1e-9,
+        # h = 2e-3 and step 10 (condition about 1e7) they differ by up to
+        # 1.7e-11, and each by as much from a long-double solve.
+        grid = RadialGrid(h=h, rmax=8.0, dim=dim)
+        coeff = -dim + omega_above_min + grid.r ** 2
+        rhs = (1.0 + grid.r) * np.exp(-grid.r ** 2 / 2.0) + 0.1 * np.sin(grid.r)
+        got = factor_operator(grid, coeff, scale=step, shift=1.0,
+                              definite=True)(rhs)
+        want = factor_operator(grid, coeff, scale=step, shift=1.0)(rhs)
+        cond = 1.0 + step * np.max(coeff - 2.0 * grid.lap_diag)
+        tol = max(1e-12, np.finfo(float).eps * cond)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_indefinite_operator_raises(self):
+        grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            factor_operator(grid, grid.r ** 2 - 10.0, definite=True)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_symmetric_form_is_the_weighted_operator(self, dim):
+        # W^(1/2) (-Lap + coeff) W^(-1/2), built densely from apply_laplacian
+        grid = RadialGrid(h=0.25, rmax=4.0, dim=dim)
+        coeff = 1.0 + grid.r ** 2
+        diag, off = symmetric_form(grid, coeff)
+        sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        dense = TestOperator.dense(grid, coeff, 1.0, 0.0)
+        sw = np.sqrt(grid.weights)
+        want = sw[:, None] * dense / sw[None, :]
+        assert np.max(np.abs(sym - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestCrankNicolsonSolve:

@@ -7,8 +7,9 @@ import pytest
 
 from gpelab import experiments
 from gpelab.closedforms import ProfileInterpolant
-from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         mass)
+from gpelab import groundstate as gs
+from gpelab.core import (ConvergenceError, ModelParams, ParameterError,
+                         RadialField, RadialGrid, mass, nonlinearity)
 from gpelab.evolve import EvolveConfig, EvolveResult
 from gpelab.functionals import (SetLabel, action, h_omega_norm_sq, nehari,
                                 potential, virial)
@@ -22,6 +23,7 @@ from gpelab.experiments import (HypothesisError, _brentq, _dilate,
                                 scale_dilation, scale_mass_preserving,
                                 scale_potential_preserving, stability_run,
                                 SweepRow, threshold_sweep)
+from gpelab.groundstate import _nehari_descent
 
 from helpers import rel_err
 
@@ -123,19 +125,41 @@ class TestNehariLevel:
 
     def test_all_degenerate_keeps_each_reason(self, grid, params_critical,
                                               monkeypatch):
+        # every trial's descent gets a nonlinearity with P < 0, a different
+        # multiple per call, so its first projection fails
         calls = []
 
-        def degenerate(field, params):
-            calls.append(field)
-            raise ParameterError(f"vanishing P in call {len(calls)}")
+        def degenerate(values, grid, b, p):
+            calls.append(values)
+            return -len(calls) * nonlinearity(values, grid, b, p)
 
-        monkeypatch.setattr(experiments, "nehari_project", degenerate)
+        monkeypatch.setattr(gs, "nonlinearity", degenerate)
         with pytest.raises(ParameterError, match="all trials degenerate") as info:
             estimate_d_omega(params_critical, grid, n_random=3)
-        msg = str(info.value)
+        reasons = str(info.value).split("; ")[1:]
         assert len(calls) == 3
-        for i in range(3):
-            assert f"trial {i}: vanishing P in call {i + 1}" in msg
+        assert len(set(reasons)) == 3
+        for i, reason in enumerate(reasons):
+            assert reason.startswith(f"trial {i}: no Nehari projection: ")
+
+    def test_failing_trial_is_skipped(self, grid, params_critical,
+                                      monkeypatch):
+        # the descent of trial 1 raises; trials 0 and 2 alone set the
+        # estimate
+        p = params_critical
+        calls = []
+
+        def descent(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ConvergenceError("no Nehari projection: stub")
+            return _nehari_descent(*args)
+
+        monkeypatch.setattr(experiments, "_nehari_descent", descent)
+        d = estimate_d_omega(p, grid, n_random=3, seed=5)
+        assert len(calls) == 3
+        assert d == min(action(RadialField(grid, _nehari_descent(*calls[i])[0]),
+                               p) for i in (0, 2))
 
 
 class TestCrossLevel:

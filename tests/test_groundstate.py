@@ -175,6 +175,20 @@ class TestNehariDescent:
         u = RadialField(grid, v)
         assert abs(nehari(u, params)) < 1e-10 * h_omega_norm_sq(u, params)
 
+    @pytest.mark.parametrize("state, params_name, coeff_of", [
+        ("bound_state", "params_critical", lambda g: g.r_pow(2.0)),
+        ("bound_state_super", "params_supercritical", lambda g: g.r_pow(2.0)),
+        ("soliton", "params_critical", lambda g: np.ones(g.n))])
+    def test_converged_state_is_a_fixed_point(self, request, state,
+                                              params_name, coeff_of):
+        # the stop rule holds at the converged state: no step is taken
+        u = request.getfixturevalue(state).profile
+        params = request.getfixturevalue(params_name)
+        v, steps = _nehari_descent(u.values.real, coeff_of(u.grid), u.grid,
+                                   params.b, params.p)
+        assert steps == 0
+        assert np.max(np.abs(v - u.values.real)) <= 1e-12 * np.max(v)
+
 
 class TestStationaryResiduals:
     def test_bound_state_residuals_small(self, bound_state, params_critical):
