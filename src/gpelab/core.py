@@ -402,7 +402,9 @@ def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
 
 def nonlinearity(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
     """The focusing term r^(-b) |u|^(p-1) u at the nodes."""
-    return grid.r_pow(-b) * np.abs(values) ** (p - 1.0) * values
+    au = np.abs(values)
+    # |u|^1 is |u| itself: p = 2 skips the power
+    return grid.r_pow(-b) * (au if p == 2.0 else au ** (p - 1.0)) * values
 
 
 def stationary_residual(values, grid: RadialGrid, coeff, b: float,

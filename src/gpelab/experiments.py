@@ -106,16 +106,16 @@ def nehari_project(u: RadialField, params: ModelParams):
 def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
                        complex_part: bool = False) -> RadialField:
     """Random smooth localized trial field (mixture of Gaussian bumps)."""
-    r = grid.r
+    r2 = grid.r_pow(2.0)
     vals = np.zeros(grid.n, dtype=complex)
     k = rng.integers(2, 4)
     for _ in range(k):
         a = rng.uniform(0.3, 2.0)
         s = rng.uniform(0.6, 2.0)
         c = rng.uniform(0.0, 1.5)
-        bump = a * (1.0 + c * r ** 2 / s ** 2) * np.exp(-r ** 2 / (2.0 * s ** 2))
+        bump = a * (1.0 + c * r2 / s ** 2) * np.exp(-r2 / (2.0 * s ** 2))
         if complex_part:
-            bump = bump * np.exp(1j * rng.uniform(-0.5, 0.5) * r ** 2)
+            bump = bump * np.exp(1j * rng.uniform(-0.5, 0.5) * r2)
         vals += bump
     return RadialField(grid, vals)
 

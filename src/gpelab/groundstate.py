@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 
 from .core import (ConvergenceError, GridMismatchError, ModelParams,
                    ParameterError, RadialField, RadialGrid, apply_laplacian,
@@ -118,20 +119,36 @@ _LOG_FORM_MAX = math.log(1e300)
 
 def _nehari_descent(u, coeff, grid, b, p):
     """Preconditioned descent of the action with reprojection onto the
-    Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v.
+    Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v, over-relaxed by its
+    own observed contraction.
 
-    Each step solves (1 + step L) x = v + step r^(-b)|v|^(p-1)v with
-    L = -Lap + coeff, positive definite for the trapped coeff = omega +
-    gamma^2 r^2, omega > -gamma N, and the free coeff = 1, so it is factored
-    L D L' once per call; L x = (rhs - x) / step then comes from the solve
-    itself, and only the start pays for an apply of the Laplacian.  x is
-    rescaled onto <L v, v> = P(v), which removes the one unstable
-    (amplitude) direction of the least-action state (Li & Zhou, SIAM J. Sci.
-    Comput. 23 (2001); cf. the Petviashvili iteration).  Stationary states
-    are fixed points.  Stops once max|F| < _DESCENT_RTOL
-    max|r^(-b)|v|^(p-1)v| for the stationary residual F, or after
-    _DESCENT_MAX_ITER steps of size _DESCENT_STEP.  Raises ConvergenceError
-    when a state has no Nehari projection.  Returns (v, steps taken).
+    The plain step is S(v) = (1 + step L)^(-1) (v + step f(v)) with
+    f(v) = r^(-b)|v|^(p-1)v and L = -Lap + coeff, positive definite for the
+    trapped coeff = omega + gamma^2 r^2, omega > -gamma N, and the free
+    coeff = 1, so it is factored L D L' once per call.  Step k takes the
+    extrapolated point v + c_k (S(v) - v): it solves for the right-hand
+    side v + step (f - (c_k - 1) F), where F = L v - f(v) is the residual
+    the stop check forms, so a step is still one solve.  L x = (rhs - x) /
+    step comes from that solve, and only the start pays for an apply of the
+    Laplacian.  x is rescaled onto <L v, v> = P(v), which removes the one
+    unstable (amplitude) direction of the least-action state (Li & Zhou,
+    SIAM J. Sci. Comput. 23 (2001); cf. the Petviashvili iteration).
+
+    The factor: the linearized plain step is similar to a symmetric
+    operator with eigenvalues (1 + step <N' phi, phi>) / (1 + step <L phi,
+    phi>) > 0, N' = p r^(-b)|u|^(p-1).  At the least-action state the
+    projection removes the one mode above 1, so the spectrum lies in
+    (0, theta], for which c = 2 / (2 - theta) is the optimal over-relaxation
+    (Yang & Lakoba, Stud. Appl. Math. 120 (2008)).  theta is read from the
+    ratio kappa of the 2-norms of F over the nodes at successive steps,
+    kappa = 1 - c (1 - theta): theta_k = 1 - (1 - kappa) / c_(k-1), clamped
+    to [0, 0.9], with c_0 = 1.  At an excited state some mode stays above 1
+    and repels for every c in [1, 2), so the descent cannot settle there.
+
+    Stationary states are fixed points.  Stops once max|F| < _DESCENT_RTOL
+    max|f(v)|, or after _DESCENT_MAX_ITER steps of size _DESCENT_STEP.
+    Raises ConvergenceError when a state has no Nehari projection.  Returns
+    (v, steps taken).
     """
     w = grid.weights
     solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0,
@@ -139,8 +156,9 @@ def _nehari_descent(u, coeff, grid, b, p):
 
     def project(x, Lx):
         fx = nonlinearity(x, grid, b, p)
-        H = float(np.dot(w, Lx * x))
-        P = float(np.dot(w, fx * x))
+        wx = w * x
+        H = float(np.dot(wx, Lx))
+        P = float(np.dot(wx, fx))
         if not (H > 0.0 and P > 0.0):
             raise ConvergenceError(
                 f"no Nehari projection: <Lu,u> = {H:.3e}, P = {P:.3e}")
@@ -156,10 +174,16 @@ def _nehari_descent(u, coeff, grid, b, p):
 
     x = np.asarray(u, dtype=float)
     v, F, f = project(x, -apply_laplacian(x, grid) + coeff * x)
+    # no previous norm reads as kappa = 0, which gives c_0 = 1
+    relax, norm_prev = 1.0, math.inf
     for it in range(_DESCENT_MAX_ITER):
         if np.max(np.abs(F)) < _DESCENT_RTOL * np.max(np.abs(f)):
             return v, it
-        rhs = v + _DESCENT_STEP * f
+        # BLAS nrm2 scales as it sums: no overflow near _LOG_FORM_MAX
+        norm = dnrm2(F)
+        theta = min(max(1.0 - (1.0 - norm / norm_prev) / relax, 0.0), 0.9)
+        relax, norm_prev = 2.0 / (2.0 - theta), norm
+        rhs = v + _DESCENT_STEP * (f - (relax - 1.0) * F)
         x = solve(rhs)
         v, F, f = project(x, (rhs - x) / _DESCENT_STEP)
     return v, _DESCENT_MAX_ITER

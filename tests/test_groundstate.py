@@ -189,6 +189,57 @@ class TestNehariDescent:
         assert steps == 0
         assert np.max(np.abs(v - u.values.real)) <= 1e-12 * np.max(v)
 
+    @pytest.mark.parametrize("relax", [1.3, 1.9])
+    def test_folded_rhs_is_the_extrapolated_step(self, grid, params_critical,
+                                                 rng, relax):
+        # one solve for v + step (f - (c - 1) F) gives v + c (S(v) - v),
+        # S(v) = (1 + step L)^(-1) (v + step f)
+        b, p, s = params_critical.b, params_critical.p, gs._DESCENT_STEP
+        coeff = grid.r_pow(2.0)
+        v = random_trial_field(grid, rng).values.real
+        f = nonlinearity(v, grid, b, p)
+        F = stationary_residual(v, grid, coeff, b, p)
+        solve = factor_operator(grid, coeff, scale=s, shift=1.0,
+                                definite=True)
+        folded = solve(v + s * (f - (relax - 1.0) * F))
+        plain = v + relax * (solve(v + s * f) - v)
+        assert np.max(np.abs(folded - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("start", [
+        lambda r2: (1.0 - r2) * np.exp(-r2 / 2.0),
+        lambda r2: (1.0 - r2 / 2.25) * np.exp(-r2 / 2.0),
+        lambda r2: (1.0 - 3.0 * r2 + r2 * r2) * np.exp(-r2 / 2.0)],
+        ids=["one_node", "one_node_wide", "two_nodes"])
+    def test_start_with_nodes_ends_on_the_ground_state(self, grid, start, p):
+        # an over-relaxed step does not settle on an excited state
+        params = ModelParams(dim=3, b=0.5, p=p, gamma=1.0, omega=0.0)
+        r2 = grid.r_pow(2.0)
+        v, steps = _nehari_descent(start(r2), r2, grid, params.b, p)
+        assert steps < 500
+        assert np.all(v > 0.0) or np.all(v < 0.0)
+        ground = solve_bound_state(params, grid).profile
+        assert rel_err(action(RadialField(grid, v), params),
+                       action(ground, params)) <= 1e-6
+
+    def test_bound_state_step_count(self, monkeypatch):
+        # the extrapolated descent takes 47 steps over these six points,
+        # the plain one 71: a guard against giving the speed back
+        steps = []
+
+        def counted(*args):
+            v, k = _nehari_descent(*args)
+            steps.append(k)
+            return v, k
+
+        monkeypatch.setattr(gs, "_nehari_descent", counted)
+        for p in (1.5, 2.0, 2.5):
+            for omega in (-0.75, 0.5):
+                params = ModelParams(dim=3, b=0.5, p=p, gamma=1.0,
+                                     omega=omega)
+                solve_bound_state(params, default_grid(params))
+        assert len(steps) == 6 and sum(steps) <= 53
+
 
 class TestStationaryResiduals:
     def test_bound_state_residuals_small(self, bound_state, params_critical):
