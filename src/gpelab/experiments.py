@@ -17,7 +17,7 @@ from .core import (ConvergenceError, ModelParams, ParameterError, RadialField,
                    RadialGrid, _write_table, mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, action, classify,
-                          h_omega_norm_sq, virial, virial_coefficient)
+                          h_omega_norm_sq, virial_coefficient)
 from .groundstate import (GroundStateResult, _nehari_descent,
                           constrained_minimizer, solve_bound_state)
 
@@ -170,71 +170,27 @@ class CrossPoint:
     virial: float
 
 
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
-    step SciPy's brentq: the same iterates, the stop |step| < (xtol + rtol
-    |x|) / 2 and, after maxiter steps, the last iterate.  Raises ValueError
-    when f(a) and f(b) have the same sign or f returns nan."""
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    return xcur
-
-
 def construct_cross_point(phi: RadialField, params: ModelParams,
                           lam: float) -> CrossPoint:
     """Constructive cross-constrained point from a stationary profile.
 
-    Amplitude-scale phi past 1 (making both sign functionals negative),
-    verify the dilation coefficient is positive, bracket the root of the
-    virial in the dilation mu <= 64 and find it by Brent's method; the point
-    is accepted when |virial| < 1e-8 min(||grad v||^2, 1), v = lam phi.
+    Amplitude-scale phi past 1, so that both sign functionals of v = lam phi
+    are negative, check that the dilation coefficient G - c_I P of v is
+    positive, then find the dilation mu of v at which the virial vanishes.
+
+    Under u_mu(r) = mu^a v(mu r), a = (2-b)/(p-1), the moments G and P scale
+    as mu^(2a+2-N) and V as mu^(2a-2-N), so I(mu) = mu^(2a+2-N) ((G - c_I P)
+    - gamma^2 V mu^(-4)): increasing, with root (gamma^2 V / (G - c_I
+    P))^(1/4) from v's own moments.  That root is the first probe; on the
+    mesh it is off by the discretization (at most 4.4e-6 relative at the
+    default b = 0.5).  Each later probe is the secant through the last two
+    (mu, I) pairs, starting from (1, I(v)); where the secant leaves the sign
+    bracket it is the bracket's midpoint, or twice the last mu while no
+    probe has given I > 0.  The search stops on I = 0, or when the next
+    step would move mu by at most 1e-15 mu, and the last probe is the
+    point; a probe beyond mu = 64 or 100 probes without a stop raise.  The
+    point is accepted when |virial| < min(1e-8 ||grad v||^2, 1e-8) and
+    nehari < 0.
     """
     if lam <= 1.0:
         raise ParameterError("need an amplitude factor lam > 1")
@@ -253,19 +209,31 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
     # large profiles
     tol = min(1e-8 * m.G, 1e-8)
     interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
-
-    def dilated_virial(mu):
-        return virial(_dilate(interp, v.grid, mu, params), params)
-
-    hi = 1.5
-    while dilated_virial(hi) < 0.0:
-        hi *= 2.0
-        if hi > 64.0:
+    lo, hi = 1.0, math.inf
+    mu_prev, I_prev = lo, m.virial(gamma, c_I)
+    mu = (gamma ** 2 * m.V / (m.G - c_I * m.P)) ** 0.25
+    for _ in range(100):
+        if mu > 64.0:
             raise ParameterError("dilation bracket failure")
-    mu = _brentq(dilated_virial, 1.0, hi, xtol=1e-15, rtol=1e-15)
-    point = _dilate(interp, v.grid, mu, params)
-    m = _field_moments(point, params)
-    I_val, K_val = m.virial(gamma, c_I), m.nehari(gamma, omega)
+        point = _dilate(interp, v.grid, mu, params)
+        m = _field_moments(point, params)
+        I_val = m.virial(gamma, c_I)
+        if I_val == 0.0:
+            break
+        if I_val < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        nxt = (mu - I_val * (mu - mu_prev) / (I_val - I_prev)
+               if I_val != I_prev else math.nan)
+        if not lo < nxt < hi:
+            nxt = 2.0 * mu if hi == math.inf else 0.5 * (lo + hi)
+        if abs(nxt - mu) <= 1e-15 * mu:
+            break
+        mu_prev, I_prev, mu = mu, I_val, nxt
+    else:
+        raise ParameterError(f"dilation search did not settle near mu = {mu}")
+    K_val = m.nehari(gamma, omega)
     if abs(I_val) >= tol or K_val >= 0.0:
         raise ParameterError(
             f"cross point construction failed: virial {I_val}, nehari {K_val}")

@@ -60,7 +60,10 @@ class GroundStateResult:
     (pairing with u and with x . grad u) for that same equation.
     residual_sup is the sup residual of the profile; it exceeds the
     solver's tol only where Newton stalls at the rounding floor of a state
-    whose rounding alone exceeds tol (see _newton).  iterations counts the
+    whose rounding alone exceeds tol (see _newton).  The profile is
+    positive and nonincreasing at rounding: a far tail may hold entries
+    within _FLOOR_EPS max|u| of zero (0 or a tiny negative), reported as
+    Newton returned them (see _polish).  iterations counts the
     Newton updates made; for the minimizer it adds the gradient-flow steps
     tried before them.  status is "converged" for an accepted stationary
     state and "gradient_diverging" for a critical minimizer flow stopped on
@@ -263,7 +266,10 @@ def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
     """Newton from guess, accepted only as a nontrivial positive monotone
     state whose residual is within tol or, where rounding alone exceeds
     tol, one at which Newton stalled at the rounding floor; returns (u,
-    omega, residual, Newton updates)."""
+    omega, residual, Newton updates).  Sign and monotonicity are judged at
+    rounding too: entries and rises within _FLOOR_EPS max|u| of zero count
+    as zero, so a tail that underflowed to 0 or to a tiny negative passes,
+    and u is returned as Newton left it."""
     u, omega, res, n_iter, stop = _newton(guess, coeff, grid, b, p, tol, q,
                                           omega)
     if res > tol and stop != "floor":
@@ -275,9 +281,10 @@ def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
         raise ConvergenceError(
             f"Newton fell to the trivial state: max|u| = {top:.3e} from a "
             f"guess of max {start:.3e}")
-    if not np.all(u > 0.0):
+    zero = _FLOOR_EPS * top
+    if not np.all(u >= -zero):
         raise ConvergenceError("profile is not strictly positive on the grid")
-    if not np.all(np.diff(u) <= 0.0):
+    if not np.all(np.diff(u) <= zero):
         raise ConvergenceError("profile is not monotone nonincreasing")
     return u, omega, res, n_iter
 

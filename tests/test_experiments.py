@@ -1,5 +1,4 @@
 import gc
-import math
 import weakref
 
 import numpy as np
@@ -11,10 +10,11 @@ from gpelab import groundstate as gs
 from gpelab.core import (ConvergenceError, ModelParams, ParameterError,
                          RadialField, RadialGrid, mass, nonlinearity)
 from gpelab.evolve import EvolveConfig, EvolveResult
-from gpelab.functionals import (SetLabel, action, h_omega_norm_sq, nehari,
-                                potential, virial)
+from gpelab.functionals import (SetLabel, _field_moments, action,
+                                h_omega_norm_sq, nehari, potential, virial,
+                                virial_coefficient)
 from gpelab.core import grad_norm_sq
-from gpelab.experiments import (HypothesisError, _brentq, _dilate,
+from gpelab.experiments import (HypothesisError, _dilate,
                                 construct_cross_point,
                                 dichotomy_run, dilation_exponent,
                                 estimate_d_n_upper, estimate_d_omega,
@@ -23,7 +23,7 @@ from gpelab.experiments import (HypothesisError, _brentq, _dilate,
                                 scale_dilation, scale_mass_preserving,
                                 scale_potential_preserving, stability_run,
                                 SweepRow, threshold_sweep)
-from gpelab.groundstate import _nehari_descent
+from gpelab.groundstate import _nehari_descent, solve_bound_state
 
 from helpers import rel_err
 
@@ -195,14 +195,14 @@ class TestCrossLevel:
             "bound_state" if power == "critical" else "bound_state_super")
         probes = []
 
-        def counting_virial(field, prm):
-            probes.append(field)
-            return virial(field, prm)
+        def counting_dilate(*args):
+            probes.append(args)
+            return _dilate(*args)
 
-        monkeypatch.setattr(experiments, "virial", counting_virial)
+        monkeypatch.setattr(experiments, "_dilate", counting_dilate)
         _, points = estimate_d_n_upper(phi.profile, params)
         assert len(points) == 6
-        assert len(probes) <= 15 * len(points)
+        assert len(probes) <= 5 * len(points)
         for pt in points:
             assert pt.nehari < 0
             assert abs(pt.virial) <= 1e-12 * max(1.0, grad_norm_sq(pt.field))
@@ -272,46 +272,172 @@ class TestCrossLevel:
         assert dn > 0 and d_om > 0
 
 
+def _cross_bracket(phi, params, lam):
+    """The dilated virial f(mu) of v = lam phi, the first of 1.5, 3, 6, ...
+    at which it is positive, and the acceptance check of a root; None when
+    amplitude scaling fails or no such point lies below 64."""
+    v = scale_amplitude(phi, lam)
+    m = _field_moments(v, params)
+    c_I = virial_coefficient(params)
+    omega = params.require_omega()
+    if (m.nehari(params.gamma, omega) >= 0.0
+            or m.virial(params.gamma, c_I) >= 0.0 or m.G - c_I * m.P <= 0.0):
+        return None
+    interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
+
+    def f(mu):
+        return virial(_dilate(interp, v.grid, mu, params), params)
+
+    def accepted(mu):
+        pt = _field_moments(_dilate(interp, v.grid, mu, params), params)
+        return (abs(pt.virial(params.gamma, c_I)) < min(1e-8 * m.G, 1e-8)
+                and pt.nehari(params.gamma, omega) < 0.0)
+
+    hi = 1.5
+    while f(hi) < 0.0:
+        hi *= 2.0
+        if hi > 64.0:
+            return None
+    return f, hi, accepted
+
+
+def _brent_cross_mu(phi, params, lam):
+    """The dilation of the cross point as SciPy's brentq finds it: the root
+    of the dilated virial in [1, hi] with xtol = rtol = 1e-15; None when
+    amplitude scaling or the bracket fails or the root misses the
+    acceptance check."""
+    from scipy.optimize import brentq
+    bracket = _cross_bracket(phi, params, lam)
+    if bracket is None:
+        return None
+    f, hi, accepted = bracket
+    mu = brentq(f, 1.0, hi, xtol=1e-15, rtol=1e-15)
+    return mu if accepted(mu) else None
+
+
+def _default_lambdas(phi, params):
+    m = _field_moments(phi, params)
+    lam_star = ((m.G / (virial_coefficient(params) * m.P))
+                ** (1.0 / (params.p - 1.0)))
+    return [1.0 + f * (lam_star - 1.0)
+            for f in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)]
+
+
 class TestBrent:
-    """The root finder against SciPy's brentq, the reference it ports:
-    the same iterates, so the same root to the last bit."""
+    """The law-seeded bracketed secant of construct_cross_point against
+    SciPy's brentq on the same dilated virial."""
 
-    CASES = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-             (lambda x: math.cos(x) - x, 0.0, 1.0),
-             (lambda x: math.exp(x) - 1e-3, -10.0, 1.0),
-             (lambda x: (x - 1.3) ** 9, 0.0, 2.0),
-             (lambda x: math.atan(1e6 * (x - 0.3)), 0.0, 1.0),
-             (lambda x: x, -1.0, 1.0)]
+    @pytest.fixture(scope="class")
+    def strong(self):
+        """b = 1.5, p = 1.8, omega = 0.3 on a coarse mesh: a narrow
+        amplitude window whose roots lie up to mu = 2.3, where a fixed
+        point of the law alone oscillates."""
+        params = ModelParams(dim=3, b=1.5, p=1.8, gamma=1.0, omega=0.3)
+        grid = RadialGrid(h=5e-3, rmax=8.0, dim=3)
+        return solve_bound_state(params, grid).profile, params
 
-    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("case", range(6))
     @pytest.mark.parametrize("xtol, rtol", [(1e-15, 1e-15), (1e-3, 1e-3)])
     @pytest.mark.parametrize("maxiter", [3, 100])
-    def test_same_root_as_brentq(self, case, xtol, rtol, maxiter):
+    def test_same_root_as_brentq(self, case, xtol, rtol, maxiter,
+                                 bound_state, params_critical,
+                                 bound_state_super, params_supercritical):
+        # case: the case-th default amplitude factor of each power; the
+        # search is never farther from the full-precision root than brentq
+        # stopped at (xtol, rtol, maxiter), and is that root to 1e-14 when
+        # brentq runs to xtol = rtol = 1e-15
         from scipy.optimize import brentq
-        f, a, b = self.CASES[case]
-        assert _brentq(f, a, b, xtol, rtol, maxiter) == brentq(
-            f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, disp=False)
+        for phi, params in ((bound_state.profile, params_critical),
+                            (bound_state_super.profile,
+                             params_supercritical)):
+            lam = _default_lambdas(phi, params)[case]
+            f, hi, _ = _cross_bracket(phi, params, lam)
+            ref = brentq(f, 1.0, hi, xtol=1e-15, rtol=1e-15)
+            budget = brentq(f, 1.0, hi, xtol=xtol, rtol=rtol,
+                            maxiter=maxiter, disp=False)
+            mu = construct_cross_point(phi, params, lam).mu
+            assert rel_err(mu, ref) <= max(rel_err(budget, ref), 1e-14)
 
     def test_cross_point_dilation_as_brentq(self, bound_state,
-                                            params_critical):
-        from scipy.optimize import brentq
+                                            params_critical,
+                                            bound_state_super,
+                                            params_supercritical):
+        for phi, params in ((bound_state.profile, params_critical),
+                            (bound_state_super.profile,
+                             params_supercritical)):
+            mu = construct_cross_point(phi, params, 1.05).mu
+            assert rel_err(mu, _brent_cross_mu(phi, params, 1.05)) < 1e-14
+
+    def test_root_as_brentq_at_strong_singularity(self, strong):
+        # the virial is at rounding, eps (G + gamma^2 V + c_I P), over a
+        # relative width of mu of that over mu dI/dmu = 4 gamma^2 V: no
+        # root finder fixes mu more closely than that
+        phi, params = strong
+        c_I = virial_coefficient(params)
+        compared = 0
+        for lam in _default_lambdas(phi, params):
+            ref = _brent_cross_mu(phi, params, lam)
+            if ref is None:
+                continue
+            pt = construct_cross_point(phi, params, lam)
+            m = _field_moments(pt.field, params)
+            band = (np.finfo(float).eps * (m.G + m.V + c_I * m.P)
+                    / (4.0 * params.gamma ** 2 * m.V))
+            assert rel_err(pt.mu, ref) <= max(1e-14, 2.0 * band)
+            compared += 1
+        assert compared == 5
+
+    @pytest.mark.parametrize("case", ["critical", "supercritical", "strong"])
+    def test_points_built_where_brentq_builds(self, request, case):
+        if case == "strong":
+            phi, params = request.getfixturevalue("strong")
+        else:
+            params = request.getfixturevalue(f"params_{case}")
+            phi = request.getfixturevalue(
+                "bound_state" if case == "critical"
+                else "bound_state_super").profile
+        lambdas = _default_lambdas(phi, params)
+        expected = [lam for lam in lambdas
+                    if _brent_cross_mu(phi, params, lam) is not None]
+        _, points = estimate_d_n_upper(phi, params)
+        assert [pt.lam for pt in points] == expected
+        assert len(expected) == (5 if case == "strong" else 6)
+
+    def test_first_probe_is_the_law(self, bound_state, params_critical,
+                                    monkeypatch):
         params = params_critical
+        probes = []
+
+        def recording(interp, grid, mu, prm):
+            probes.append(mu)
+            return _dilate(interp, grid, mu, prm)
+
+        monkeypatch.setattr(experiments, "_dilate", recording)
+        pt = construct_cross_point(bound_state.profile, params, 1.05)
+        m = _field_moments(scale_amplitude(bound_state.profile, 1.05), params)
+        law = (params.gamma ** 2 * m.V
+               / (m.G - virial_coefficient(params) * m.P)) ** 0.25
+        assert probes[0] == law
+        assert probes[-1] == pt.mu
+        assert rel_err(law, pt.mu) < 1e-5
+
+    def test_no_sign_change_raises(self, bound_state, params_critical,
+                                   monkeypatch):
+        # a probe that returns the undilated v keeps the virial at I(v) < 0,
+        # so no secant exists and the search doubles mu until it passes 64
         v = scale_amplitude(bound_state.profile, 1.05)
-        interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
+        probes = []
 
-        def f(mu):
-            return virial(_dilate(interp, v.grid, mu, params), params)
+        def undilated(interp, grid, mu, prm):
+            probes.append(mu)
+            return v
 
-        mu = brentq(f, 1.0, 1.5, xtol=1e-15, rtol=1e-15, disp=False)
-        assert _brentq(f, 1.0, 1.5, 1e-15, 1e-15) == mu
-        assert construct_cross_point(bound_state.profile, params,
-                                     1.05).mu == mu
-
-    def test_no_sign_change_raises(self):
-        from scipy.optimize import brentq
-        for root in (brentq, _brentq):
-            with pytest.raises(ValueError, match="different signs"):
-                root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=1e-15)
+        monkeypatch.setattr(experiments, "_dilate", undilated)
+        with pytest.raises(ParameterError, match="dilation bracket failure"):
+            construct_cross_point(bound_state.profile, params_critical, 1.05)
+        assert len(probes) == 6
+        assert all(b == 2.0 * a for a, b in zip(probes, probes[1:]))
+        assert probes[-1] <= 64.0 < 2.0 * probes[-1]
 
 
 class TestDichotomy:
