@@ -182,7 +182,9 @@ class RadialGrid:
 
     Nodes sit at r_i = (i + 1/2) h, so the factor r^(-b) is evaluable
     everywhere; the domain boundary rmax = n*h is a cell face where the
-    Dirichlet condition u(rmax) = 0 is imposed.
+    Dirichlet condition u(rmax) = 0 is imposed.  Every integral on it is
+    one BLAS inner product against the node weights (the face conductances
+    for the gradient form).
     """
 
     def __init__(self, h: float, rmax: float, dim: int):
@@ -221,7 +223,6 @@ class RadialGrid:
                   self.lap_upper, self.sym_offdiag, self.sqrt_weights):
             a.setflags(write=False)
         self._r_pow = {}
-        self._weighted_r_pow = {}
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -245,18 +246,6 @@ class RadialGrid:
             out = self.r ** e
             out.setflags(write=False)
             self._r_pow[e] = out
-        return out
-
-    def weighted_r_pow(self, e: float) -> np.ndarray:
-        """weights * r^e at the nodes, computed once per exponent (read-only).
-
-        The same product `weights * r_pow(e) * x` forms left to right, so
-        quadratures that use it keep their bits."""
-        out = self._weighted_r_pow.get(e)
-        if out is None:
-            out = self.weights * self.r_pow(e)
-            out.setflags(write=False)
-            self._weighted_r_pow[e] = out
         return out
 
 
@@ -313,7 +302,7 @@ def integrate_radial(samples, grid: RadialGrid):
     if samples.shape != (grid.n,):
         raise GridMismatchError(
             f"expected {grid.n} samples, got shape {samples.shape}")
-    total = np.sum(grid.weights * samples)
+    total = np.dot(grid.weights, samples)
     if np.iscomplexobj(samples):
         return complex(total)
     return float(total)
@@ -321,26 +310,26 @@ def integrate_radial(samples, grid: RadialGrid):
 
 def mass(u: RadialField) -> float:
     """Squared L^2 norm of the field."""
-    return float(np.sum(u.grid.weights * np.abs(u.values) ** 2))
+    return float(np.dot(u.grid.weights, np.abs(u.values) ** 2))
 
 
 def variance(u: RadialField) -> float:
     """Squared weighted norm ||x u||_{L^2}^2."""
     g = u.grid
-    return float(np.sum(g.weighted_r_pow(2.0) * np.abs(u.values) ** 2))
+    return float(np.dot(g.weights, g.r_pow(2.0) * np.abs(u.values) ** 2))
 
 
 def _grad_form(x, y, grid: RadialGrid) -> complex:
     """Gradient form int grad x . conj(grad y) on node arrays.
 
-    Staggered (face) differences weighted by the grid's face conductances:
-    this is exactly the quadratic form of the discrete Laplacian, so pairing
-    the stationary equation with u closes to machine precision.  The face
-    at rmax pairs x_{n-1} with the ghost -x_{n-1} across half a cell.
+    Staggered (face) differences paired against the face conductances:
+    exactly the quadratic form of the discrete Laplacian, so pairing the
+    stationary equation with u closes to machine precision.  The face at
+    rmax pairs x_{n-1} with the ghost -x_{n-1} across half a cell.
     """
     dx = np.diff(x)
     dy = dx if y is x else np.diff(y)
-    s = np.sum(grid.conductance[1:grid.n] * dx * np.conj(dy)) / grid.h
+    s = np.vdot(dy, grid.conductance[1:grid.n] * dx) / grid.h
     s += grid.conductance[grid.n] * x[-1] * np.conj(y[-1]) / grid.h
     return grid.sphere * s
 
@@ -365,7 +354,7 @@ def sigma_inner(u: RadialField, v: RadialField) -> complex:
     u.grid.compatible(v.grid)
     g = u.grid
     s = _grad_form(u.values, v.values, g)
-    s += np.sum(g.weighted_r_pow(2.0) * u.values * np.conj(v.values))
+    s += np.dot(g.weights, g.r_pow(2.0) * u.values * np.conj(v.values))
     return complex(s)
 
 
@@ -386,10 +375,9 @@ def node_derivative(u: RadialField) -> np.ndarray:
 
 def variance_rate(values, grid: RadialGrid) -> float:
     """f' = 4 Im int conj(u) (grad u . x), the exact first variation of the
-    variance ||x u||^2 along the flow, from node samples."""
+    variance ||x u||^2 along the flow: the inner product of w u with r u'."""
     du = _centered_derivative(values, grid.h)
-    return 4.0 * float(np.imag(np.vdot(values,
-                                       grid.weighted_r_pow(1.0) * du)))
+    return 4.0 * float(np.imag(np.vdot(grid.weights * values, grid.r * du)))
 
 
 def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:

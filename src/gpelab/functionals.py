@@ -76,15 +76,16 @@ class _Moments(NamedTuple):
 
 
 def _moments(values, grid, b, p) -> _Moments:
-    """(M, G, V, P) of node samples by the node quadrature; P is
-    int r^(-b)|u|^(p+1).  The only place these integrals are written."""
+    """(M, G, V, P) of node samples, each one inner product against the node
+    weights (G: see _grad_form); P is int r^(-b)|u|^(p+1).  core.mass and
+    core.variance are the same products, bit for bit."""
     modulus = np.abs(values)
     density = modulus ** 2
     return _Moments(
-        M=float(np.sum(grid.weights * density)),
+        M=float(np.dot(grid.weights, density)),
         G=gradient_sq(values, grid),
-        V=float(np.sum(grid.weighted_r_pow(2.0) * density)),
-        P=float(np.sum(grid.weighted_r_pow(-b) * modulus ** (p + 1))))
+        V=float(np.dot(grid.weights, grid.r_pow(2.0) * density)),
+        P=float(np.dot(grid.weights, grid.r_pow(-b) * modulus ** (p + 1))))
 
 
 def _field_moments(u: RadialField, params: ModelParams) -> _Moments:

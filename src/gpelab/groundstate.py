@@ -219,7 +219,9 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
     most its _rounding_floor, and with q only once |mass - q| <= 1e-12 q:
     Newton has then stalled at rounding, which for a state whose rounding
     alone exceeds tol lies above tol.  Each update is halved until it
-    lowers the residual (at most down to 1/1000 of the full step).  Returns
+    lowers the residual (at most down to 1/1000 of the full step); below
+    tol it is taken whole, as at the rounding floor the residual cannot
+    fall and halving would throttle the mass correction.  Returns
     (u, omega, residual of that u, Newton updates made, why it stopped):
     "tol" for a stall below tol, "floor" for a stall at the rounding floor,
     "max_iter" for a run out of updates.
@@ -255,7 +257,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
         for _ in range(12):
             u_try, omega_try = u + scale * step, omega + scale * domega
             F = stationary_residual(u_try, grid, coeff + omega_try, b, p)
-            if np.max(np.abs(F)) < res or scale < 1e-3:
+            if np.max(np.abs(F)) < res or res < tol or scale < 1e-3:
                 break
             scale *= 0.5
         u, omega = u_try, omega_try
@@ -383,7 +385,7 @@ def constrained_minimizer(q: float, params: ModelParams,
     trap_coeff = gamma ** 2 * r2
 
     u = np.exp(-gamma * r2 / 2.0)
-    u *= math.sqrt(q / float(np.sum(w * u * u)))
+    u *= math.sqrt(q / float(np.dot(w, u * u)))
 
     # Multiplier-shifted semi-implicit step: with the current multiplier in
     # the implicit operator, discrete stationary states are exact fixed
@@ -403,7 +405,7 @@ def constrained_minimizer(q: float, params: ModelParams,
             grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0,
             definite=True)
         u_new = solve(u + dtau * nonlinearity(u, grid, b, p))
-        u_new *= math.sqrt(q / float(np.sum(w * u_new * u_new)))
+        u_new *= math.sqrt(q / float(np.dot(w, u_new * u_new)))
         m = _moments(u_new, grid, b, p)
         E_new, g = m.energy(p, gamma, 1.0), m.G
         if E_new > E_prev + 1e-10 * max(1.0, abs(E_prev)):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpelab
 from gpelab import cli, experiments
 from gpelab.cli import ConfigError, load_config, main, run
 from gpelab.core import ModelParams, RadialField, RadialGrid, mass
@@ -387,6 +392,29 @@ n_random = 2
         body = [ln for ln in (out_a / "levels.csv").read_text().splitlines()
                 if not ln.startswith("#")]
         assert body[0] == "d_omega,d_n_upper,d,trial_count"
+
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits its dot products across threads only above 10000
+        # entries, which moves their last bits; the default mesh has 4000
+        # nodes, so one and two threads must write the same bytes
+        path = write_config(tmp_path, "[levels]\nn_random = 4\n")
+        src = str(Path(gpelab.__file__).resolve().parents[1])
+        files = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"threads{threads}"
+            for command in ("groundstate", "levels"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gpelab.cli", command, str(path),
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert set(files[0]) == {"groundstate.json", "profile.txt",
+                                 "levels.json", "levels.csv"}
+        assert files[0] == files[1]
 
     def test_main_entry(self, base_config, tmp_path, capsys):
         code = main(["uniqueness", str(base_config),

@@ -202,7 +202,7 @@ class TestCrossLevel:
         monkeypatch.setattr(experiments, "_dilate", counting_dilate)
         _, points = estimate_d_n_upper(phi.profile, params)
         assert len(points) == 6
-        assert len(probes) <= 5 * len(points)
+        assert len(probes) <= 4 * len(points)
         for pt in points:
             assert pt.nehari < 0
             assert abs(pt.virial) <= 1e-12 * max(1.0, grad_norm_sq(pt.field))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpelab.core import ParameterError, RadialField, _grad_form, mass
+from gpelab.core import ParameterError, RadialField, mass, variance
 from gpelab.functionals import (AmbiguousSignError, SetLabel, _moments,
                                 action, classify, energy, energy_gradient,
                                 gn_slack, h_omega_norm_sq, nehari, potential,
@@ -75,17 +75,31 @@ class TestMoments:
     @pytest.mark.parametrize("b, p", [(0.5, 2.0), (0.5, 2.5), (1.9, 1.15)])
     def test_real_input_matches_explicit_sums_bit_for_bit(self, grid, rng,
                                                           b, p):
-        # the stationary solvers see real arrays: their quadrature keeps
-        # every bit of the explicit weighted sums.  A few nonzero samples
-        # keep the rounding of single terms visible in the sums.
+        # the stationary solvers see real arrays: each moment keeps every
+        # bit of one explicit inner product against the node weights (the
+        # face conductances for G, plus the face at rmax).  A few nonzero
+        # samples keep the rounding of single terms visible.
         u = np.zeros(grid.n)
         u[rng.choice(grid.n, 6, replace=False)] = 3.0 * rng.normal(size=6)
-        w = grid.weights
-        want = (float(np.sum(w * np.abs(u) ** 2)),
-                float(np.real(_grad_form(u, u.copy(), grid))),
-                float(np.sum(w * grid.r_pow(2.0) * np.abs(u) ** 2)),
-                float(np.sum(w * grid.r_pow(-b) * np.abs(u) ** (p + 1))))
+        w, c, du = grid.weights, grid.conductance, np.diff(u)
+        G = (np.dot(du, c[1:grid.n] * du) / grid.h
+             + c[grid.n] * u[-1] * u[-1] / grid.h)
+        want = (float(np.dot(w, np.abs(u) ** 2)),
+                float(grid.sphere * G),
+                float(np.dot(w, grid.r_pow(2.0) * np.abs(u) ** 2)),
+                float(np.dot(w, grid.r_pow(-b) * np.abs(u) ** (p + 1))))
         assert tuple(_moments(u, grid, b, p)) == want
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_norms_are_the_moments(self, grid, rng, kind):
+        # one formula per integral: the core norms and _moments agree in
+        # every bit, for the solvers' real arrays and evolve's complex ones
+        u = random_trial_field(grid, rng).values.real
+        if kind == "complex":
+            u = u * np.exp(1j * rng.normal() * grid.r ** 2)
+        field = RadialField(grid, u)
+        m = _moments(u, grid, 0.5, 2.0)
+        assert (mass(field), variance(field)) == (m.M, m.V)
 
 
 class TestStationaryFunctionals:

@@ -548,6 +548,13 @@ class TestNewton:
         assert iters == 4
         assert abs(np.sum(grid.weights * u * u) - 1.0) <= 1e-12
 
+    def test_bordered_run_closes_the_mass_gap(self, grid):
+        # below tol each update is taken whole, so the bordered mass
+        # correction is not throttled by the line search at the floor
+        u, _ = self._run(grid, 1.0, 60)
+        eps = np.finfo(float).eps
+        assert abs(np.dot(grid.weights, u * u) - 1.0) <= 4.0 * eps
+
 
 def rounding_floor(u, coeff, grid, b, p):
     """100 eps max_i (|lap_diag_i| + |coeff_i| + r_i^(-b)|u_i|^(p-1)) |u_i|,
