@@ -358,26 +358,25 @@ def sigma_inner(u: RadialField, v: RadialField) -> complex:
     return complex(s)
 
 
-def _centered_derivative(vals, h: float) -> np.ndarray:
-    # ghosts: even extension through the origin, odd past rmax
-    padded = np.concatenate((vals[:1], vals, -vals[-1:]))
-    return (padded[2:] - padded[:-2]) / (2.0 * h)
-
-
 def node_derivative(u: RadialField) -> np.ndarray:
     """Radial derivative at the nodes by centered differences.
 
     Ghost values: even extension through the origin (radial regularity
     u'(0) = 0) and odd extension past rmax (Dirichlet).
     """
-    return _centered_derivative(u.values, u.grid.h)
+    padded = np.concatenate((u.values[:1], u.values, -u.values[-1:]))
+    return (padded[2:] - padded[:-2]) / (2.0 * u.grid.h)
 
 
 def variance_rate(values, grid: RadialGrid) -> float:
-    """f' = 4 Im int conj(u) (grad u . x), the exact first variation of the
-    variance ||x u||^2 along the flow: the inner product of w u with r u'."""
-    du = _centered_derivative(values, grid.h)
-    return 4.0 * float(np.imag(np.vdot(grid.weights * values, grid.r * du)))
+    """f' = 4 omega_N sum_f r_f^N Im(conj(u_i) (u_(i+1) - u_i)) on the
+    interior faces: the gradient form's face differences and conductances,
+    paired with r_f u_i.  By summation by parts, the exact time derivative
+    of the discrete variance under the space-discrete flow; the rmax ghost
+    face adds 0."""
+    flux = grid.conductance[1:grid.n] * np.diff(values)
+    s = np.vdot((grid.r[:-1] + 0.5 * grid.h) * values[:-1], flux)
+    return 4.0 * grid.sphere * float(np.imag(s))
 
 
 def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -388,11 +387,16 @@ def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-def nonlinearity(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
-    """The focusing term r^(-b) |u|^(p-1) u at the nodes."""
+def nonlinear_rate(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
+    """The focusing rate r^(-b) |u|^(p-1) at the nodes."""
     au = np.abs(values)
     # |u|^1 is |u| itself: p = 2 skips the power
-    return grid.r_pow(-b) * (au if p == 2.0 else au ** (p - 1.0)) * values
+    return grid.r_pow(-b) * (au if p == 2.0 else au ** (p - 1.0))
+
+
+def nonlinearity(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
+    """The focusing term r^(-b) |u|^(p-1) u at the nodes."""
+    return nonlinear_rate(values, grid, b, p) * values
 
 
 def stationary_residual(values, grid: RadialGrid, coeff, b: float,

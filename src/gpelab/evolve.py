@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ModelParams, ParameterError, RadialField, _write_table,
-                   factor_operator, require_positive_finite, variance_rate)
+                   factor_operator, nonlinear_rate, require_positive_finite,
+                   variance_rate)
 from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
@@ -85,8 +86,8 @@ class EvolveConfig:
 @dataclass
 class DiagnosticSeries:
     """Recorded time series; f is the variance ||x u||^2 and f_prime its
-    exact first variation 4 Im int conj(u) (grad u . x).  free_equation
-    says which equation produced it; it is not written to the CSV."""
+    time derivative (core.variance_rate).  free_equation says which
+    equation produced it; it is not written to the CSV."""
 
     t: np.ndarray
     mass: np.ndarray
@@ -144,11 +145,7 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
 
     gamma_eff = 0.0 if cfg.free_equation else params.gamma
     trap = gamma_eff ** 2 * grid.r_pow(2.0)
-    coupled_rb = cfg.coupling * grid.r_pow(-params.b)
-
-    def rate(vals):
-        # coupling r^(-b)|u|^(p-1), for the closing and next opening phase
-        return coupled_rb * np.abs(vals) ** (params.p - 1.0)
+    b, p, coupling = params.b, params.p, cfg.coupling
 
     def cayley(dt):
         # (1 + A)^(-1)(1 - A) v = 2 (1 + A)^(-1) v - v, A = (i dt/2)(-Lap + V);
@@ -164,8 +161,8 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
 
     def diag_row(t, vals):
         # one DiagnosticSeries row, in field order
-        m = _moments(vals, grid, params.b, params.p)
-        return (t, m.M, m.energy(params.p, gamma_eff, cfg.coupling), m.G,
+        m = _moments(vals, grid, b, p)
+        return (t, m.M, m.energy(p, gamma_eff, coupling), m.G,
                 m.V, variance_rate(vals, grid))
 
     snap_times = {float(ts) for ts in cfg.snapshot_times}
@@ -185,10 +182,10 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
                 yield (dt_last if nsteps > nfull else cfg.dt), target, True
                 start = target
 
-    # vals owes the half-phase `pending`; record steps close a copy, so the
-    # trajectory does not depend on record_every
+    # vals owes the coupling times the half-phase `pending` of eta; record
+    # steps close a copy, so the trajectory does not depend on record_every
     vals = u0.values.astype(complex)
-    closed, eta, pending = vals, rate(vals), 0.0
+    closed, eta, pending = vals, nonlinear_rate(vals, grid, b, p), 0.0
     t, blowup_time = 0.0, None
     rows = [diag_row(0.0, vals)]
     snaps = [(0.0, RadialField(grid, vals))] if 0.0 in snap_times else []
@@ -196,11 +193,11 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
     for step, (dt, t, lands) in enumerate(schedule(), 1):
         cn = cn_full if dt == cfg.dt else cayley(dt)
         # the pending closing half-phase merged with this step's opening
-        vals = cn(vals * _phase(eta, pending + 0.5 * dt))
-        eta, pending = rate(vals), 0.5 * dt
+        vals = cn(vals * _phase(eta, coupling * (pending + 0.5 * dt)))
+        eta, pending = nonlinear_rate(vals, grid, b, p), 0.5 * dt
         if step % cfg.record_every and not lands:
             continue
-        closed = vals * _phase(eta, pending)
+        closed = vals * _phase(eta, coupling * pending)
         if not np.all(np.isfinite(closed)):
             raise EvolveNaNError(rows[-1][0])
         rows.append(diag_row(t, closed))

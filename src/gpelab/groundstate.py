@@ -23,7 +23,7 @@ from scipy.linalg.blas import dnrm2
 
 from .core import (ConvergenceError, GridMismatchError, ModelParams,
                    ParameterError, RadialField, RadialGrid, apply_laplacian,
-                   default_grid, factor_operator, nonlinearity,
+                   default_grid, factor_operator, nonlinear_rate, nonlinearity,
                    require_positive_finite, stationary_residual)
 from .functionals import _field_moments, _moments
 
@@ -204,9 +204,8 @@ _FLOOR_EPS = 100.0 * np.finfo(float).eps
 def _rounding_floor(u, coeff, grid, b, p):
     """The sup residual of -Lap u + coeff u - r^(-b)|u|^(p-1)u at which u is
     at rounding."""
-    au = np.abs(u)
     scale = np.max((np.abs(grid.lap_diag) + np.abs(coeff)
-                    + grid.r_pow(-b) * au ** (p - 1.0)) * au)
+                    + nonlinear_rate(u, grid, b, p)) * np.abs(u))
     return _FLOOR_EPS * float(scale)
 
 
@@ -244,7 +243,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
             return u, omega, res, it, stop or "max_iter"
         res_prev = res
         solve = factor_operator(grid, coeff + omega
-                                - p * grid.r_pow(-b) * np.abs(u) ** (p - 1.0))
+                                - p * nonlinear_rate(u, grid, b, p))
         step, domega = solve(-F), 0.0
         if q is not None:
             x1 = solve(-u)

@@ -227,6 +227,12 @@ class TestExitCodes:
         ("uniqueness", BASE + "[uniqueness]\nr_max = 0.05\n",
          "[uniqueness] r_max"),
         ("levels", BASE + "[levels]\nn_random = -3\n", "[levels] n_random"),
+        ("groundstate", BASE + "[groundstate]\nmethod = flow\n",
+         "[groundstate] q"),
+        ("groundstate", BASE + "[groundstate]\nmethod = newton\n",
+         "[groundstate] method"),
+        ("evolve", BASE + "[evolve]\ninitial = plane_wave\n",
+         "[evolve] initial"),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
             "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
@@ -244,7 +250,9 @@ class TestExitCodes:
             "lens_amplitude_nan", "sweep_criterion_tol_nan",
             "uniqueness_r_max_negative",
             "uniqueness_r_max_below_first_sample",
-            "uniqueness_r_max_at_first_sample", "levels_n_random_negative"])
+            "uniqueness_r_max_at_first_sample", "levels_n_random_negative",
+            "flow_without_q", "groundstate_method_unknown",
+            "evolve_initial_unknown"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
                                            text, named):
         out = tmp_path / "out"

@@ -6,10 +6,10 @@ import pytest
 
 import gpelab.evolve as evolve_module
 from gpelab.core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                         apply_laplacian, factor_operator, grad_norm_sq, mass,
-                         variance)
-from gpelab.evolve import (DiagnosticSeries, EvolveConfig, evolve,
-                           predict_collapse_time, virial_check)
+                         apply_laplacian, default_grid, factor_operator,
+                         grad_norm_sq, mass, variance)
+from gpelab.evolve import (DiagnosticSeries, EvolveConfig, EvolveNaNError,
+                           evolve, predict_collapse_time, virial_check)
 from gpelab.closedforms import ProfileInterpolant, discrete_oscillator_mode
 from gpelab.functionals import energy
 
@@ -76,14 +76,15 @@ class TestStepping:
     two-half-phase Strang step with the explicit Crank-Nicolson side."""
 
     @staticmethod
-    def strang_reference(u0, params, dt, nsteps):
+    def strang_reference(u0, params, dt, nsteps, coupling=1.0):
         grid = u0.grid
         rb = grid.r_pow(-params.b)
         trap = params.gamma ** 2 * grid.r_pow(2.0)
         solve = factor_operator(grid, trap, scale=0.5j * dt, shift=1.0)
 
         def half(v):
-            return v * np.exp(0.5j * dt * rb * np.abs(v) ** (params.p - 1.0))
+            return v * np.exp(0.5j * dt * coupling * rb
+                              * np.abs(v) ** (params.p - 1.0))
 
         v = u0.values.astype(complex)
         for _ in range(nsteps):
@@ -92,13 +93,17 @@ class TestStepping:
             v = half(v)
         return v
 
-    def test_matches_two_half_phase_strang(self, params_critical):
+    @pytest.mark.parametrize("coupling", [1.0, 0.5])
+    def test_matches_two_half_phase_strang(self, params_critical, coupling):
+        # the coupling scales the phase angle, not the rate
         grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
         u0 = RadialField.from_function(
             grid, lambda r: 1.2 * np.exp(-r ** 2 / 2) * (1.0 + 0.2j * r))
-        want = self.strang_reference(u0, params_critical, 1e-3, 1000)
+        want = self.strang_reference(u0, params_critical, 1e-3, 1000,
+                                     coupling)
         res = evolve(u0, params_critical,
-                     EvolveConfig(dt=1e-3, t_end=1.0, record_every=1000))
+                     EvolveConfig(dt=1e-3, t_end=1.0, record_every=1000,
+                                  coupling=coupling))
         assert res.final_time == 1.0
         assert max_rel(res.final.values, want) < 1e-11
 
@@ -345,6 +350,25 @@ class TestCollapse:
         with pytest.raises(ParameterError, match="criterion_tol"):
             predict_collapse_time(u0, params_critical, criterion_tol=tol)
 
+    @pytest.mark.parametrize("amp", [2.0, 5.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_raises_with_last_recorded_time(self, amp):
+        # at N = 1 any p is admissible: r^(-b)|u|^499 overflows once |u|
+        # passes about 4.1 (at once from amplitude 5, after some steps
+        # from 2), the phase turns NaN, and the error carries the time of
+        # the last finite record
+        params = ModelParams(dim=1, b=0.5, p=500.0, gamma=1.0, omega=0.0)
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=1)
+        u0 = RadialField(grid, amp * np.exp(-grid.r ** 2 / 2))
+        with pytest.raises(EvolveNaNError, match="last valid time") as err:
+            evolve(u0, params, EvolveConfig(dt=1e-3, t_end=0.05,
+                                            record_every=2,
+                                            blowup_gradient_factor=1e300))
+        t_last = err.value.t_last
+        assert 0.0 <= t_last < 0.05
+        assert t_last / 2e-3 == pytest.approx(round(t_last / 2e-3), abs=1e-9)
+        assert (t_last == 0.0) == (amp == 5.0)
+
     def test_blowup_monotone_near_collapse(self, soliton, grid,
                                            params_critical):
         u0 = scaled_soliton(soliton, grid, 1.1)
@@ -419,15 +443,20 @@ class TestVirialLaw:
         assert ((tmp_path / "free.csv").read_bytes()
                 == (tmp_path / "plain.csv").read_bytes())
 
-    def test_fprime_consistent_with_differences(self, grid, params_critical):
-        # recorded f' (quadrature form) matches centered differences of f
-        u0 = RadialField.from_function(grid,
-                                       lambda r: np.exp(-r ** 2 / 2 + 0.3j * r ** 2))
-        cfg = EvolveConfig(dt=5e-4, t_end=0.5, record_every=20)
-        res = evolve(u0, params_critical, cfg)
+    @pytest.mark.parametrize("dim, b, p", [(1, 0.5, 3.0), (2, 0.5, 2.0),
+                                           (3, 0.5, 2.0), (3, 1.5, 1.5)],
+                             ids=["N1", "N2", "N3", "N3_b1.5"])
+    def test_fprime_consistent_with_differences(self, dim, b, p):
+        # f' is the time derivative of the discrete f: it matches a centred
+        # difference of f at dt = 1e-5 to that difference's own error
+        params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=0.0)
+        grid = default_grid(params)
+        u0 = RadialField(grid, np.exp(-grid.r ** 2 / 2 + 0.3j * grid.r ** 2))
+        res = evolve(u0, params, EvolveConfig(dt=1e-5, t_end=1e-4))
         t, f, fp = res.series.t, res.series.f, res.series.f_prime
         fd = (f[2:] - f[:-2]) / (t[2:] - t[:-2])
-        assert np.max(np.abs(fd - fp[1:-1])) < 1e-3 * np.max(np.abs(fp))
+        assert len(fd) == 9
+        assert np.all(np.abs(fp[1:-1] - fd) <= 1e-7 * np.abs(fp[1:-1]))
 
 
 class TestSnapshotsAndExport:

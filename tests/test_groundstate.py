@@ -240,6 +240,20 @@ class TestNehariDescent:
                 solve_bound_state(params, default_grid(params))
         assert len(steps) == 6 and sum(steps) <= 53
 
+    def test_step_cap_returns_the_last_projected_state(self, monkeypatch,
+                                                       grid, params_critical):
+        # a cap of 3 ends the descent from the Gaussian before its stop
+        # rule: the state is still projected onto the Nehari set
+        monkeypatch.setattr(gs, "_DESCENT_MAX_ITER", 3)
+        params = params_critical
+        b, p, r2 = params.b, params.p, grid.r_pow(2.0)
+        v, steps = _nehari_descent(np.exp(-r2 / 2.0), r2, grid, b, p)
+        assert steps == 3
+        F = stationary_residual(v, grid, r2, b, p)
+        assert np.max(np.abs(F)) >= 1e-3 * np.max(nonlinearity(v, grid, b, p))
+        u = RadialField(grid, v)
+        assert abs(nehari(u, params)) < 1e-10 * h_omega_norm_sq(u, params)
+
 
 class TestStationaryResiduals:
     def test_bound_state_residuals_small(self, bound_state, params_critical):
@@ -369,6 +383,89 @@ class TestConstrainedMinimizer:
         hsq = (grad_norm_sq(res.profile)
                + params_supercritical.gamma ** 2 * variance(res.profile))
         assert hsq < 0.99 * 1.0
+
+
+class TestMinimizerBranches:
+    """The gradient flow's rejected steps and its plateau hand-off, and
+    what `iterations` counts there: every flow step tried (a step rejected
+    for raising the energy included) plus the Newton updates."""
+
+    @staticmethod
+    def _run(monkeypatch, q, params, grid, tol=1e-8):
+        # counts the flow steps tried (the only definite factorizations)
+        # and keeps Newton's start and its update count
+        scales, newton = [], []
+
+        def factor(grid, coeff, scale=1.0, shift=0.0, definite=False):
+            if definite:
+                scales.append(scale)
+            return factor_operator(grid, coeff, scale, shift, definite)
+
+        def newton_spy(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
+            out = _newton(guess, coeff, grid, b, p, tol, q, omega)
+            newton.append((guess, coeff + omega, out[3]))
+            return out
+
+        monkeypatch.setattr(gs, "factor_operator", factor)
+        monkeypatch.setattr(gs, "_newton", newton_spy)
+        trace = []
+        res = constrained_minimizer(q, params, grid, tol=tol,
+                                    energy_trace=trace)
+        return res, scales, trace, newton[0]
+
+    @staticmethod
+    def _uphill(monkeypatch, rejected):
+        # _moments of the first `rejected` flow steps (calls 2 and on)
+        # report an infinite energy, a step that raised the energy
+        calls = []
+
+        def moments(*args):
+            calls.append(None)
+            m = _moments(*args)
+            if 2 <= len(calls) <= rejected + 1:
+                return m._replace(P=-np.inf)
+            return m
+        monkeypatch.setattr(gs, "_moments", moments)
+
+    def test_rejected_steps_halve_dtau_and_count(self, monkeypatch,
+                                                 params_subcritical):
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        self._uphill(monkeypatch, 3)
+        res, scales, trace, (_, _, n_newton) = self._run(
+            monkeypatch, 1.0, params_subcritical, grid)
+        assert res.converged
+        assert scales[:5] == [0.5, 0.25, 0.125, 0.0625, 0.0625]
+        assert len(scales) == len(trace) + 3
+        assert res.iterations == len(scales) + n_newton
+
+    def test_energy_that_never_falls_hands_the_start_to_newton(
+            self, monkeypatch, params_subcritical):
+        # dtau halves from 0.5 until it is at most 1e-8: 27 steps tried
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        self._uphill(monkeypatch, 10 ** 6)
+        res, scales, trace, (guess, _, n_newton) = self._run(
+            monkeypatch, 1.0, params_subcritical, grid)
+        assert res.converged and not trace
+        assert len(scales) == 27 and scales[-1] <= 1e-8 < scales[-2]
+        start = np.exp(-grid.r_pow(2.0) / 2.0)
+        assert np.allclose(guess / start, guess[0] / start[0], rtol=1e-14)
+        assert res.iterations == 27 + n_newton
+
+    def test_plateaued_flow_is_handed_to_newton(self, monkeypatch,
+                                                params_subcritical):
+        # tol = 1e-24 puts the flow's stop, 1e-12, below its rounding on
+        # this mesh: the residual stops falling, and the check every 200
+        # steps hands the flow to Newton, which stalls at its floor
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        res, scales, trace, (guess, coeff, n_newton) = self._run(
+            monkeypatch, 1.0, params_subcritical, grid, tol=1e-24)
+        assert res.converged
+        assert len(scales) == len(trace) and len(trace) % 200 == 0
+        assert 400 <= len(trace) < 40000
+        b, p = params_subcritical.b, params_subcritical.p
+        assert np.max(np.abs(stationary_residual(guess, grid, coeff, b,
+                                                 p))) > 1e-12
+        assert res.iterations == len(trace) + n_newton
 
 
 class TestUniqueness:
