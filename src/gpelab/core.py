@@ -49,11 +49,6 @@ def require_dimension(dim) -> None:
         raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
 
 
-def sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^(dim-1) in R^dim."""
-    return 2.0 * np.pi ** (dim / 2.0) / _gamma_fn(dim / 2.0)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and analytic parameters of the trapped inhomogeneous NLS.
@@ -200,7 +195,8 @@ class RadialGrid:
         self.dim = dim
         self.n = n
         self.r = (np.arange(n) + 0.5) * self.h
-        self.sphere = sphere_area(dim)
+        # the area omega_N of the unit sphere S^(N-1)
+        self.sphere = 2.0 * np.pi ** (dim / 2.0) / _gamma_fn(dim / 2.0)
         # node quadrature weights: omega_N r^(N-1) h  (midpoint rule)
         self.weights = self.sphere * self.r ** (dim - 1) * self.h
         # The flux-form Laplacian u'' + (N-1)/r u' from the face conductances

@@ -11,6 +11,7 @@ stop on the gradient-ratio blow-up flag; no adaptive collapse-chasing.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -130,6 +131,7 @@ def _phase(eta, tau):
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveResult:
     """Integrate the initial field over [0, t_end].
 
@@ -138,6 +140,8 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
     run reached before the blow-up flag, the state where it stopped, and
     the blow-up time when the squared gradient norm first exceeds
     blowup_gradient_factor times its initial value (the run stops there).
+    Raises EvolveNaNError, with the last recorded time, at the first step
+    that makes the state non-finite; overflow on the way there is silent.
     """
     grid = u0.grid
     params.require_grid(grid)
@@ -194,6 +198,9 @@ def evolve(u0: RadialField, params: ModelParams, cfg: EvolveConfig) -> EvolveRes
         cn = cn_full if dt == cfg.dt else cayley(dt)
         # the pending closing half-phase merged with this step's opening
         vals = cn(vals * _phase(eta, coupling * (pending + 0.5 * dt)))
+        # both sweeps carry a non-finite entry of their input to node 0
+        if not cmath.isfinite(vals[0]):
+            raise EvolveNaNError(rows[-1][0])
         eta, pending = nonlinear_rate(vals, grid, b, p), 0.5 * dt
         if step % cfg.record_every and not lands:
             continue

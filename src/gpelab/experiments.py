@@ -18,7 +18,7 @@ from .core import (ConvergenceError, ModelParams, ParameterError, RadialField,
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, action, classify,
                           h_omega_norm_sq, virial_coefficient)
-from .groundstate import (GroundStateResult, _nehari_descent,
+from .groundstate import (GroundStateResult, _nehari_descent, _nehari_scale,
                           constrained_minimizer, solve_bound_state)
 
 __all__ = [
@@ -91,15 +91,16 @@ def nehari_project(u: RadialField, params: ModelParams):
     """Scale u onto the zero set of the nehari functional.
 
     Returns (lam0 u, lam0) with lam0 = (||u||_H^2 / P(u))^(1/(p-1)); fields
-    already on the zero set are fixed points (lam0 = 1).
+    already on the zero set are fixed points (lam0 = 1).  Raises
+    ParameterError where ||u||_H^2 or P is not positive, ConvergenceError
+    where lam0 u would leave the floating-point range.
     """
     m = _field_moments(u, params)
-    if m.P <= 0.0:
-        raise ParameterError("cannot project a field with vanishing P")
     H = m.h_norm_sq(params.gamma, params.require_omega())
-    if H <= 0.0:
-        raise ParameterError("projection needs a positive squared H norm")
-    lam0 = (H / m.P) ** (1.0 / (params.p - 1.0))
+    if not (H > 0.0 and m.P > 0.0):
+        raise ParameterError(
+            f"no Nehari projection: ||u||_H^2 = {H:.3e}, P = {m.P:.3e}")
+    lam0 = _nehari_scale(H, m.P, params.p)
     return scale_amplitude(u, lam0), lam0
 
 
@@ -354,11 +355,6 @@ def _sweep_row(soliton, grid, params, cfg, criterion_tol, c, lam) -> SweepRow:
                     t_pred=t_pred, max_grad_ratio=ratio)
 
 
-def _failed_row(c, lam, exc) -> SweepRow:
-    return SweepRow(c, lam, "failed", None, None, float("nan"),
-                    reason=f"{type(exc).__name__}: {exc}")
-
-
 def threshold_sweep(soliton: RadialField, params: ModelParams,
                     grid: RadialGrid, c_values, lambda_values,
                     cfg: EvolveConfig, criterion_tol: float = 1e-3,
@@ -384,7 +380,8 @@ def threshold_sweep(soliton: RadialField, params: ModelParams,
         try:
             rows.append(call())
         except Exception as exc:
-            rows.append(_failed_row(c, lam, exc))
+            rows.append(SweepRow(c, lam, "failed", None, None, float("nan"),
+                                 reason=f"{type(exc).__name__}: {exc}"))
     return SweepResult(rows=rows)
 
 

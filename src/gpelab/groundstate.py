@@ -51,7 +51,8 @@ class OutsideHypothesesError(ParameterError):
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """Converged stationary profile plus its diagnostics.
+    """An accepted stationary profile plus its diagnostics; a solver
+    raises where it has none to return.
 
     omega is the frequency of the stationary equation actually solved:
     1 for the free decaying profile, the input frequency for bound states,
@@ -63,12 +64,9 @@ class GroundStateResult:
     whose rounding alone exceeds tol (see _newton).  The profile is
     positive and nonincreasing at rounding: a far tail may hold entries
     within _FLOOR_EPS max|u| of zero (0 or a tiny negative), reported as
-    Newton returned them (see _polish).  iterations counts the
-    Newton updates made; for the minimizer it adds the gradient-flow steps
-    tried before them.  status is "converged" for an accepted stationary
-    state and "gradient_diverging" for a critical minimizer flow stopped on
-    a diverging gradient (no Newton polish); converged is
-    status == "converged".
+    Newton returned them (see _polish).  iterations counts the Newton
+    updates made; for the minimizer it adds the gradient-flow steps tried
+    before them.
     """
 
     profile: RadialField
@@ -79,14 +77,9 @@ class GroundStateResult:
     mass: float
     energy: float
     iterations: int
-    status: str = "converged"
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
 
-def _result(params, grid, u, gamma, omega, res, n_iter, status="converged"):
+def _result(params, grid, u, gamma, omega, res, n_iter):
     """The GroundStateResult of node values u of the stationary equation
     with trap strength gamma and frequency omega."""
     prof = RadialField(grid, u)
@@ -96,7 +89,7 @@ def _result(params, grid, u, gamma, omega, res, n_iter, status="converged"):
     return GroundStateResult(
         profile=prof, omega=omega, residual_sup=res, pohozaev_1=id1,
         pohozaev_2=id2, mass=m.M, energy=m.energy(p, gamma, 1.0),
-        iterations=n_iter, status=status)
+        iterations=n_iter)
 
 
 def _check_entry(params, grid, **positive):
@@ -118,6 +111,20 @@ _DESCENT_RTOL = 1e-3
 # Largest log <Lu,u> of a projected state: its quadratic forms and those
 # of the Newton iterates from it stay finite.
 _LOG_FORM_MAX = math.log(1e300)
+
+
+def _nehari_scale(H, P, p):
+    """lam = (H / P)^(1/(p-1)), which puts a state with <Lu,u> = H and
+    potential term P on the Nehari set; raises ConvergenceError where H or
+    P is not positive or lam^2 H would leave the floating-point range."""
+    if not (H > 0.0 and P > 0.0):
+        raise ConvergenceError(
+            f"no Nehari projection: <Lu,u> = {H:.3e}, P = {P:.3e}")
+    if (p + 1.0) * math.log(H) - 2.0 * math.log(P) > (p - 1.0) * _LOG_FORM_MAX:
+        raise ConvergenceError(
+            f"Nehari projection out of floating-point range: <Lu,u> = "
+            f"{H:.3e}, P = {P:.3e}, p = {p}")
+    return (H / P) ** (1.0 / (p - 1.0))
 
 
 def _nehari_descent(u, coeff, grid, b, p):
@@ -160,18 +167,7 @@ def _nehari_descent(u, coeff, grid, b, p):
     def project(x, Lx):
         fx = nonlinearity(x, grid, b, p)
         wx = w * x
-        H = float(np.dot(wx, Lx))
-        P = float(np.dot(wx, fx))
-        if not (H > 0.0 and P > 0.0):
-            raise ConvergenceError(
-                f"no Nehari projection: <Lu,u> = {H:.3e}, P = {P:.3e}")
-        # lam^2 scales <Lx, x>; p close to 1 can ask for a state past the
-        # floating-point range
-        if math.log(H) + 2.0 * math.log(H / P) / (p - 1.0) > _LOG_FORM_MAX:
-            raise ConvergenceError(
-                f"Nehari projection out of floating-point range: <Lu,u> = "
-                f"{H:.3e}, P = {P:.3e}, p = {p}")
-        lam = (H / P) ** (1.0 / (p - 1.0))
+        lam = _nehari_scale(float(np.dot(wx, Lx)), float(np.dot(wx, fx)), p)
         f = lam ** p * fx
         return lam * x, lam * Lx - f, f
 
@@ -366,7 +362,10 @@ def constrained_minimizer(q: float, params: ModelParams,
     With ball_radius set this is the local variational problem on the ball
     ||u||_H^2 <= ball_radius; the constraint set is nonempty iff
     q <= ball_radius / (gamma N), and the minimizer must end up strictly
-    inside the ball (checked a posteriori with a 1% margin).
+    inside the ball (checked a posteriori with a 1% margin).  A flow that
+    diverges, or reaches omega h^2 > 1e-2, raises EnergyUnboundedError at
+    p >= p_c without a ball; below p_c a diverging flow raises a
+    ConvergenceError naming h.
     """
     if grid is None:
         grid = default_grid(params)
@@ -375,8 +374,6 @@ def constrained_minimizer(q: float, params: ModelParams,
         raise ConstraintEmptyError(
             f"constraint set empty: q = {q} exceeds ball_radius/(gamma N) = "
             f"{ball_radius / (params.gamma * params.dim)}")
-    supercritical_free = (params.criticality == "supercritical"
-                          and ball_radius is None)
 
     w = grid.weights
     r2 = grid.r_pow(2.0)
@@ -398,6 +395,9 @@ def constrained_minimizer(q: float, params: ModelParams,
     flow_tol = max(math.sqrt(tol), 100.0 * tol)
     it = 0
     res_mark = math.inf
+    # p >= p_c without a ball, a state under 10 h wide is a collapse too
+    width_cap = (1e-2 / grid.h ** 2 if ball_radius is None
+                 and params.criticality != "subcritical" else math.inf)
     while it < max_iter:
         it += 1
         solve = factor_operator(
@@ -417,21 +417,20 @@ def constrained_minimizer(q: float, params: ModelParams,
         else:
             grow = 0
         g_prev = g
-        # gentle monotone divergence, or a catastrophic dive onto a
-        # grid-concentrated state (the unbounded direction collapses within
-        # a few steps and then saturates at the mesh scale)
-        diverged = grow >= 50 or g > 1e4 * g0 or E_new < -1e8 * (1.0 + abs(g0))
-        if diverged:
-            if supercritical_free:
+        omega = m.multiplier(gamma)
+        # gentle monotone divergence, a catastrophic dive onto a grid-
+        # concentrated state (the unbounded direction collapses within a few
+        # steps, then saturates at the mesh scale), or a state past width_cap
+        if (grow >= 50 or g > 1e4 * g0 or E_new < -1e8 * (1.0 + abs(g0))
+                or omega > width_cap):
+            if params.criticality == "subcritical":
+                raise ConvergenceError(
+                    f"descent diverged below p_c: the state collapsed to the "
+                    f"mesh scale h = {grid.h}")
+            if ball_radius is None:
                 raise EnergyUnboundedError(
-                    "energy unbounded: the descent diverges (supercritical "
-                    "power without a ball constraint)")
-            if params.is_critical and ball_radius is None:
-                omega = m.multiplier(gamma)
-                res = float(np.max(np.abs(stationary_residual(
-                    u_new, grid, trap_coeff + omega, b, p))))
-                return _result(params, grid, u_new, gamma, omega, res, it,
-                               "gradient_diverging")
+                    f"energy unbounded: the descent collapses at h = "
+                    f"{grid.h} (p >= p_c without a ball constraint)")
             raise ConvergenceError(
                 "descent diverged; the mass target is outside the "
                 "admissible range for this constraint")
@@ -439,7 +438,6 @@ def constrained_minimizer(q: float, params: ModelParams,
         E_prev = E_new
         if energy_trace is not None:
             energy_trace.append(E_new)
-        omega = m.multiplier(gamma)
         res = float(np.max(np.abs(
             stationary_residual(u, grid, trap_coeff + omega, b, p))))
         if res < flow_tol:

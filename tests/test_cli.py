@@ -318,9 +318,29 @@ q = 1.0
         payload = json.loads((out / "groundstate.json").read_text())
         assert payload["omega"] > -3.0
         assert abs(payload["mass"] - 1.0) < 1e-9
+        assert payload["converged"] is True
+        assert payload["status"] == "converged"
+        # the functionals are those of the equation solved, at its omega
+        assert payload["functionals"]["nehari"] == payload["pohozaev_1"]
         field, header = load_profile(out / "profile.txt")
         assert header["stationary_omega"] == payload["omega"]
         assert np.all(field.values.real > 0)
+
+    def test_groundstate_flow_above_critical_mass_fails(self, tmp_path):
+        # p = p_c and q = 70 above the soliton mass 59.95: no minimizer, so
+        # no profile is written
+        path = write_config(tmp_path, BASE.replace("h = 0.004", "h = 0.01")
+                            + """
+[groundstate]
+method = flow
+q = 70.0
+""")
+        out = tmp_path / "out"
+        assert run("groundstate", path, out) == 1
+        marker = (out / "groundstate.failed").read_text()
+        assert marker.startswith("EnergyUnboundedError: ")
+        assert not (out / "profile.txt").exists()
+        assert not (out / "groundstate.json").exists()
 
     def test_evolve_outputs(self, tmp_path):
         path = write_config(tmp_path, BASE + """

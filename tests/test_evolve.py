@@ -351,7 +351,6 @@ class TestCollapse:
             predict_collapse_time(u0, params_critical, criterion_tol=tol)
 
     @pytest.mark.parametrize("amp", [2.0, 5.0])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises_with_last_recorded_time(self, amp):
         # at N = 1 any p is admissible: r^(-b)|u|^499 overflows once |u|
         # passes about 4.1 (at once from amplitude 5, after some steps
@@ -368,6 +367,43 @@ class TestCollapse:
         assert 0.0 <= t_last < 0.05
         assert t_last / 2e-3 == pytest.approx(round(t_last / 2e-3), abs=1e-9)
         assert (t_last == 0.0) == (amp == 5.0)
+
+    def test_no_step_after_the_rate_turns_non_finite(self, monkeypatch):
+        # between records (every 50 steps) the rate overflows after 8 steps
+        # from amplitude 2; the next step makes the state non-finite and
+        # raises, so no rate is computed from a non-finite state
+        params = ModelParams(dim=1, b=0.5, p=500.0, gamma=1.0, omega=0.0)
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=1)
+        rates, nonlinear_rate = [], evolve_module.nonlinear_rate
+
+        def rate(*args):
+            rates.append(nonlinear_rate(*args))
+            return rates[-1]
+        monkeypatch.setattr(evolve_module, "nonlinear_rate", rate)
+        u0 = RadialField(grid, 2.0 * np.exp(-grid.r ** 2 / 2))
+        with pytest.raises(EvolveNaNError) as err:
+            evolve(u0, params, EvolveConfig(dt=1e-3, t_end=0.05,
+                                            record_every=50,
+                                            blowup_gradient_factor=1e300))
+        assert err.value.t_last == 0.0
+        finite = [bool(np.all(np.isfinite(eta))) for eta in rates]
+        assert finite == [True] * (len(rates) - 1) + [False]
+        assert len(rates) < 50
+
+    def test_non_finite_input_reaches_node_zero(self):
+        # the check reads node 0 of each solve: both sweeps of the Cayley
+        # solve carry a non-finite entry at any node to every node
+        grid = RadialGrid(h=2e-2, rmax=8.0, dim=3)
+        solve = factor_operator(grid, grid.r ** 2, scale=0.5e-3j, shift=1.0)
+        base = np.exp(-grid.r ** 2 / 2).astype(complex)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            for j in range(grid.n):
+                v = base.copy()
+                v[j] = bad
+                # evolve runs under the same floating-point error state
+                with np.errstate(invalid="ignore"):
+                    y = solve(v)
+                assert not np.any(np.isfinite(y)), (bad, j)
 
     def test_blowup_monotone_near_collapse(self, soliton, grid,
                                            params_critical):

@@ -95,6 +95,20 @@ class TestNehariLevel:
         H = h_omega_norm_sq(proj, params_critical)
         assert abs(nehari(proj, params_critical)) < 1e-10 * H
 
+    def test_projection_out_of_range_is_named(self):
+        # lam0 = (44.6 / 5.69)^1000 is past the floating-point range
+        params = ModelParams(dim=3, b=0.5, p=1.001, gamma=1.0, omega=5.0)
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        u = RadialField(grid, np.exp(-grid.r ** 2 / 2))
+        with pytest.raises(ConvergenceError,
+                           match="out of floating-point range"):
+            nehari_project(u, params)
+
+    def test_zero_field_has_no_projection(self, grid, params_critical):
+        with pytest.raises(ParameterError, match="no Nehari projection"):
+            nehari_project(RadialField(grid, np.zeros(grid.n)),
+                           params_critical)
+
     def test_flow_seeded_matches_minimizer_action(self, bound_state, grid,
                                                   params_critical):
         d = estimate_d_omega(params_critical, grid,
@@ -570,6 +584,13 @@ class TestStability:
         assert res.initial_distance == pytest.approx(eps, rel=0.5)
         assert res.sup_distance <= 5 * eps
         assert res.blowup_time is None
+
+    def test_no_minimizer_above_critical_mass_raises(self, params_critical):
+        # q = 70 exceeds the soliton mass 59.95: there is no orbit to test
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        with pytest.raises(gs.EnergyUnboundedError):
+            stability_run(params_critical, grid, q=70.0, eps=0.0,
+                          horizon=1.0, dt=5e-3)
 
 
 class TestThresholdSweep:
