@@ -186,7 +186,11 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
         raise ConfigError(f"unknown [groundstate] method: {method}")
     gs.save_profile(out_dir / "profile.txt", result, params,
                     extra_header=_flatten(cfg))
-    rep = functionals.report(result.profile, params.with_omega(result.omega))
+    # the functionals of the equation solved; the soliton's is the free one
+    gamma = 0.0 if method == "soliton" else params.gamma
+    rep = functionals._report(
+        functionals._field_moments(result.profile, params), params, gamma,
+        result.omega)
     _write_json(out_dir / "groundstate.json", {
         "method": method,
         "omega": result.omega,
@@ -384,8 +388,7 @@ def _verify_checks(cfg):
                f"A {rep.A:.3g}, C {rep.C:.3g}, k {rep.k:.3g}")
 
     if params.is_critical:
-        sol_interp = closedforms.ProfileInterpolant(soliton.profile)
-        u0 = RadialField(grid, 1.1 * sol_interp(grid.r))
+        u0 = experiments._scaled_soliton(soliton.profile, grid, crit, 1.1, 1.0)
         tau = predict_collapse_time(u0, params)
         run_cfg = EvolveConfig(dt=2e-4, t_end=1.1 * tau + 0.1,
                                record_every=10)

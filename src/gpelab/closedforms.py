@@ -81,22 +81,17 @@ def discrete_oscillator_mode(params: ModelParams,
 
 @dataclass(frozen=True)
 class BlowupFamilyParams:
-    """Parameters of the self-similar blow-up family and of the trapped
-    minimal-mass solution built from it.
+    """Parameters of the trapped minimal-mass solution: the collapse time T
+    (0 < T < pi / (4 gamma)), the scale lambda0 and the phase theta0.
 
-    beta scales the free family; lambda0 and the collapse time T
-    (0 < T < pi / (4 gamma)) parametrize the trapped solution, with
-    beta0 = lambda0 cos(2 gamma T) the induced free-family scale.
+    beta0 = lambda0 cos(2 gamma T) is the induced free-family scale.
     """
 
-    beta: float | None = None
+    T: float
+    lambda0: float
     theta0: float = 0.0
-    T: float | None = None
-    lambda0: float | None = None
 
     def beta0(self, gamma: float) -> float:
-        if self.lambda0 is None or self.T is None:
-            raise ParameterError("beta0 needs lambda0 and T")
         return self.lambda0 * math.cos(2.0 * gamma * self.T)
 
 
@@ -184,37 +179,23 @@ class ProfileInterpolant:
         return out
 
 
-def _as_interp(profile, singular_exponent=None):
-    if isinstance(profile, ProfileInterpolant):
-        return profile
-    return ProfileInterpolant(profile, singular_exponent=singular_exponent)
-
-
-def blowup_family(fp: BlowupFamilyParams, t: float, soliton,
-                  grid: RadialGrid | None = None,
-                  params: ModelParams | None = None) -> RadialField:
+def blowup_family(beta: float, t: float, soliton: RadialField,
+                  grid: RadialGrid, params: ModelParams,
+                  theta0: float = 0.0) -> RadialField:
     """Self-similar family of the free critical equation:
     exp(i theta0 + i beta^2/t - i r^2/(4t)) (beta/t)^(N/2) Q(beta r / t).
 
     Evaluated at reversed time t -> T - t it is the solution collapsing at
     T.  Mass-preserving in t; the gradient norm grows like 1/t toward
-    t = 0.  soliton may be a RadialField or a prebuilt ProfileInterpolant;
-    passing params resolves the origin exponent of the interpolation.
+    t = 0.  Q is interpolated with its r^(2-b) origin fit.
     """
-    if fp.beta is None:
-        raise ParameterError("blowup_family needs fp.beta")
     if t <= 0.0:
         raise ParameterError("the family is defined for t > 0")
-    if grid is None:
-        if isinstance(soliton, ProfileInterpolant):
-            raise ParameterError("grid is required with a prebuilt interpolant")
-        grid = soliton.grid
-    exponent = None if params is None else 2.0 - params.b
-    q = _as_interp(soliton, exponent)
+    q = ProfileInterpolant(soliton, singular_exponent=2.0 - params.b)
     N = grid.dim
-    ratio = fp.beta / t
+    ratio = beta / t
     r = grid.r
-    phase = fp.theta0 + fp.beta ** 2 / t - r ** 2 / (4.0 * t)
+    phase = theta0 + beta ** 2 / t - r ** 2 / (4.0 * t)
     vals = np.exp(1j * phase) * ratio ** (N / 2.0) * q(ratio * r)
     return RadialField(grid, vals)
 
@@ -307,27 +288,26 @@ def _minimal_mass_values(fp, t, params, q_interp, r, extended=False):
 
 
 def minimal_mass_solution(fp: BlowupFamilyParams, t: float,
-                          params: ModelParams, soliton,
+                          params: ModelParams, soliton: RadialField,
                           grid: RadialGrid) -> RadialField:
     """Critical-mass solution collapsing at time T, evaluated at time t.
 
     Composition of the trapped-side lens map with the self-similar family:
     mass equals the critical mass at every t and the gradient norm diverges
-    as t approaches T.
+    as t approaches T.  Q is interpolated with its r^(2-b) origin fit.
     """
     params.require_critical("the minimal-mass solution")
-    if fp.lambda0 is None or fp.T is None:
-        raise ParameterError("minimal_mass_solution needs fp.lambda0 and fp.T")
     require_before_caustic("collapse time T", fp.T, params)
     if not 0.0 <= t < fp.T:
         raise ParameterError(f"t = {t} outside [0, T = {fp.T})")
-    q = _as_interp(soliton, 2.0 - params.b)
+    q = ProfileInterpolant(soliton, singular_exponent=2.0 - params.b)
     vals = _minimal_mass_values(fp, t, params, q, grid.r)
     return RadialField(grid, vals)
 
 
 def minimal_mass_initial(fp: BlowupFamilyParams, params: ModelParams,
-                         soliton, grid: RadialGrid) -> RadialField:
+                         soliton: RadialField,
+                         grid: RadialGrid) -> RadialField:
     """Initial state of the minimal-mass solution in its beta0 form.
 
     Equals minimal_mass_solution at t = 0 to rounding.  The constant phase
@@ -335,8 +315,6 @@ def minimal_mass_initial(fp: BlowupFamilyParams, params: ModelParams,
     t = 0 into the composite formula.
     """
     params.require_critical("the minimal-mass initial state")
-    if fp.lambda0 is None or fp.T is None:
-        raise ParameterError("minimal_mass_initial needs fp.lambda0 and fp.T")
     gamma = params.gamma
     T = fp.T
     require_before_caustic("collapse time T", T, params)
@@ -344,7 +322,7 @@ def minimal_mass_initial(fp: BlowupFamilyParams, params: ModelParams,
     N = params.dim
     scale = 2.0 * gamma * b0 / math.sin(2.0 * gamma * T)
     const_phase = fp.theta0 + 4.0 * gamma * b0 ** 2 / math.sin(4.0 * gamma * T)
-    q = _as_interp(soliton, 2.0 - params.b)
+    q = ProfileInterpolant(soliton, singular_exponent=2.0 - params.b)
     r = grid.r
     phase = const_phase - 0.5 * gamma * r ** 2 / math.tan(2.0 * gamma * T)
     vals = np.exp(1j * phase) * scale ** (N / 2.0) * q(scale * r)

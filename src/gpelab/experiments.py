@@ -252,12 +252,17 @@ def estimate_d_n_upper(phi: RadialField, params: ModelParams, lambdas=None):
     Default amplitude factors are spread inside (1, lam*), the window on
     which the dilation coefficient stays positive: lam* = (||grad phi||^2 /
     (c_I P(phi)))^(1/(p-1)), above 1 for any phi with vanishing virial.
-    When no factor works, the ParameterError gives each factor's reason.
+    An empty window (lam* <= 1) raises one ParameterError that gives lam*;
+    when no factor works, the ParameterError gives each factor's reason.
     """
     if lambdas is None:
         m = _field_moments(phi, params)
         lam_star = ((m.G / (virial_coefficient(params) * m.P))
                     ** (1.0 / (params.p - 1.0)))
+        if lam_star <= 1.0:
+            raise ParameterError(
+                f"no cross point: the amplitude window (1, lam*) is empty, "
+                f"lam* = {lam_star}")
         lambdas = [1.0 + f * (lam_star - 1.0)
                    for f in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)]
     points, skipped = [], []

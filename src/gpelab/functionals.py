@@ -195,8 +195,15 @@ class FunctionalReport:
 
 
 def report(u: RadialField, params: ModelParams) -> FunctionalReport:
-    m = _field_moments(u, params)
-    omega, gamma, p = params.require_omega(), params.gamma, params.p
+    return _report(_field_moments(u, params), params, params.gamma,
+                   params.require_omega())
+
+
+def _report(m: _Moments, params: ModelParams, gamma: float,
+            omega: float) -> FunctionalReport:
+    """The report of moments m for the equation with trap strength gamma
+    and frequency omega; gamma = 0 is the free equation of the soliton."""
+    p = params.p
     J = (m.weinstein(params.dim, params.b)
          if params.is_critical and m.P > 0.0 else None)
     return FunctionalReport(

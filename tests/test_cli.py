@@ -322,6 +322,7 @@ q = 1.0
         assert payload["status"] == "converged"
         # the functionals are those of the equation solved, at its omega
         assert payload["functionals"]["nehari"] == payload["pohozaev_1"]
+        assert payload["functionals"]["energy"] == payload["energy"]
         field, header = load_profile(out / "profile.txt")
         assert header["stationary_omega"] == payload["omega"]
         assert np.all(field.values.real > 0)
@@ -517,6 +518,10 @@ rmax = 15.0
         assert payload["omega"] == 1.0
         assert payload["residual_sup"] < 1e-8
         assert payload["config"]["groundstate.rmax"] == 15.0
+        # the functionals are those of the free equation the soliton
+        # solves, not of the trap in [model] gamma
+        assert payload["functionals"]["nehari"] == payload["pohozaev_1"]
+        assert payload["functionals"]["energy"] == payload["energy"]
         field, header = load_profile(out / "profile.txt")
         assert header["grid_rmax"] == pytest.approx(15.0)
         assert field.grid.n == round(15.0 / 0.005)

@@ -68,49 +68,42 @@ class TestOscillatorMode:
 
 
 class TestBlowupFamily:
-    def test_mass_preserved_in_time(self, family, soliton, params_critical,
-                                    q_interp):
-        fp = BlowupFamilyParams(beta=1.0)
+    def test_mass_preserved_in_time(self, family, soliton, params_critical):
         g = soliton.profile.grid
         for t in (0.5, 0.25, 0.125):
-            s = blowup_family(fp, t, q_interp, g, params=params_critical)
+            s = blowup_family(1.0, t, soliton.profile, g, params_critical)
             assert rel_err(mass(s), soliton.mass) < 1e-6
 
-    def test_gradient_grows_like_inverse_time(self, soliton, params_critical,
-                                              q_interp):
-        fp = BlowupFamilyParams(beta=1.0)
+    def test_gradient_grows_like_inverse_time(self, soliton, params_critical):
         g = soliton.profile.grid
         grads = [math.sqrt(grad_norm_sq(
-            blowup_family(fp, t, q_interp, g, params=params_critical)))
+            blowup_family(1.0, t, soliton.profile, g, params_critical)))
             for t in (0.1, 0.05, 0.025)]
         assert grads[1] / grads[0] == pytest.approx(2.0, rel=0.05)
         assert grads[2] / grads[1] == pytest.approx(2.0, rel=0.05)
 
     def test_solves_free_equation_second_order(self, params_critical):
         # reversed time orientation: S(T - t) is the collapsing solution
-        fp = BlowupFamilyParams(beta=1.0)
         devs = []
         for h in (4e-3, 2e-3):
             Q = solve_soliton(params_critical, soliton_grid(params_critical, h=h))
-            qi = ProfileInterpolant(Q.profile, singular_exponent=1.5)
             g = RadialGrid(h=h, rmax=8.0, dim=3)
             devs.append(gp_residual_l2(
-                lambda t: blowup_family(fp, 0.8 - t, qi, g,
-                                        params=params_critical),
+                lambda t: blowup_family(1.0, 0.8 - t, Q.profile, g,
+                                        params_critical),
                 0.4, params_critical, g, free=True))
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.15)
 
-    def test_rejects_nonpositive_time(self, family, soliton):
-        fp = BlowupFamilyParams(beta=1.0)
+    def test_rejects_nonpositive_time(self, family, soliton, params_critical):
         with pytest.raises(ParameterError):
-            blowup_family(fp, 0.0, soliton.profile)
+            blowup_family(1.0, 0.0, soliton.profile, soliton.profile.grid,
+                          params_critical)
 
-    def test_theta0_is_global_phase(self, soliton, params_critical, q_interp):
+    def test_theta0_is_global_phase(self, soliton, params_critical):
         g = soliton.profile.grid
-        a = blowup_family(BlowupFamilyParams(beta=1.0, theta0=0.0), 0.3,
-                          q_interp, g, params=params_critical)
-        b = blowup_family(BlowupFamilyParams(beta=1.0, theta0=1.1), 0.3,
-                          q_interp, g, params=params_critical)
+        a = blowup_family(1.0, 0.3, soliton.profile, g, params_critical)
+        b = blowup_family(1.0, 0.3, soliton.profile, g, params_critical,
+                          theta0=1.1)
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(b.values - a.values * np.exp(1.1j))) < 1e-14 * scale
 
@@ -207,46 +200,49 @@ class TestLens:
 
 class TestMinimalMass:
     def test_initial_data_formula_matches_composite(self, family, soliton,
-                                                    grid, params_critical,
-                                                    q_interp):
-        a = minimal_mass_solution(family, 0.0, params_critical, q_interp, grid)
-        b = minimal_mass_initial(family, params_critical, q_interp, grid)
+                                                    grid, params_critical):
+        a = minimal_mass_solution(family, 0.0, params_critical,
+                                  soliton.profile, grid)
+        b = minimal_mass_initial(family, params_critical, soliton.profile,
+                                 grid)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_critical_mass_at_all_times(self, family, soliton, grid,
-                                        params_critical, q_interp):
+                                        params_critical):
         for t in (0.0, 0.15, 0.3, 0.45):
-            u = minimal_mass_solution(family, t, params_critical, q_interp,
-                                      grid)
+            u = minimal_mass_solution(family, t, params_critical,
+                                      soliton.profile, grid)
             assert rel_err(mass(u), soliton.mass) < 1e-6
 
     def test_gradient_diverges_toward_collapse(self, family, soliton, grid,
-                                               params_critical, q_interp):
+                                               params_critical):
         T = family.T
         grads = [grad_norm_sq(minimal_mass_solution(
-            family, T - d * T, params_critical, q_interp, grid))
+            family, T - d * T, params_critical, soliton.profile, grid))
             for d in (0.1, 0.05, 0.025)]
         assert grads[0] < grads[1] < grads[2]
 
-    def test_time_domain_guard(self, family, grid, params_critical, q_interp):
+    def test_time_domain_guard(self, family, soliton, grid, params_critical):
         with pytest.raises(ParameterError):
-            minimal_mass_solution(family, family.T, params_critical, q_interp,
-                                  grid)
+            minimal_mass_solution(family, family.T, params_critical,
+                                  soliton.profile, grid)
         with pytest.raises(ParameterError):
-            minimal_mass_solution(family, -0.1, params_critical, q_interp,
-                                  grid)
+            minimal_mass_solution(family, -0.1, params_critical,
+                                  soliton.profile, grid)
 
-    def test_collapse_time_domain(self, grid, params_critical, q_interp):
+    def test_collapse_time_domain(self, soliton, grid, params_critical):
         bad = BlowupFamilyParams(theta0=0.0, T=1.0, lambda0=1.0)  # T > pi/4
         with pytest.raises(ParameterError):
-            minimal_mass_solution(bad, 0.1, params_critical, q_interp, grid)
+            minimal_mass_solution(bad, 0.1, params_critical, soliton.profile,
+                                  grid)
 
-    def test_theta0_gauge_covariance(self, soliton, grid, params_critical,
-                                     q_interp):
+    def test_theta0_gauge_covariance(self, soliton, grid, params_critical):
         fa = BlowupFamilyParams(theta0=0.0, T=0.55, lambda0=1.0)
         fb = BlowupFamilyParams(theta0=0.8, T=0.55, lambda0=1.0)
-        a = minimal_mass_solution(fa, 0.2, params_critical, q_interp, grid)
-        b = minimal_mass_solution(fb, 0.2, params_critical, q_interp, grid)
+        a = minimal_mass_solution(fa, 0.2, params_critical, soliton.profile,
+                                  grid)
+        b = minimal_mass_solution(fb, 0.2, params_critical, soliton.profile,
+                                  grid)
         assert np.max(np.abs(b.values - a.values * np.exp(0.8j))) < 1e-12
 
     def test_gp_residual_refines_second_order(self, family, params_critical):
@@ -254,11 +250,10 @@ class TestMinimalMass:
         for h in (4e-3, 2e-3):
             Q = solve_soliton(params_critical,
                               soliton_grid(params_critical, h=h))
-            qi = ProfileInterpolant(Q.profile, singular_exponent=1.5)
             g = RadialGrid(h=h, rmax=8.0, dim=3)
             devs.append(gp_residual_l2(
                 lambda t: minimal_mass_solution(family, t, params_critical,
-                                                qi, g),
+                                                Q.profile, g),
                 0.25, params_critical, g))
         ratio = devs[0] / devs[1]
         assert 3.5 <= ratio <= 4.5
@@ -282,17 +277,18 @@ class TestMinimalMass:
         assert np.max(np.abs(half - caustic_phase * base)) < 1e-8
         assert np.max(np.abs(full - base)) < 1e-8
 
-    def test_evolution_matches_closed_form(self, family, params_critical,
-                                           grid, q_interp):
+    def test_evolution_matches_closed_form(self, family, soliton,
+                                           params_critical, grid):
         # independent cross-check: evolve the closed-form initial data and
         # compare against the closed form at later times
         from gpelab.evolve import EvolveConfig, evolve
-        u0 = minimal_mass_initial(family, params_critical, q_interp, grid)
+        u0 = minimal_mass_initial(family, params_critical, soliton.profile,
+                                  grid)
         cfg = EvolveConfig(dt=2e-4, t_end=0.2, record_every=100,
                            snapshot_times=(0.1, 0.2))
         res = evolve(u0, params_critical, cfg)
         for ts, f in res.snapshots:
             closed = minimal_mass_solution(family, float(ts), params_critical,
-                                           q_interp, grid)
+                                           soliton.profile, grid)
             dev = math.sqrt(mass(f - closed) / mass(closed))
             assert dev < 5e-3

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
-                         ModelParams, ParameterError, RadialField, RadialGrid,
+                         GridMismatchError, ModelParams, ParameterError,
+                         RadialField, RadialGrid,
                          _grad_form, apply_laplacian, factor_operator,
                          grad_norm_sq, gradient_sq, integrate_radial, mass,
                          sigma_norm_sq, stationary_residual, symmetric_form,
@@ -62,6 +63,10 @@ class TestValidateParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError, match="unknown"):
             validate_params({"dim": 3, "b": 0.5, "p": 2.0, "bogus": 1})
+
+    def test_missing_key_rejected(self):
+        with pytest.raises(ParameterError, match=r"missing .*'p'"):
+            validate_params({"dim": 3, "b": 0.5})
 
     def test_gamma_positive(self):
         with pytest.raises(ParameterError, match="gamma"):
@@ -272,6 +277,13 @@ class TestQuadrature:
         with pytest.raises(Exception):
             integrate_radial(np.ones(grid.n - 1), grid)
 
+    def test_complex_samples_give_a_complex(self, grid):
+        f = np.exp(-grid.r ** 2)
+        val = integrate_radial((1.0 + 2.0j) * f, grid)
+        assert type(val) is complex
+        assert val == pytest.approx((1.0 + 2.0j) * integrate_radial(f, grid),
+                                    rel=1e-14)
+
     def test_refinement_at_least_second_order(self):
         # smooth radial integrands converge faster than h^2 (the midpoint
         # h^2 term vanishes against the r^(N-1) weight); the singular-cell
@@ -397,3 +409,14 @@ class TestFieldContainer:
         w = 2.0 * u + u
         assert np.allclose(w.values, 3.0 * u.values)
         assert mass(u - u) == 0.0
+
+    def test_wrong_sample_count_rejected(self, grid):
+        with pytest.raises(GridMismatchError, match=f"expected {grid.n}"):
+            RadialField(grid, np.ones(grid.n + 1))
+
+    def test_fields_on_different_grids_do_not_add(self, grid):
+        u = RadialField.zeros(grid)
+        other = RadialField.zeros(RadialGrid(h=2.0 * grid.h, rmax=grid.rmax,
+                                             dim=grid.dim))
+        with pytest.raises(GridMismatchError, match="grids differ"):
+            u + other

@@ -262,6 +262,17 @@ class TestCrossLevel:
         assert "lambda=0.9: need an amplitude factor lam > 1" in msg
         assert "lambda=3.0: " in msg
 
+    def test_empty_default_window_is_named_once(self):
+        # lam* = 0.99276 < 1: every default factor would lie below 1
+        params = ModelParams(dim=1, b=0.878, p=5.7334, gamma=1.0,
+                             omega=4.279)
+        phi = solve_bound_state(params, RadialGrid(1e-2, 8.0, 1)).profile
+        with pytest.raises(ParameterError,
+                           match=r"window \(1, lam\*\) is empty, "
+                                 r"lam\* = 0\.9927") as info:
+            estimate_d_n_upper(phi, params)
+        assert "need an amplitude factor" not in str(info.value)
+
     def test_upper_bound_positive(self, bound_state, grid, params_critical):
         dn, points = estimate_d_n_upper(bound_state.profile, params_critical)
         assert dn > 0

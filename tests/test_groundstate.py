@@ -897,7 +897,10 @@ class TestAdmissibleSet:
             accepted.append(params)
 
         draw()
-        # 147 of these 150 draws are accepted; other draw sets 133-148
+        # hypothesis also draws from the constants of the loaded local
+        # modules, so the draw set depends on which test modules pytest
+        # loaded: 145 of these 150 draws are accepted when the whole suite
+        # is collected, 147 when this file is; other draw sets 133-148
         assert len(accepted) >= 120
 
     def test_constrained_minimizer(self):
@@ -926,7 +929,9 @@ class TestAdmissibleSet:
             accepted.append(params)
 
         draw()
-        # 87 of these 100 draws are accepted; other draw sets 77-91
+        # 89 of these 100 draws are accepted when the whole suite is
+        # collected, 87 when this file is (see test_bound_state); other
+        # draw sets 77-91
         assert len(accepted) >= 70
 
     def test_constrained_minimizer_without_ball(self):
