@@ -145,11 +145,8 @@ class ProfileInterpolant:
         # strictly diagonally dominant, so dptsv cannot fail; a complex
         # profile's real and imaginary parts are two right-hand sides
         diag, off = np.full(len(inner), 4.0), np.ones(len(inner) - 1)
-        if np.iscomplexobj(inner):
-            sol = dptsv(diag, off, np.stack([inner.real, inner.imag], 1))[2]
-            M[2:-2] = sol[:, 0] + 1j * sol[:, 1]
-        else:
-            M[2:-2] = dptsv(diag, off, inner[:, None])[2][:, 0]
+        sol = dptsv(diag, off, inner.view(float).reshape(len(inner), -1))[2]
+        M[2:-2] = sol.reshape(-1).view(inner.dtype)
         M[0] = 2.0 * M[1] - M[2]
         M[-1] = 2.0 * M[-2] - M[-3]
         # each interval's cubic in powers of t = x - x[i]

@@ -111,9 +111,6 @@ class ModelParams:
         """Open lower bound for admissible frequencies."""
         return -self.gamma * self.dim
 
-    def with_omega(self, omega: float) -> "ModelParams":
-        return ModelParams(self.dim, self.b, self.p, self.gamma, omega)
-
     def require_omega(self) -> float:
         if self.omega is None:
             raise ParameterError("this operation needs params.omega")
@@ -478,11 +475,12 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0,
     return solve
 
 
-def default_grid(params: ModelParams, h: float = 2e-3,
-                 rmax: float = 8.0) -> RadialGrid:
-    """Default trapped-problem mesh; gamma*rmax^2 >= 40 keeps the Gaussian
-    truncation error below the quadrature error."""
-    return RadialGrid(h=h, rmax=rmax, dim=params.dim)
+def default_grid(params: ModelParams) -> RadialGrid:
+    """Default trapped-problem mesh, h = 2e-3 and rmax = 8: gamma rmax^2 >= 40
+    keeps a Gaussian tail's truncation below the quadrature error, but an
+    e^(-r) tail is cut (the minimal-mass family is 4.2e-4 beyond r = 7.5;
+    its t = 0.1 deviation is 5.9e-4 here, 1.0e-5 on rmax = 12)."""
+    return RadialGrid(h=2e-3, rmax=8.0, dim=params.dim)
 
 
 def _table_cell(x) -> str:

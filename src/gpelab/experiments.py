@@ -245,28 +245,31 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
                       virial=I_val)
 
 
-def estimate_d_n_upper(phi: RadialField, params: ModelParams, lambdas=None):
+# Where in the amplitude window (1, lam*) estimate_d_n_upper builds points.
+_CROSS_FRACTIONS = (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)
+
+
+def estimate_d_n_upper(phi: RadialField, params: ModelParams):
     """Upper bound for the cross-constrained level: least action over
     constructed cross points.  Returns (value, points).
 
-    Default amplitude factors are spread inside (1, lam*), the window on
-    which the dilation coefficient stays positive: lam* = (||grad phi||^2 /
-    (c_I P(phi)))^(1/(p-1)), above 1 for any phi with vanishing virial.
-    An empty window (lam* <= 1) raises one ParameterError that gives lam*;
-    when no factor works, the ParameterError gives each factor's reason.
+    The amplitude factors 1 + f (lam* - 1), f in _CROSS_FRACTIONS, lie in
+    (1, lam*), where the dilation coefficient stays positive: lam* =
+    (||grad phi||^2 / (c_I P(phi)))^(1/(p-1)), above 1 for any phi with
+    vanishing virial.  An empty window (lam* <= 1) raises one
+    ParameterError that gives lam*; when no factor works, it gives each
+    factor's reason.
     """
-    if lambdas is None:
-        m = _field_moments(phi, params)
-        lam_star = ((m.G / (virial_coefficient(params) * m.P))
-                    ** (1.0 / (params.p - 1.0)))
-        if lam_star <= 1.0:
-            raise ParameterError(
-                f"no cross point: the amplitude window (1, lam*) is empty, "
-                f"lam* = {lam_star}")
-        lambdas = [1.0 + f * (lam_star - 1.0)
-                   for f in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)]
+    m = _field_moments(phi, params)
+    lam_star = ((m.G / (virial_coefficient(params) * m.P))
+                ** (1.0 / (params.p - 1.0)))
+    if lam_star <= 1.0:
+        raise ParameterError(
+            f"no cross point: the amplitude window (1, lam*) is empty, "
+            f"lam* = {lam_star}")
     points, skipped = [], []
-    for lam in lambdas:
+    for f in _CROSS_FRACTIONS:
+        lam = 1.0 + f * (lam_star - 1.0)
         try:
             points.append(construct_cross_point(phi, params, lam))
         except ParameterError as exc:
@@ -296,13 +299,10 @@ class LevelEstimates:
 
 
 def estimate_levels(params: ModelParams, grid: RadialGrid,
-                    reference: GroundStateResult | RadialField | None = None,
                     n_random: int = 40, seed: int = 0) -> LevelEstimates:
-    """Estimate both variational levels from one stationary profile."""
+    """Estimate both variational levels from the bound state at omega."""
     params.require_critical_or_larger("the level estimates")
-    if reference is None:
-        reference = solve_bound_state(params, grid)
-    prof = reference.profile if isinstance(reference, GroundStateResult) else reference
+    prof = solve_bound_state(params, grid).profile
     d_omega = estimate_d_omega(params, grid, reference=prof,
                                n_random=n_random, seed=seed)
     d_n_upper, points = estimate_d_n_upper(prof, params)

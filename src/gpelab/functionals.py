@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ModelParams, ParameterError, RadialField, apply_laplacian,
-                   gradient_sq, nonlinearity)
+from .core import (ModelParams, ParameterError, RadialField, gradient_sq,
+                   stationary_residual)
 
 __all__ = [
     "AmbiguousSignError", "FunctionalReport", "SetLabel",
@@ -103,8 +103,7 @@ def energy(u: RadialField, params: ModelParams, coupling: float = 1.0) -> float:
     return _field_moments(u, params).energy(params.p, params.gamma, coupling)
 
 
-def energy_gradient(u: RadialField, params: ModelParams,
-                    coupling: float = 1.0) -> np.ndarray:
+def energy_gradient(u: RadialField, params: ModelParams) -> np.ndarray:
     """L^2 gradient of the energy: (-Lap + gamma^2 r^2) u - |x|^(-b)|u|^(p-1)u.
 
     Matches centered finite differences of `energy` along any direction v:
@@ -113,11 +112,8 @@ def energy_gradient(u: RadialField, params: ModelParams,
     """
     params.require_grid(u.grid)
     g = u.grid
-    out = (-apply_laplacian(u.values, g)
-           + (params.gamma ** 2 * g.r_pow(2.0)) * u.values)
-    if coupling != 0.0:
-        out -= coupling * nonlinearity(u.values, g, params.b, params.p)
-    return out
+    return stationary_residual(u.values, g, params.gamma ** 2 * g.r_pow(2.0),
+                               params.b, params.p)
 
 
 def h_omega_norm_sq(u: RadialField, params: ModelParams) -> float:
@@ -213,6 +209,10 @@ def _report(m: _Moments, params: ModelParams, gamma: float,
         h_omega_norm_sq=m.h_norm_sq(gamma, omega), weinstein=J)
 
 
+# Relative width, per unit of ||u||_H^2, of classify's certification band.
+_SIGN_BAND_REL = 1e-9
+
+
 class SetLabel(enum.Enum):
     """Sign classification of a field against an action level d.
 
@@ -228,12 +228,11 @@ class SetLabel(enum.Enum):
     OUTSIDE = "outside"
 
 
-def classify(u: RadialField, params: ModelParams, d: float,
-             band_rel: float = 1e-9) -> SetLabel:
+def classify(u: RadialField, params: ModelParams, d: float) -> SetLabel:
     """Assign the sign-set label of u relative to the level d > 0.
 
     The strict inequalities are certified outside a band of relative width
-    `band_rel` (scaled by ||u||_H^2).  A nehari value inside the band
+    _SIGN_BAND_REL (scaled by ||u||_H^2).  A nehari value inside the band
     raises AmbiguousSignError; a virial value inside the band with
     certified nehari < 0 degrades to R_MINUS_ONLY.
     """
@@ -243,7 +242,7 @@ def classify(u: RadialField, params: ModelParams, d: float,
     omega = params.require_omega()
     if m.action(params.p, params.gamma, omega) >= d:
         return SetLabel.OUTSIDE
-    band = band_rel * abs(m.h_norm_sq(params.gamma, omega))
+    band = _SIGN_BAND_REL * abs(m.h_norm_sq(params.gamma, omega))
     K = m.nehari(params.gamma, omega)
     if abs(K) < band:
         raise AmbiguousSignError(

@@ -345,11 +345,14 @@ def stationary_residuals(u: RadialField, params: ModelParams):
 
 # ------------------------------------------------- constrained minimization
 
+# Step cap of the minimizer's normalized gradient flow.
+_FLOW_MAX_ITER = 40000
+
+
 def constrained_minimizer(q: float, params: ModelParams,
                           grid: RadialGrid | None = None,
                           ball_radius: float | None = None,
                           tol: float = 1e-8,
-                          max_iter: int = 40000,
                           energy_trace: list | None = None) -> GroundStateResult:
     """Energy minimizer at prescribed mass q by normalized gradient descent.
 
@@ -398,7 +401,7 @@ def constrained_minimizer(q: float, params: ModelParams,
     # p >= p_c without a ball, a state under 10 h wide is a collapse too
     width_cap = (1e-2 / grid.h ** 2 if ball_radius is None
                  and params.criticality != "subcritical" else math.inf)
-    while it < max_iter:
+    while it < _FLOW_MAX_ITER:
         it += 1
         solve = factor_operator(
             grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0,
@@ -449,7 +452,8 @@ def constrained_minimizer(q: float, params: ModelParams,
             res_mark = res
     else:
         raise ConvergenceError(
-            f"nonconvergence: {max_iter} descent steps without stationarity")
+            f"nonconvergence: {_FLOW_MAX_ITER} descent steps without "
+            f"stationarity")
 
     u, omega, res, n_newton = _polish(u, trap_coeff, grid, b, p, tol, q, omega)
     if ball_radius is not None:

@@ -6,6 +6,7 @@ lines.  Defaults: N=3, b=0.5, gamma=1, omega=0, h=2e-3, rmax=8, with p=2
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -335,7 +336,7 @@ def test_criterion_12_stability_instability(grid, params_subcritical,
 
     # instability: the amplitude bump of the stationary state at omega = 5
     # has negative energy, so collapse is certified by the variance law
-    params_unstable = params_critical.with_omega(5.0)
+    params_unstable = replace(params_critical, omega=5.0)
     phi = solve_bound_state(params_unstable, grid)
     u0 = scale_amplitude(phi.profile, 1.05)
     assert energy(u0, params_unstable) < 0.0

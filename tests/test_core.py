@@ -101,6 +101,12 @@ class TestGrid:
         with pytest.raises(ParameterError, match="positive and finite"):
             RadialGrid(h=h, rmax=rmax, dim=3)
 
+    def test_equal_grids_hash_alike(self):
+        grids = {RadialGrid(h=1e-2, rmax=1.0, dim=3),
+                 RadialGrid(h=1e-2, rmax=1.0, dim=3)}
+        assert len(grids) == 1
+        assert RadialGrid(h=1e-2, rmax=1.0, dim=2) not in grids
+
 
 class TestOperator:
     """factor_operator against a dense solve of the same matrix, built

@@ -446,6 +446,18 @@ class TestVirialLaw:
             devs.append(virial_check(res.series, params_subcritical))
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.3)
 
+    def test_nonuniform_spacing_rejected(self, params_subcritical):
+        # a snapshot time off the record cadence adds a record: spacings
+        # 0.01, 0.0055, 0.004, ...
+        g = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        u0 = RadialField.from_function(g, lambda r: 0.5 * np.exp(-r ** 2 / 2))
+        cfg = EvolveConfig(dt=1e-3, t_end=0.05, record_every=10,
+                           snapshot_times=(0.0155,))
+        series = evolve(u0, params_subcritical, cfg).series
+        assert np.ptp(np.diff(series.t)) > 1e-3
+        with pytest.raises(ParameterError, match="non-uniform record spacing"):
+            virial_check(series, params_subcritical)
+
     def test_horizon_too_short(self, params_critical):
         series = DiagnosticSeries(t=np.array([0.0, 0.1]),
                                   mass=np.ones(2), energy=np.ones(2),

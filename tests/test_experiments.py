@@ -254,13 +254,18 @@ class TestCrossLevel:
             construct_cross_point(bound_state.profile, params_critical, 3.0)
 
     def test_no_cross_point_keeps_each_reason(self, bound_state,
-                                              params_critical):
+                                              params_critical, monkeypatch):
+        # lam* = 1.25: the factors 0.9 and 3.0, one below the window and
+        # one past it
+        monkeypatch.setattr(experiments, "_CROSS_FRACTIONS", (-0.4, 8.0))
+        low, high = _default_lambdas(bound_state.profile, params_critical)
+        assert low == pytest.approx(0.9, rel=1e-2)
+        assert high == pytest.approx(3.0, rel=1e-2)
         with pytest.raises(ParameterError) as info:
-            estimate_d_n_upper(bound_state.profile, params_critical,
-                               lambdas=[0.9, 3.0])
+            estimate_d_n_upper(bound_state.profile, params_critical)
         msg = str(info.value)
-        assert "lambda=0.9: need an amplitude factor lam > 1" in msg
-        assert "lambda=3.0: " in msg
+        assert f"lambda={low}: need an amplitude factor lam > 1" in msg
+        assert f"lambda={high}: " in msg
 
     def test_empty_default_window_is_named_once(self):
         # lam* = 0.99276 < 1: every default factor would lie below 1
@@ -278,9 +283,8 @@ class TestCrossLevel:
         assert dn > 0
         assert all(p.action >= dn for p in points)
 
-    def test_levels_bundle(self, bound_state, grid, params_critical):
-        levels = estimate_levels(params_critical, grid, reference=bound_state,
-                                 n_random=3)
+    def test_levels_bundle(self, grid, params_critical):
+        levels = estimate_levels(params_critical, grid, n_random=3)
         assert levels.d == min(levels.d_omega, levels.d_n_upper)
         assert levels.d > 0
         assert levels.d_omega > 0
@@ -341,11 +345,12 @@ def _brent_cross_mu(phi, params, lam):
 
 
 def _default_lambdas(phi, params):
+    """The amplitude factors at which estimate_d_n_upper builds its cross
+    points."""
     m = _field_moments(phi, params)
     lam_star = ((m.G / (virial_coefficient(params) * m.P))
                 ** (1.0 / (params.p - 1.0)))
-    return [1.0 + f * (lam_star - 1.0)
-            for f in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)]
+    return [1.0 + f * (lam_star - 1.0) for f in experiments._CROSS_FRACTIONS]
 
 
 class TestBrent:

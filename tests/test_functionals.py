@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpelab import functionals
 from gpelab.core import ParameterError, RadialField, mass, variance
 from gpelab.functionals import (AmbiguousSignError, SetLabel, _moments,
                                 action, classify, energy, energy_gradient,
@@ -201,6 +202,13 @@ class TestSharpConstant:
         with pytest.raises(ParameterError):
             gn_slack(gauss, params_subcritical, soliton.mass)
 
+    @pytest.mark.parametrize("critical_mass", [0.0, -1.0])
+    def test_requires_positive_critical_mass(self, gauss, params_critical,
+                                             critical_mass):
+        with pytest.raises(ParameterError, match="critical_mass must be "
+                                                 "positive"):
+            gn_slack(gauss, params_critical, critical_mass)
+
 
 class TestClassification:
     D = 15.0
@@ -224,24 +232,29 @@ class TestClassification:
         with pytest.raises(ParameterError):
             classify(bound_state.profile, params_critical, 0.0)
 
-    def test_ambiguous_band(self, bound_state, params_critical):
+    def test_ambiguous_band(self, bound_state, params_critical,
+                            monkeypatch):
         # a state projected onto the nehari zero set sits inside the band
         # (d above its action so the sign test is actually reached)
         from gpelab.experiments import nehari_project
+        monkeypatch.setattr(functionals, "_SIGN_BAND_REL", 1e-6)
         proj, _ = nehari_project(bound_state.profile, params_critical)
         d = 2.0 * action(proj, params_critical)
         with pytest.raises(AmbiguousSignError):
-            classify(proj, params_critical, d, band_rel=1e-6)
+            classify(proj, params_critical, d)
 
     def test_r_minus_only_when_virial_uncertifiable(self, bound_state,
-                                                    params_critical):
+                                                    params_critical,
+                                                    monkeypatch):
         # a cross-constrained point has certified nehari < 0 but its virial
         # value sits inside a wide certification band
         from gpelab.experiments import construct_cross_point
         pt = construct_cross_point(bound_state.profile, params_critical, 1.05)
         d = 2.0 * pt.action
-        assert classify(pt.field, params_critical, d,
-                        band_rel=1e-6) is SetLabel.R_MINUS_ONLY
+        with monkeypatch.context() as wide:
+            wide.setattr(functionals, "_SIGN_BAND_REL", 1e-6)
+            assert classify(pt.field, params_critical,
+                            d) is SetLabel.R_MINUS_ONLY
         # nudged off the constraint, the virial sign certifies again
         nudged = scale_amplitude(pt.field, 1.1)
         assert classify(nudged, params_critical, d) in (SetLabel.K_MINUS,

@@ -1,5 +1,6 @@
 import functools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,10 +332,11 @@ class TestConstrainedMinimizer:
             constrained_minimizer(0.5, params_supercritical, grid,
                                   ball_radius=1.0)
 
-    def test_energy_unbounded_without_ball(self, params_supercritical, grid):
+    def test_energy_unbounded_without_ball(self, params_supercritical, grid,
+                                           monkeypatch):
+        monkeypatch.setattr(gs, "_FLOW_MAX_ITER", 5000)
         with pytest.raises(EnergyUnboundedError):
-            constrained_minimizer(20.0, params_supercritical, grid,
-                                  max_iter=5000)
+            constrained_minimizer(20.0, params_supercritical, grid)
 
     def test_supercritical_local_well_without_ball(self, params_supercritical,
                                                    grid):
@@ -349,11 +351,11 @@ class TestConstrainedMinimizer:
         assert res.residual_sup < 1e-8
 
     def test_critical_above_threshold_raises(self, params_critical, grid,
-                                             soliton):
+                                             soliton, monkeypatch):
         # above the soliton mass the energy is unbounded below: no minimizer
+        monkeypatch.setattr(gs, "_FLOW_MAX_ITER", 8000)
         with pytest.raises(EnergyUnboundedError, match="p >= p_c"):
-            constrained_minimizer(1.1 * soliton.mass, params_critical, grid,
-                                  max_iter=8000)
+            constrained_minimizer(1.1 * soliton.mass, params_critical, grid)
 
     @pytest.mark.parametrize("dim, b, p, q", [(2, 1.0, 2.0, 4.0),
                                               (1, 0.6, 4.52, 1.0)],
@@ -385,7 +387,8 @@ class TestConstrainedMinimizer:
         # flow minimizer at q below critical mass equals the bound-state
         # profile at the extracted multiplier
         res = constrained_minimizer(0.9 * soliton.mass, params_critical, grid)
-        other = solve_bound_state(params_critical.with_omega(res.omega), grid)
+        other = solve_bound_state(replace(params_critical, omega=res.omega),
+                                  grid)
         num = mass(res.profile - other.profile)
         assert np.sqrt(num / other.mass) < 1e-3
 
@@ -489,6 +492,14 @@ class TestMinimizerBranches:
         assert np.max(np.abs(stationary_residual(guess, grid, coeff, b,
                                                  p))) > 1e-12
         assert res.iterations == len(trace) + n_newton
+
+    def test_step_cap_raises(self, monkeypatch, params_subcritical):
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        monkeypatch.setattr(gs, "_FLOW_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError) as err:
+            constrained_minimizer(1.0, params_subcritical, grid)
+        assert str(err.value) == ("nonconvergence: 3 descent steps without "
+                                  "stationarity")
 
 
 class TestUniqueness:
