@@ -10,7 +10,7 @@ functions, so they are safe to call from concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gamma as _gamma_fn
 from typing import Callable, Mapping
 

@@ -104,11 +104,12 @@ def nehari_project(u: RadialField, params: ModelParams):
     return scale_amplitude(u, lam0), lam0
 
 
-def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
-                       complex_part: bool = False) -> RadialField:
-    """Random smooth localized trial field (mixture of Gaussian bumps)."""
+def _trial_values(grid: RadialGrid, rng: np.random.Generator,
+                  complex_part: bool = False) -> np.ndarray:
+    """Node values of a random smooth localized trial (mixture of Gaussian
+    bumps): a real array, complex with complex_part."""
     r2 = grid.r_pow(2.0)
-    vals = np.zeros(grid.n, dtype=complex)
+    vals = np.zeros(grid.n, dtype=complex if complex_part else float)
     k = rng.integers(2, 4)
     for _ in range(k):
         a = rng.uniform(0.3, 2.0)
@@ -118,7 +119,46 @@ def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
         if complex_part:
             bump = bump * np.exp(1j * rng.uniform(-0.5, 0.5) * r2)
         vals += bump
-    return RadialField(grid, vals)
+    return vals
+
+
+def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
+                       complex_part: bool = False) -> RadialField:
+    """Random smooth localized trial field (mixture of Gaussian bumps)."""
+    return RadialField(grid, _trial_values(grid, rng, complex_part))
+
+
+def _trial_pool(grid: RadialGrid, reference: RadialField | None,
+                n_random: int, seed: int) -> list:
+    """The real node arrays of estimate_d_omega's trial pool: with a
+    reference, its real part and five copies perturbed by 1e-2 random
+    trials, then n_random random trials, all drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    if reference is not None:
+        grid.compatible(reference.grid)
+        ref = reference.values.real
+        pool.append(ref)
+        pool += [ref + 1e-2 * _trial_values(grid, rng) for _ in range(5)]
+    return pool + [_trial_values(grid, rng) for _ in range(n_random)]
+
+
+def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
+    """Least action of the trials of pool refined by one shared Nehari
+    descent; see estimate_d_omega."""
+    coeff = params.require_omega() + params.gamma ** 2 * grid.r_pow(2.0)
+    descend = _nehari_descent(coeff, grid, params.b, params.p)
+    best, skipped = math.inf, []
+    for i, trial in enumerate(pool):
+        try:
+            refined, _ = descend(trial)
+        except ConvergenceError as exc:
+            skipped.append(f"trial {i}: {exc}")
+            continue
+        best = min(best, action(RadialField(grid, refined), params))
+    if not math.isfinite(best):
+        raise ParameterError("all trials degenerate; " + "; ".join(skipped))
+    return best
 
 
 def estimate_d_omega(params: ModelParams, grid: RadialGrid,
@@ -128,34 +168,16 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
 
     Every trial is refined by the Nehari descent of the ground-state solve,
     with its stopping rule; the descent projects each state onto the zero
-    set once, so its first state is the trial's projection.  The reported
-    value is the smallest action of a refined trial; a trial the descent
-    cannot project is skipped with its reason.
+    set once, so its first state is the trial's projection.  The descent
+    operator is factored once per call and shared by every trial, and the
+    trials are drawn as real node arrays.  The reported value is the
+    smallest action of a refined trial; a trial the descent cannot project
+    is skipped with its reason.
     With reference set (a computed minimizer) the reference and perturbed
     copies of it join the trial pool, so the estimate matches its action.
     """
-    rng = np.random.default_rng(seed)
-    coeff = params.require_omega() + params.gamma ** 2 * grid.r_pow(2.0)
-    best, skipped = math.inf, []
-    trials = []
-    if reference is not None:
-        trials.append(RadialField(grid, reference.values.real))
-        for _ in range(5):
-            bump = random_trial_field(grid, rng)
-            trials.append(reference + scale_amplitude(bump, 1e-2))
-    for _ in range(n_random):
-        trials.append(random_trial_field(grid, rng))
-    for i, trial in enumerate(trials):
-        try:
-            refined, _ = _nehari_descent(trial.values.real, coeff, grid,
-                                         params.b, params.p)
-        except ConvergenceError as exc:
-            skipped.append(f"trial {i}: {exc}")
-            continue
-        best = min(best, action(RadialField(grid, refined), params))
-    if not math.isfinite(best):
-        raise ParameterError("all trials degenerate; " + "; ".join(skipped))
-    return best
+    return _least_action(params, grid,
+                         _trial_pool(grid, reference, n_random, seed))
 
 
 @dataclass(frozen=True)
@@ -303,12 +325,12 @@ def estimate_levels(params: ModelParams, grid: RadialGrid,
     """Estimate both variational levels from the bound state at omega."""
     params.require_critical_or_larger("the level estimates")
     prof = solve_bound_state(params, grid).profile
-    d_omega = estimate_d_omega(params, grid, reference=prof,
-                               n_random=n_random, seed=seed)
+    pool = _trial_pool(grid, prof, n_random, seed)
+    d_omega = _least_action(params, grid, pool)
     d_n_upper, points = estimate_d_n_upper(prof, params)
     return LevelEstimates(d_omega=d_omega, d_n_upper=d_n_upper,
                           d=min(d_omega, d_n_upper),
-                          trial_count=n_random + 6 + len(points))
+                          trial_count=len(pool) + len(points))
 
 
 # ------------------------------------------------------------------- sweeps

@@ -127,22 +127,30 @@ def _nehari_scale(H, P, p):
     return (H / P) ** (1.0 / (p - 1.0))
 
 
-def _nehari_descent(u, coeff, grid, b, p):
+def _sup(a):
+    """max|a| without the array |a|: max(a.max(), -a.min()) is exact."""
+    return max(a.max(), -a.min())
+
+
+def _nehari_descent(coeff, grid, b, p):
     """Preconditioned descent of the action with reprojection onto the
     Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v, over-relaxed by its
-    own observed contraction.
+    own observed contraction; returns descend(u) -> (v, steps taken).
 
     The plain step is S(v) = (1 + step L)^(-1) (v + step f(v)) with
     f(v) = r^(-b)|v|^(p-1)v and L = -Lap + coeff, positive definite for the
     trapped coeff = omega + gamma^2 r^2, omega > -gamma N, and the free
-    coeff = 1, so it is factored L D L' once per call.  Step k takes the
-    extrapolated point v + c_k (S(v) - v): it solves for the right-hand
-    side v + step (f - (c_k - 1) F), where F = L v - f(v) is the residual
-    the stop check forms, so a step is still one solve.  L x = (rhs - x) /
-    step comes from that solve, and only the start pays for an apply of the
+    coeff = 1, so it is factored L D L' once, here, and every descend
+    shares that factorization.  Step k takes the extrapolated point
+    v + c_k (S(v) - v): it solves for the right-hand side
+    v + step (f - (c_k - 1) F), where F = L v - f(v) is the residual the
+    stop check forms, so a step is still one solve.  L x = (rhs - x) / step
+    comes from that solve, and only the start pays for an apply of the
     Laplacian.  x is rescaled onto <L v, v> = P(v), which removes the one
     unstable (amplitude) direction of the least-action state (Li & Zhou,
     SIAM J. Sci. Comput. 23 (2001); cf. the Petviashvili iteration).
+    descend copies u once and then forms the right-hand side, L x and the
+    rescaling in place, in F's buffer and the solve's output.
 
     The factor: the linearized plain step is similar to a symmetric
     operator with eigenvalues (1 + step <N' phi, phi>) / (1 + step <L phi,
@@ -155,37 +163,55 @@ def _nehari_descent(u, coeff, grid, b, p):
     to [0, 0.9], with c_0 = 1.  At an excited state some mode stays above 1
     and repels for every c in [1, 2), so the descent cannot settle there.
 
-    Stationary states are fixed points.  Stops once max|F| < _DESCENT_RTOL
-    max|f(v)|, or after _DESCENT_MAX_ITER steps of size _DESCENT_STEP.
-    Raises ConvergenceError when a state has no Nehari projection.  Returns
-    (v, steps taken).
+    Stationary states are fixed points.  descend stops once max|F| <
+    _DESCENT_RTOL max|f(v)|, or after _DESCENT_MAX_ITER steps of size
+    _DESCENT_STEP, and raises ConvergenceError when a state has no Nehari
+    projection.
     """
     w = grid.weights
     solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0,
                             definite=True)
 
-    def project(x, Lx):
-        fx = nonlinearity(x, grid, b, p)
-        wx = w * x
-        lam = _nehari_scale(float(np.dot(wx, Lx)), float(np.dot(wx, fx)), p)
-        f = lam ** p * fx
-        return lam * x, lam * Lx - f, f
+    def descend(u):
+        wx = np.empty(grid.n)
 
-    x = np.asarray(u, dtype=float)
-    v, F, f = project(x, -apply_laplacian(x, grid) + coeff * x)
-    # no previous norm reads as kappa = 0, which gives c_0 = 1
-    relax, norm_prev = 1.0, math.inf
-    for it in range(_DESCENT_MAX_ITER):
-        if np.max(np.abs(F)) < _DESCENT_RTOL * np.max(np.abs(f)):
-            return v, it
-        # BLAS nrm2 scales as it sums: no overflow near _LOG_FORM_MAX
-        norm = dnrm2(F)
-        theta = min(max(1.0 - (1.0 - norm / norm_prev) / relax, 0.0), 0.9)
-        relax, norm_prev = 2.0 / (2.0 - theta), norm
-        rhs = v + _DESCENT_STEP * (f - (relax - 1.0) * F)
-        x = solve(rhs)
-        v, F, f = project(x, (rhs - x) / _DESCENT_STEP)
-    return v, _DESCENT_MAX_ITER
+        def project(x, Lx):
+            # x -> lam x and Lx -> lam Lx - f in place; returns f
+            fx = nonlinearity(x, grid, b, p)
+            np.multiply(w, x, out=wx)
+            lam = _nehari_scale(float(np.dot(wx, Lx)), float(np.dot(wx, fx)),
+                                p)
+            fx *= lam ** p
+            x *= lam
+            Lx *= lam
+            Lx -= fx
+            return fx
+
+        v = np.array(u, dtype=float)
+        F = -apply_laplacian(v, grid) + coeff * v
+        f = project(v, F)
+        # no previous norm reads as kappa = 0, which gives c_0 = 1
+        relax, norm_prev = 1.0, math.inf
+        for it in range(_DESCENT_MAX_ITER):
+            if _sup(F) < _DESCENT_RTOL * _sup(f):
+                return v, it
+            # BLAS nrm2 scales as it sums: no overflow near _LOG_FORM_MAX
+            norm = dnrm2(F)
+            theta = min(max(1.0 - (1.0 - norm / norm_prev) / relax, 0.0), 0.9)
+            relax, norm_prev = 2.0 / (2.0 - theta), norm
+            # rhs = v + step (f - (relax - 1) F), formed in F
+            F *= relax - 1.0
+            np.subtract(f, F, out=F)
+            F *= _DESCENT_STEP
+            F += v
+            v = solve(F)
+            # L v = (rhs - v) / step
+            F -= v
+            F /= _DESCENT_STEP
+            f = project(v, F)
+        return v, _DESCENT_MAX_ITER
+
+    return descend
 
 
 # ------------------------------------------------------------------- Newton
@@ -296,7 +322,7 @@ def _ground_state(params, grid, tol, omega, gamma_eff):
     coeff = omega + gamma_eff ** 2 * r2
     start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
              else np.exp(-grid.r))
-    guess, _ = _nehari_descent(start, coeff, grid, b, p)
+    guess, _ = _nehari_descent(coeff, grid, b, p)(start)
     u, _, res, n_iter = _polish(guess, coeff, grid, b, p, tol)
     return _result(params, grid, u, gamma_eff, omega, res, n_iter)
 

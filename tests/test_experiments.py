@@ -8,7 +8,8 @@ from gpelab import experiments
 from gpelab.closedforms import ProfileInterpolant
 from gpelab import groundstate as gs
 from gpelab.core import (ConvergenceError, ModelParams, ParameterError,
-                         RadialField, RadialGrid, mass, nonlinearity)
+                         RadialField, RadialGrid, factor_operator, mass,
+                         nonlinearity)
 from gpelab.evolve import EvolveConfig, EvolveResult
 from gpelab.functionals import (SetLabel, _field_moments, action,
                                 h_omega_norm_sq, nehari, potential, virial,
@@ -161,19 +162,95 @@ class TestNehariLevel:
         # the descent of trial 1 raises; trials 0 and 2 alone set the
         # estimate
         p = params_critical
-        calls = []
+        builds, trials = [], []
 
-        def descent(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise ConvergenceError("no Nehari projection: stub")
-            return _nehari_descent(*args)
+        def builder(*args):
+            builds.append(args)
+            descend = _nehari_descent(*args)
 
-        monkeypatch.setattr(experiments, "_nehari_descent", descent)
+            def run(u):
+                trials.append(u)
+                if len(trials) == 2:
+                    raise ConvergenceError("no Nehari projection: stub")
+                return descend(u)
+            return run
+
+        monkeypatch.setattr(experiments, "_nehari_descent", builder)
         d = estimate_d_omega(p, grid, n_random=3, seed=5)
-        assert len(calls) == 3
-        assert d == min(action(RadialField(grid, _nehari_descent(*calls[i])[0]),
-                               p) for i in (0, 2))
+        assert len(builds) == 1 and len(trials) == 3
+        descend = _nehari_descent(*builds[0])
+        assert d == min(action(RadialField(grid, descend(trials[i])[0]), p)
+                        for i in (0, 2))
+
+
+class TestSharedDescent:
+    """estimate_d_omega factors the descent operator once and refines every
+    trial of its real-valued pool with it, bit for bit as a descent that
+    factors its own operator would."""
+
+    @pytest.mark.parametrize("n_random", [3, 10])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_one_factorization_per_estimate(self, monkeypatch, grid,
+                                            params_critical, bound_state,
+                                            n_random, with_reference):
+        factored = []
+
+        def factor(grid, coeff, scale=1.0, shift=0.0, definite=False):
+            if definite:
+                factored.append(scale)
+            return factor_operator(grid, coeff, scale, shift, definite)
+
+        monkeypatch.setattr(gs, "factor_operator", factor)
+        reference = bound_state.profile if with_reference else None
+        estimate_d_omega(params_critical, grid, reference=reference,
+                         n_random=n_random, seed=2)
+        assert factored == [gs._DESCENT_STEP]
+
+    def test_shared_descent_matches_its_own_factorization(
+            self, monkeypatch, grid, params_supercritical, bound_state_super):
+        runs = []
+
+        def builder(*args):
+            descend = _nehari_descent(*args)
+
+            def run(u):
+                out = descend(u)
+                runs.append((args, u, out))
+                return out
+            return run
+
+        monkeypatch.setattr(experiments, "_nehari_descent", builder)
+        d = estimate_d_omega(params_supercritical, grid,
+                             reference=bound_state_super.profile, n_random=3,
+                             seed=4)
+        assert len(runs) == 9
+        for args, u, (v, steps) in runs:
+            alone, alone_steps = _nehari_descent(*args)(u)
+            assert np.array_equal(v, alone) and steps == alone_steps
+        assert d == min(action(RadialField(grid, v), params_supercritical)
+                        for _, _, (v, _) in runs)
+
+    def test_real_trial_draw_matches_the_field(self, grid):
+        drawn, fields = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(4):
+            vals = experiments._trial_values(grid, drawn)
+            assert vals.dtype == np.float64
+            assert np.array_equal(
+                vals, random_trial_field(grid, fields).values.real)
+        assert drawn.bit_generator.state == fields.bit_generator.state
+
+    def test_pool_holds_the_reference_copies_as_real_arrays(self, grid,
+                                                            bound_state):
+        phi = bound_state.profile
+        pool = experiments._trial_pool(grid, phi, 2, 9)
+        rng = np.random.default_rng(9)
+        fields = [phi] + [phi + scale_amplitude(random_trial_field(grid, rng),
+                                                1e-2) for _ in range(5)]
+        fields += [random_trial_field(grid, rng) for _ in range(2)]
+        assert len(pool) == len(fields) == 8
+        for trial, field in zip(pool, fields):
+            assert trial.dtype == np.float64
+            assert np.array_equal(trial, field.values.real)
 
 
 class TestCrossLevel:
@@ -283,8 +360,12 @@ class TestCrossLevel:
         assert dn > 0
         assert all(p.action >= dn for p in points)
 
-    def test_levels_bundle(self, grid, params_critical):
+    def test_levels_bundle(self, grid, params_critical, bound_state):
         levels = estimate_levels(params_critical, grid, n_random=3)
+        # the reference, its five perturbed copies, 3 random trials and
+        # the cross points
+        _, points = estimate_d_n_upper(bound_state.profile, params_critical)
+        assert levels.trial_count == 1 + 5 + 3 + len(points)
         assert levels.d == min(levels.d_omega, levels.d_n_upper)
         assert levels.d > 0
         assert levels.d_omega > 0

@@ -136,8 +136,8 @@ class TestNontriviality:
         grid = RadialGrid(h=4e-3, rmax=8.0, dim=3)
         coeff = grid.r ** 2
         b, p = params_critical.b, params_critical.p
-        guess, _ = _nehari_descent(np.exp(-grid.r ** 2 / 2.0), coeff, grid,
-                                   b, p)
+        guess, _ = _nehari_descent(coeff, grid, b, p)(
+            np.exp(-grid.r ** 2 / 2.0))
         assert np.max(_polish(guess, coeff, grid, b, p, 1e-8)[0]) > 1.0
         with pytest.raises(ConvergenceError, match="trivial"):
             _polish(1e-12 * guess, coeff, grid, b, p, 1e-8)
@@ -167,13 +167,28 @@ class TestNehariDescent:
         b, p = params.b, params.p
         coeff = params.omega + params.gamma ** 2 * grid.r_pow(2.0)
         start = random_trial_field(grid, rng).values.real
-        v, steps = _nehari_descent(start, coeff, grid, b, p)
+        v, steps = _nehari_descent(coeff, grid, b, p)(start)
         assert steps < 500
         F = stationary_residual(v, grid, coeff, b, p)
         f = nonlinearity(v, grid, b, p)
         assert np.max(np.abs(F)) < 1e-3 * np.max(np.abs(f))
         u = RadialField(grid, v)
         assert abs(nehari(u, params)) < 1e-10 * h_omega_norm_sq(u, params)
+
+    def test_start_is_left_as_it_was(self, grid, params_critical, rng):
+        # descend copies its start: the read-only .real view of a field is
+        # accepted, and a writable start is not overwritten by the steps
+        b, p = params_critical.b, params_critical.p
+        descend = _nehari_descent(grid.r_pow(2.0), grid, b, p)
+        start = random_trial_field(grid, rng).values.real
+        assert not start.flags.writeable
+        kept = start.copy()
+        v, steps = descend(start)
+        assert steps > 0 and np.array_equal(start, kept)
+        writable = kept.copy()
+        again, again_steps = descend(writable)
+        assert np.array_equal(writable, kept)
+        assert np.array_equal(again, v) and again_steps == steps
 
     @pytest.mark.parametrize("state, params_name, coeff_of", [
         ("bound_state", "params_critical", lambda g: g.r_pow(2.0)),
@@ -184,8 +199,8 @@ class TestNehariDescent:
         # the stop rule holds at the converged state: no step is taken
         u = request.getfixturevalue(state).profile
         params = request.getfixturevalue(params_name)
-        v, steps = _nehari_descent(u.values.real, coeff_of(u.grid), u.grid,
-                                   params.b, params.p)
+        v, steps = _nehari_descent(coeff_of(u.grid), u.grid, params.b,
+                                   params.p)(u.values.real)
         assert steps == 0
         assert np.max(np.abs(v - u.values.real)) <= 1e-12 * np.max(v)
 
@@ -215,7 +230,7 @@ class TestNehariDescent:
         # an over-relaxed step does not settle on an excited state
         params = ModelParams(dim=3, b=0.5, p=p, gamma=1.0, omega=0.0)
         r2 = grid.r_pow(2.0)
-        v, steps = _nehari_descent(start(r2), r2, grid, params.b, p)
+        v, steps = _nehari_descent(r2, grid, params.b, p)(start(r2))
         assert steps < 500
         assert np.all(v > 0.0) or np.all(v < 0.0)
         ground = solve_bound_state(params, grid).profile
@@ -228,9 +243,13 @@ class TestNehariDescent:
         steps = []
 
         def counted(*args):
-            v, k = _nehari_descent(*args)
-            steps.append(k)
-            return v, k
+            descend = _nehari_descent(*args)
+
+            def run(u):
+                v, k = descend(u)
+                steps.append(k)
+                return v, k
+            return run
 
         monkeypatch.setattr(gs, "_nehari_descent", counted)
         for p in (1.5, 2.0, 2.5):
@@ -247,7 +266,7 @@ class TestNehariDescent:
         monkeypatch.setattr(gs, "_DESCENT_MAX_ITER", 3)
         params = params_critical
         b, p, r2 = params.b, params.p, grid.r_pow(2.0)
-        v, steps = _nehari_descent(np.exp(-r2 / 2.0), r2, grid, b, p)
+        v, steps = _nehari_descent(r2, grid, b, p)(np.exp(-r2 / 2.0))
         assert steps == 3
         F = stationary_residual(v, grid, r2, b, p)
         assert np.max(np.abs(F)) >= 1e-3 * np.max(nonlinearity(v, grid, b, p))
