@@ -16,8 +16,8 @@ from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
 from .core import (ConvergenceError, ModelParams, ParameterError, RadialField,
                    RadialGrid, _write_table, mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
-from .functionals import (SetLabel, _field_moments, action, classify,
-                          h_omega_norm_sq, virial_coefficient)
+from .functionals import (SetLabel, _field_moments, _moments, action,
+                          classify, h_omega_norm_sq, virial_coefficient)
 from .groundstate import (GroundStateResult, _nehari_descent, _nehari_scale,
                           constrained_minimizer, solve_bound_state)
 
@@ -128,34 +128,75 @@ def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
     return RadialField(grid, _trial_values(grid, rng, complex_part))
 
 
+def _coarse_mesh(grid: RadialGrid) -> RadialGrid:
+    """The mesh of spacing 2h on the same (0, rmax] and dimension, on which
+    random trials start; grid itself where its node count is odd or under
+    8, which takes no coarse stage."""
+    if grid.n % 2 or grid.n < 8:
+        return grid
+    return RadialGrid(2.0 * grid.h, grid.rmax, grid.dim)
+
+
+def _prolong(c: np.ndarray) -> np.ndarray:
+    """Linear interpolation of node values from the mesh of spacing 2h to the
+    mesh of spacing h: fine node 2j lies a quarter of a coarse cell below
+    coarse node j, and 2j+1 a quarter above.  Below the first coarse node
+    the profile is even (c_(-1) = c_0), past the last the odd ghost
+    c_(n_c) = -c_(n_c - 1) keeps u(rmax) = 0."""
+    below = np.concatenate((c[:1], c[:-1]))
+    above = np.concatenate((c[1:], -c[-1:]))
+    fine = np.empty(2 * c.size)
+    fine[0::2] = 0.75 * c + 0.25 * below
+    fine[1::2] = 0.75 * c + 0.25 * above
+    return fine
+
+
 def _trial_pool(grid: RadialGrid, reference: RadialField | None,
                 n_random: int, seed: int) -> list:
-    """The real node arrays of estimate_d_omega's trial pool: with a
+    """estimate_d_omega's trial pool as (node values, mesh) pairs: with a
     reference, its real part and five copies perturbed by 1e-2 random
-    trials, then n_random random trials, all drawn from one generator."""
+    trials on grid, then n_random random trials drawn on _coarse_mesh(grid),
+    all from one generator."""
     rng = np.random.default_rng(seed)
     pool = []
     if reference is not None:
         grid.compatible(reference.grid)
         ref = reference.values.real
-        pool.append(ref)
-        pool += [ref + 1e-2 * _trial_values(grid, rng) for _ in range(5)]
-    return pool + [_trial_values(grid, rng) for _ in range(n_random)]
+        pool.append((ref, grid))
+        pool += [(ref + 1e-2 * _trial_values(grid, rng), grid)
+                 for _ in range(5)]
+    coarse = _coarse_mesh(grid)
+    return pool + [(_trial_values(coarse, rng), coarse)
+                   for _ in range(n_random)]
 
 
 def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
-    """Least action of the trials of pool refined by one shared Nehari
-    descent; see estimate_d_omega."""
-    coeff = params.require_omega() + params.gamma ** 2 * grid.r_pow(2.0)
-    descend = _nehari_descent(coeff, grid, params.b, params.p)
+    """Least action of the trials of pool refined by the Nehari descent, one
+    factorization per mesh; see estimate_d_omega."""
+    b, p, gamma = params.b, params.p, params.gamma
+    omega = params.require_omega()
+    descents = {}
+
+    def descend(u, mesh):
+        if mesh not in descents:
+            descents[mesh] = _nehari_descent(
+                omega + gamma ** 2 * mesh.r_pow(2.0), mesh, b, p)
+        return descents[mesh](u)[0]
+
     best, skipped = math.inf, []
-    for i, trial in enumerate(pool):
+    for i, (trial, mesh) in enumerate(pool):
+        if mesh is not grid:
+            try:
+                trial = descend(trial, mesh)
+            except ConvergenceError:
+                pass            # the draw itself goes on to grid
+            trial = _prolong(trial)
         try:
-            refined, _ = descend(trial)
+            refined = descend(trial, grid)
         except ConvergenceError as exc:
             skipped.append(f"trial {i}: {exc}")
             continue
-        best = min(best, action(RadialField(grid, refined), params))
+        best = min(best, _moments(refined, grid, b, p).action(p, gamma, omega))
     if not math.isfinite(best):
         raise ParameterError("all trials degenerate; " + "; ".join(skipped))
     return best
@@ -168,11 +209,15 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
 
     Every trial is refined by the Nehari descent of the ground-state solve,
     with its stopping rule; the descent projects each state onto the zero
-    set once, so its first state is the trial's projection.  The descent
-    operator is factored once per call and shared by every trial, and the
-    trials are drawn as real node arrays.  The reported value is the
-    smallest action of a refined trial; a trial the descent cannot project
-    is skipped with its reason.
+    set once, so its first state is the trial's projection.  The trials
+    are drawn as real node arrays.  A random trial starts on the mesh of
+    spacing 2h: it is drawn and refined there, interpolated to grid and
+    finished there (nested iteration: Brandt, Math. Comp. 31, 1977); one
+    that the coarse descent cannot project goes on from its interpolated
+    draw.  The descent operator is factored once per mesh and shared by
+    every trial on it.  The reported
+    value is the smallest action of a refined trial on grid; a trial the
+    descent cannot project there is skipped with its reason.
     With reference set (a computed minimizer) the reference and perturbed
     copies of it join the trial pool, so the estimate matches its action.
     """

@@ -11,7 +11,7 @@ from gpelab.core import (ConvergenceError, ModelParams, ParameterError,
                          RadialField, RadialGrid, factor_operator, mass,
                          nonlinearity)
 from gpelab.evolve import EvolveConfig, EvolveResult
-from gpelab.functionals import (SetLabel, _field_moments, action,
+from gpelab.functionals import (SetLabel, _field_moments, _moments, action,
                                 h_omega_norm_sq, nehari, potential, virial,
                                 virial_coefficient)
 from gpelab.core import grad_norm_sq
@@ -140,8 +140,10 @@ class TestNehariLevel:
 
     def test_all_degenerate_keeps_each_reason(self, grid, params_critical,
                                               monkeypatch):
-        # every trial's descent gets a nonlinearity with P < 0, a different
-        # multiple per call, so its first projection fails
+        # every descent gets a nonlinearity with P < 0, a different multiple
+        # per call, so its first projection fails: each random trial fails
+        # on the coarse mesh, goes on from its interpolated draw and fails
+        # again on grid, where its reason is kept
         calls = []
 
         def degenerate(values, grid, b, p):
@@ -152,41 +154,51 @@ class TestNehariLevel:
         with pytest.raises(ParameterError, match="all trials degenerate") as info:
             estimate_d_omega(params_critical, grid, n_random=3)
         reasons = str(info.value).split("; ")[1:]
-        assert len(calls) == 3
+        assert [v.size for v in calls] == [grid.n // 2, grid.n] * 3
         assert len(set(reasons)) == 3
         for i, reason in enumerate(reasons):
             assert reason.startswith(f"trial {i}: no Nehari projection: ")
 
     def test_failing_trial_is_skipped(self, grid, params_critical,
                                       monkeypatch):
-        # the descent of trial 1 raises; trials 0 and 2 alone set the
-        # estimate
+        # the descent of trial 1 raises on grid; trials 0 and 2 alone set
+        # the estimate
         p = params_critical
-        builds, trials = [], []
+        builds, stages = {}, []
 
         def builder(*args):
-            builds.append(args)
+            mesh = args[1]
+            builds[mesh] = args
             descend = _nehari_descent(*args)
 
             def run(u):
-                trials.append(u)
-                if len(trials) == 2:
+                stages.append((mesh, u))
+                if mesh is grid and sum(m is grid for m, _ in stages) == 2:
                     raise ConvergenceError("no Nehari projection: stub")
                 return descend(u)
             return run
 
         monkeypatch.setattr(experiments, "_nehari_descent", builder)
         d = estimate_d_omega(p, grid, n_random=3, seed=5)
-        assert len(builds) == 1 and len(trials) == 3
-        descend = _nehari_descent(*builds[0])
-        assert d == min(action(RadialField(grid, descend(trials[i])[0]), p)
-                        for i in (0, 2))
+        coarse = experiments._coarse_mesh(grid)
+        assert list(builds) == [coarse, grid]
+        assert [m.n for m, _ in stages] == [grid.n // 2, grid.n] * 3
+        descend = _nehari_descent(*builds[grid])
+        finals = [descend(u)[0] for m, u in stages if m is grid]
+        assert d == min(_real_action(finals[i], grid, p) for i in (0, 2))
+
+
+def _real_action(values, grid, params):
+    """The action of a real node array from its moments, as the level
+    estimates score their refined trials."""
+    return _moments(values, grid, params.b, params.p).action(
+        params.p, params.gamma, params.require_omega())
 
 
 class TestSharedDescent:
-    """estimate_d_omega factors the descent operator once and refines every
-    trial of its real-valued pool with it, bit for bit as a descent that
-    factors its own operator would."""
+    """estimate_d_omega factors the descent operator once per mesh and
+    refines every trial of its real-valued pool on that mesh with it, bit
+    for bit as a descent that factors its own operator would."""
 
     @pytest.mark.parametrize("n_random", [3, 10])
     @pytest.mark.parametrize("with_reference", [False, True])
@@ -195,16 +207,19 @@ class TestSharedDescent:
                                             n_random, with_reference):
         factored = []
 
-        def factor(grid, coeff, scale=1.0, shift=0.0, definite=False):
+        def factor(mesh, coeff, scale=1.0, shift=0.0, definite=False):
             if definite:
-                factored.append(scale)
-            return factor_operator(grid, coeff, scale, shift, definite)
+                factored.append((mesh.n, scale))
+            return factor_operator(mesh, coeff, scale, shift, definite)
 
         monkeypatch.setattr(gs, "factor_operator", factor)
         reference = bound_state.profile if with_reference else None
         estimate_d_omega(params_critical, grid, reference=reference,
                          n_random=n_random, seed=2)
-        assert factored == [gs._DESCENT_STEP]
+        fine, coarse = (grid.n, gs._DESCENT_STEP), (grid.n // 2,
+                                                   gs._DESCENT_STEP)
+        assert factored == ([fine, coarse] if with_reference
+                            else [coarse, fine])
 
     def test_shared_descent_matches_its_own_factorization(
             self, monkeypatch, grid, params_supercritical, bound_state_super):
@@ -223,12 +238,18 @@ class TestSharedDescent:
         d = estimate_d_omega(params_supercritical, grid,
                              reference=bound_state_super.profile, n_random=3,
                              seed=4)
-        assert len(runs) == 9
+        # six reference trials on grid, then three random ones on both
+        assert [args[1].n for args, _, _ in runs] == (
+            [grid.n] * 6 + [grid.n // 2, grid.n] * 3)
         for args, u, (v, steps) in runs:
             alone, alone_steps = _nehari_descent(*args)(u)
             assert np.array_equal(v, alone) and steps == alone_steps
-        assert d == min(action(RadialField(grid, v), params_supercritical)
-                        for _, _, (v, _) in runs)
+        # each coarse result, interpolated, is the next fine start
+        for (_, _, (v, _)), (_, u, _) in zip(runs[6::2], runs[7::2]):
+            assert np.array_equal(u, experiments._prolong(v))
+        fine = [v for args, _, (v, _) in runs if args[1] is grid]
+        assert d == min(_real_action(v, grid, params_supercritical)
+                        for v in fine)
 
     def test_real_trial_draw_matches_the_field(self, grid):
         drawn, fields = np.random.default_rng(7), np.random.default_rng(7)
@@ -241,16 +262,94 @@ class TestSharedDescent:
 
     def test_pool_holds_the_reference_copies_as_real_arrays(self, grid,
                                                             bound_state):
+        # the reference and its copies on grid, the random draws on the
+        # mesh of spacing 2h, from one generator
         phi = bound_state.profile
         pool = experiments._trial_pool(grid, phi, 2, 9)
+        coarse = RadialGrid(2.0 * grid.h, grid.rmax, grid.dim)
         rng = np.random.default_rng(9)
         fields = [phi] + [phi + scale_amplitude(random_trial_field(grid, rng),
                                                 1e-2) for _ in range(5)]
-        fields += [random_trial_field(grid, rng) for _ in range(2)]
+        fields += [random_trial_field(coarse, rng) for _ in range(2)]
         assert len(pool) == len(fields) == 8
-        for trial, field in zip(pool, fields):
+        assert [mesh for _, mesh in pool] == [grid] * 6 + [coarse] * 2
+        assert all(mesh is grid for _, mesh in pool[:6])
+        for (trial, _), field in zip(pool, fields):
             assert trial.dtype == np.float64
             assert np.array_equal(trial, field.values.real)
+
+
+class TestCoarseStart:
+    """Random trials are drawn and refined on the mesh of spacing 2h,
+    interpolated to the given mesh and finished there."""
+
+    def test_prolong_is_exact_on_a_linear_profile(self, grid):
+        coarse = experiments._coarse_mesh(grid)
+        assert (coarse.h, coarse.rmax, coarse.n) == (2 * grid.h, grid.rmax,
+                                                     grid.n // 2)
+        fine = experiments._prolong(1.5 - 0.25 * coarse.r)
+        np.testing.assert_allclose(fine[1:-1], (1.5 - 0.25 * grid.r)[1:-1],
+                                   rtol=0, atol=1e-14)
+
+    def test_prolong_keeps_the_even_origin_and_the_odd_rmax(self, grid):
+        c = np.random.default_rng(1).uniform(0.5, 2.0, grid.n // 2)
+        fine = experiments._prolong(c)
+        # c_(-1) = c_0 at the origin; u(rmax) = 0 halfway past the last node
+        assert fine[0] == c[0]
+        assert fine[-1] == 0.5 * c[-1]
+
+    def test_odd_node_count_takes_no_coarse_stage(self, params_critical):
+        odd = RadialGrid(h=1e-2, rmax=7.99, dim=3)
+        assert odd.n % 2 == 1 and experiments._coarse_mesh(odd) is odd
+        p = params_critical
+        d = estimate_d_omega(p, odd, n_random=3, seed=5)
+        rng = np.random.default_rng(5)
+        descend = _nehari_descent(p.gamma ** 2 * odd.r ** 2, odd, p.b, p.p)
+        alone = [descend(experiments._trial_values(odd, rng))[0]
+                 for _ in range(3)]
+        assert d == min(_real_action(v, odd, p) for v in alone)
+
+    def test_coarse_failure_refines_the_draw_on_grid(self, monkeypatch, grid,
+                                                     params_critical):
+        # every coarse descent raises; each trial still reaches grid from
+        # its interpolated draw, so none is dropped
+        coarse = experiments._coarse_mesh(grid)
+        fine_starts = []
+
+        def builder(*args):
+            descend = _nehari_descent(*args)
+
+            def run(u):
+                if args[1] is not grid:
+                    raise ConvergenceError("no Nehari projection: stub")
+                fine_starts.append(u)
+                return descend(u)
+            return run
+
+        monkeypatch.setattr(experiments, "_nehari_descent", builder)
+        d = estimate_d_omega(params_critical, grid, n_random=3, seed=6)
+        rng = np.random.default_rng(6)
+        draws = [experiments._trial_values(coarse, rng) for _ in range(3)]
+        assert len(fine_starts) == 3
+        for u, c in zip(fine_starts, draws):
+            assert np.array_equal(u, experiments._prolong(c))
+        descend = _nehari_descent(params_critical.gamma ** 2 * grid.r ** 2,
+                                  grid, params_critical.b, params_critical.p)
+        assert d == min(_real_action(descend(u)[0], grid, params_critical)
+                        for u in fine_starts)
+
+    @pytest.mark.parametrize("params_name, state_name", [
+        ("params_critical", "bound_state"),
+        ("params_supercritical", "bound_state_super")])
+    def test_each_random_trial_lands_just_above_least_action(
+            self, request, grid, params_name, state_name):
+        # one random trial per estimate, so each trial's refined action is
+        # seen alone
+        params = request.getfixturevalue(params_name)
+        S = action(request.getfixturevalue(state_name).profile, params)
+        for seed in range(6):
+            d = estimate_d_omega(params, grid, n_random=1, seed=seed)
+            assert -1e-9 < (d - S) / S < 1e-6
 
 
 class TestCrossLevel:
