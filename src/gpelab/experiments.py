@@ -323,11 +323,15 @@ def estimate_d_n_upper(phi: RadialField, params: ModelParams):
     The amplitude factors 1 + f (lam* - 1), f in _CROSS_FRACTIONS, lie in
     (1, lam*), where the dilation coefficient stays positive: lam* =
     (||grad phi||^2 / (c_I P(phi)))^(1/(p-1)), above 1 for any phi with
-    vanishing virial.  An empty window (lam* <= 1) raises one
-    ParameterError that gives lam*; when no factor works, it gives each
-    factor's reason.
+    vanishing virial.  A phi with P(phi) = 0 (the zero field) has no lam*
+    and raises a ParameterError that gives P.  An empty window (lam* <= 1)
+    raises one ParameterError that gives lam*; when no factor works, it
+    gives each factor's reason.
     """
     m = _field_moments(phi, params)
+    if not m.P > 0.0:
+        raise ParameterError(
+            f"no cross point: lam* needs P(phi) > 0, P = {m.P}")
     lam_star = ((m.G / (virial_coefficient(params) * m.P))
                 ** (1.0 / (params.p - 1.0)))
     if lam_star <= 1.0:

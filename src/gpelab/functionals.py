@@ -233,8 +233,9 @@ def classify(u: RadialField, params: ModelParams, d: float) -> SetLabel:
 
     The strict inequalities are certified outside a band of relative width
     _SIGN_BAND_REL (scaled by ||u||_H^2).  A nehari value inside the band
-    raises AmbiguousSignError; a virial value inside the band with
-    certified nehari < 0 degrades to R_MINUS_ONLY.
+    or on its edge raises AmbiguousSignError (the zero field among them);
+    a virial value there with certified nehari < 0 degrades to
+    R_MINUS_ONLY.
     """
     if d <= 0.0:
         raise ParameterError("the level d must be positive")
@@ -244,12 +245,12 @@ def classify(u: RadialField, params: ModelParams, d: float) -> SetLabel:
         return SetLabel.OUTSIDE
     band = _SIGN_BAND_REL * abs(m.h_norm_sq(params.gamma, omega))
     K = m.nehari(params.gamma, omega)
-    if abs(K) < band:
+    if abs(K) <= band:
         raise AmbiguousSignError(
             f"nehari functional {K} inside the certification band {band}")
     if K > 0.0:
         return SetLabel.R_PLUS
     I = m.virial(params.gamma, virial_coefficient(params))
-    if abs(I) < band:
+    if abs(I) <= band:
         return SetLabel.R_MINUS_ONLY
     return SetLabel.K_PLUS if I > 0.0 else SetLabel.K_MINUS

@@ -65,8 +65,11 @@ class GroundStateResult:
     positive and nonincreasing at rounding: a far tail may hold entries
     within _FLOOR_EPS max|u| of zero (0 or a tiny negative), reported as
     Newton returned them (see _polish).  iterations counts the Newton
-    updates made; for the minimizer it adds the gradient-flow steps tried
-    before them.
+    updates made; for the minimizer it adds the gradient-flow steps taken
+    before them.  The minimizer raises instead where its flow collapses
+    (||grad u||^2 rising for 50 steps above 25 times its start or passing
+    1e4 times it, or omega h^2 > 1e-2 at p >= p_c without a ball) or
+    takes _FLOW_MAX_ITER steps without reaching its stop.
     """
 
     profile: RadialField
@@ -378,8 +381,7 @@ _FLOW_MAX_ITER = 40000
 def constrained_minimizer(q: float, params: ModelParams,
                           grid: RadialGrid | None = None,
                           ball_radius: float | None = None,
-                          tol: float = 1e-8,
-                          energy_trace: list | None = None) -> GroundStateResult:
+                          tol: float = 1e-8) -> GroundStateResult:
     """Energy minimizer at prescribed mass q by normalized gradient descent.
 
     Semi-implicit treatment of the stiff linear operator, explicit
@@ -391,10 +393,17 @@ def constrained_minimizer(q: float, params: ModelParams,
     With ball_radius set this is the local variational problem on the ball
     ||u||_H^2 <= ball_radius; the constraint set is nonempty iff
     q <= ball_radius / (gamma N), and the minimizer must end up strictly
-    inside the ball (checked a posteriori with a 1% margin).  A flow that
-    diverges, or reaches omega h^2 > 1e-2, raises EnergyUnboundedError at
-    p >= p_c without a ball; below p_c a diverging flow raises a
-    ConvergenceError naming h.
+    inside the ball (checked a posteriori with a 1% margin).
+
+    The flow hands its state to Newton once the sup residual is below
+    max(sqrt(tol), 100 tol).  It is a collapse when ||grad u||^2 has risen
+    for 50 steps in a row above 25 times its start, when it passes 1e4
+    times its start, or, at p >= p_c without a ball, when omega h^2 passes
+    1e-2 (a state under 10 h wide).  A collapse raises EnergyUnboundedError
+    at p >= p_c without a ball, a ConvergenceError naming h below p_c, and
+    a ConvergenceError naming the admissible range with a ball.  A flow
+    still short of the stop after _FLOW_MAX_ITER steps raises
+    ConvergenceError.
     """
     if grid is None:
         grid = default_grid(params)
@@ -418,29 +427,21 @@ def constrained_minimizer(q: float, params: ModelParams,
     # O(dtau)-biased profile).
     dtau = 0.5
     m = _moments(u, grid, b, p)
-    E_prev, g0, omega = m.energy(p, gamma, 1.0), m.G, m.multiplier(gamma)
+    g0, omega = m.G, m.multiplier(gamma)
     g_prev = g0
     grow = 0
     flow_tol = max(math.sqrt(tol), 100.0 * tol)
-    it = 0
-    res_mark = math.inf
     # p >= p_c without a ball, a state under 10 h wide is a collapse too
     width_cap = (1e-2 / grid.h ** 2 if ball_radius is None
                  and params.criticality != "subcritical" else math.inf)
-    while it < _FLOW_MAX_ITER:
-        it += 1
+    for it in range(1, _FLOW_MAX_ITER + 1):
         solve = factor_operator(
             grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0,
             definite=True)
-        u_new = solve(u + dtau * nonlinearity(u, grid, b, p))
-        u_new *= math.sqrt(q / float(np.dot(w, u_new * u_new)))
-        m = _moments(u_new, grid, b, p)
-        E_new, g = m.energy(p, gamma, 1.0), m.G
-        if E_new > E_prev + 1e-10 * max(1.0, abs(E_prev)):
-            if dtau <= 1e-8:
-                break
-            dtau *= 0.5
-            continue
+        u = solve(u + dtau * nonlinearity(u, grid, b, p))
+        u *= math.sqrt(q / float(np.dot(w, u * u)))
+        m = _moments(u, grid, b, p)
+        g = m.G
         if g > g_prev * (1.0 + 1e-10) and g > 25.0 * g0:
             grow += 1
         else:
@@ -450,8 +451,7 @@ def constrained_minimizer(q: float, params: ModelParams,
         # gentle monotone divergence, a catastrophic dive onto a grid-
         # concentrated state (the unbounded direction collapses within a few
         # steps, then saturates at the mesh scale), or a state past width_cap
-        if (grow >= 50 or g > 1e4 * g0 or E_new < -1e8 * (1.0 + abs(g0))
-                or omega > width_cap):
+        if grow >= 50 or g > 1e4 * g0 or omega > width_cap:
             if params.criticality == "subcritical":
                 raise ConvergenceError(
                     f"descent diverged below p_c: the state collapsed to the "
@@ -463,19 +463,10 @@ def constrained_minimizer(q: float, params: ModelParams,
             raise ConvergenceError(
                 "descent diverged; the mass target is outside the "
                 "admissible range for this constraint")
-        u = u_new
-        E_prev = E_new
-        if energy_trace is not None:
-            energy_trace.append(E_new)
         res = float(np.max(np.abs(
             stationary_residual(u, grid, trap_coeff + omega, b, p))))
         if res < flow_tol:
             break
-        if it % 200 == 0:
-            # hand a plateaued flow to Newton rather than spinning
-            if res > 0.999 * res_mark:
-                break
-            res_mark = res
     else:
         raise ConvergenceError(
             f"nonconvergence: {_FLOW_MAX_ITER} descent steps without "

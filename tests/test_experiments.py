@@ -453,6 +453,9 @@ class TestCrossLevel:
                                  r"lam\* = 0\.9927") as info:
             estimate_d_n_upper(phi, params)
         assert "need an amplitude factor" not in str(info.value)
+        # the zero field has no lam* at all: P = 0 is named
+        with pytest.raises(ParameterError, match=r"P = 0\.0"):
+            estimate_d_n_upper(RadialField.zeros(phi.grid), params)
 
     def test_upper_bound_positive(self, bound_state, grid, params_critical):
         dn, points = estimate_d_n_upper(bound_state.profile, params_critical)

@@ -243,6 +243,11 @@ class TestClassification:
         with pytest.raises(AmbiguousSignError):
             classify(proj, params_critical, d)
 
+    def test_zero_field_is_ambiguous(self, grid, params_critical):
+        # the band is 0 there and K = 0 sits on its edge: not certified
+        with pytest.raises(AmbiguousSignError):
+            classify(RadialField.zeros(grid), params_critical, self.D)
+
     def test_r_minus_only_when_virial_uncertifiable(self, bound_state,
                                                     params_critical,
                                                     monkeypatch):

@@ -21,8 +21,6 @@ WRAPPERS = {"_from_config", "partial"}
 # (owner, parameter) -> why the default stays a public option; the owner
 # is "module.function", "module.Class.method" or "module.Class.__init__"
 ALLOWED = {
-    ("groundstate.constrained_minimizer", "energy_trace"):
-        "a test hook, until a telemetry record on the result replaces it",
     ("functionals.energy", "coupling"):
         "an input to the model: 0 gives the energy of the linear equation",
     ("closedforms.blowup_family", "theta0"):
