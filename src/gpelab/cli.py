@@ -6,7 +6,9 @@ sections or keys are rejected by name).  Every output file embeds the fully
 resolved configuration, and all randomness is seeded from [run] seed, so
 identical configs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 solver failure, 2 config error.
+Exit codes: 0 success, 1 solver failure, 2 config error: a
+PreconditionError, raised by a check made before its operation does any
+work, wherever in a command it is raised; every other error is 1.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from . import closedforms, experiments, functionals
 from . import groundstate as gs
 from .evolve import EvolveConfig, evolve as run_evolution
 from .evolve import predict_collapse_time
-from .core import (SUBCRITICAL, ModelParams, ParameterError, RadialField,
-                   RadialGrid, grad_norm_sq, integrate_radial, mass,
+from .core import (SUBCRITICAL, PreconditionError, RadialField, RadialGrid,
+                   grad_norm_sq, integrate_radial, mass,
                    require_positive_finite, validate_params)
 
 __all__ = ["main", "run", "ConfigError"]
 
-
-class ConfigError(ValueError):
-    pass
+# a config error is a failed precondition, the reader's own or the library's
+ConfigError = PreconditionError
 
 
 _POSITIVES = "positives"  # a non-empty list of positive, finite floats
@@ -95,7 +96,7 @@ def _convert(section, key, raw):
     if kind is _FINITE and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     for x in {_POSITIVE: [value], _POSITIVES: value}.get(kind, ()):
-        _from_config(require_positive_finite, name, x)
+        require_positive_finite(name, x)
     return value
 
 
@@ -129,24 +130,9 @@ def _flatten(cfg: dict) -> dict:
     return flat
 
 
-def _from_config(build, *args, **kwargs):
-    """build(*args, **kwargs) on config values alone (a constructor, a
-    precondition or a closed form): the one place where a ParameterError
-    becomes a ConfigError (exit 2, no marker).  Errors raised while
-    solving stay solver failures."""
-    try:
-        return build(*args, **kwargs)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _model(cfg) -> ModelParams:
-    return _from_config(validate_params, cfg["model"])
-
-
 def _grid(cfg, params) -> RadialGrid:
     g = cfg["grid"]
-    return _from_config(RadialGrid, h=g["h"], rmax=g["rmax"], dim=params.dim)
+    return RadialGrid(h=g["h"], rmax=g["rmax"], dim=params.dim)
 
 
 def _write_json(path, payload, cfg):
@@ -167,12 +153,12 @@ def _json_default(obj):
 # ---------------------------------------------------------------- commands
 
 def _cmd_groundstate(cfg, out_dir: Path) -> int:
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     section = cfg["groundstate"]
     method, tol = section["method"], section["tol"]
     if method == "soliton":
-        grid = _from_config(gs.soliton_grid, params, h=cfg["grid"]["h"],
-                            rmax=section.get("rmax", 20.0))
+        grid = gs.soliton_grid(params, h=cfg["grid"]["h"],
+                               rmax=section.get("rmax", 20.0))
         result = gs.solve_soliton(params, grid, tol=tol)
     elif method == "shoot":
         result = gs.solve_bound_state(params, _grid(cfg, params), tol=tol)
@@ -234,15 +220,16 @@ def _initial_state(cfg, params, grid) -> RadialField:
 
 
 def _cmd_evolve(cfg, out_dir: Path) -> int:
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     grid = _grid(cfg, params)
     section = cfg["evolve"]
-    run_cfg = _from_config(
-        EvolveConfig, dt=section["dt"], t_end=section["t_end"],
+    run_cfg = EvolveConfig(
+        dt=section["dt"], t_end=section["t_end"],
         free_equation=section["free_equation"],
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"], coupling=section["coupling"])
-    _from_config(run_cfg.require_trap_resolved, params)
+    # checked before the initial state is built; evolve checks it after
+    run_cfg.require_trap_resolved(params)
     u0 = _initial_state(cfg, params, grid)
     result = run_evolution(u0, params, run_cfg)
     result.series.to_csv(out_dir / "diagnostics.csv", metadata=_flatten(cfg))
@@ -255,15 +242,17 @@ def _cmd_evolve(cfg, out_dir: Path) -> int:
 
 
 def _cmd_sweep(cfg, out_dir: Path) -> int:
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     grid = _grid(cfg, params)
     section = cfg["sweep"]
-    _from_config(params.require_critical, "the threshold sweep")
-    run_cfg = _from_config(
-        EvolveConfig, dt=section["dt"], t_end=section["t_end"],
+    # checked before the soliton solve; threshold_sweep checks the power
+    # only after it, and a row's evolve would make a bad step a failed row
+    params.require_critical("the threshold sweep")
+    run_cfg = EvolveConfig(
+        dt=section["dt"], t_end=section["t_end"],
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"])
-    _from_config(run_cfg.require_trap_resolved, params)
+    run_cfg.require_trap_resolved(params)
     _, soliton = _critical_soliton(params, grid.h)
     result = experiments.threshold_sweep(
         soliton.profile, params, grid, section["c_values"],
@@ -277,9 +266,8 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
 
 
 def _cmd_levels(cfg, out_dir: Path) -> int:
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     grid = _grid(cfg, params)
-    _from_config(params.require_critical_or_larger, "the level estimates")
     levels = experiments.estimate_levels(
         params, grid, n_random=cfg["levels"]["n_random"],
         seed=cfg["run"]["seed"])
@@ -289,27 +277,26 @@ def _cmd_levels(cfg, out_dir: Path) -> int:
 
 
 def _cmd_uniqueness(cfg, out_dir: Path) -> int:
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     section = cfg["uniqueness"]
     r_first = 0.05  # the samples run upward from here to r_max
     if section["r_max"] <= r_first:
         raise ConfigError(f"[uniqueness] r_max must exceed {r_first}, "
                           f"got {section['r_max']}")
     samples = np.linspace(r_first, section["r_max"], section["n_samples"])
-    report = _from_config(gs.uniqueness_report, params, r_samples=samples)
+    report = gs.uniqueness_report(params, r_samples=samples)
     _write_json(out_dir / "uniqueness.json", asdict(report), cfg)
     return 0
 
 
 def _cmd_lens(cfg, out_dir: Path) -> int:
     """Free-side run mapped through the lens versus the direct trapped run."""
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     section = cfg["lens"]
-    settings = (params, _grid(cfg, params), section["free_rmax"], section["dt"],
-                section["t_max_frac"] * closedforms.caustic_time(params),
-                section["n_check"], section["amplitude"], section["width"])
-    _from_config(experiments.lens_runs, *settings)
-    checks, mismatches, roundtrip = experiments.lens_check(*settings)
+    checks, mismatches, roundtrip = experiments.lens_check(
+        params, _grid(cfg, params), section["free_rmax"], section["dt"],
+        section["t_max_frac"] * closedforms.caustic_time(params),
+        section["n_check"], section["amplitude"], section["width"])
     _write_json(out_dir / "lens_report.json", {
         "check_times": checks,
         "l2_mismatch": mismatches,
@@ -323,7 +310,7 @@ def _cmd_lens(cfg, out_dir: Path) -> int:
 
 def _verify_checks(cfg):
     """Yield (name, passed, detail) for the invariant suite."""
-    params = _model(cfg)
+    params = validate_params(cfg["model"])
     grid = _grid(cfg, params)
     gamma, N = params.gamma, params.dim
 
@@ -439,20 +426,22 @@ _COMMANDS = {
 
 
 def run(command: str, config_path, out_dir) -> int:
-    """Run one subcommand; returns the process exit status."""
+    """Run one subcommand; returns the process exit status: 2 for a
+    PreconditionError wherever it is raised, 1 with a marker for any other
+    exception of the command."""
     out_dir = Path(out_dir)
     try:
         cfg = load_config(config_path)
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}; "
                               f"choose from {sorted(_COMMANDS)}")
-    except ConfigError as exc:
+    except PreconditionError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[command](cfg, out_dir)
-    except ConfigError as exc:
+    except PreconditionError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dptsv
 
-from .core import (ModelParams, ParameterError, RadialField, RadialGrid,
-                   symmetric_form)
+from .core import (ModelParams, ParameterError, PreconditionError,
+                   RadialField, RadialGrid, symmetric_form)
 
 __all__ = [
     "CausticError", "BlowupFamilyParams", "ProfileInterpolant",
@@ -47,9 +47,9 @@ def caustic_time(params: ModelParams) -> float:
 
 
 def require_before_caustic(name: str, t: float, params: ModelParams) -> None:
-    """Raise ParameterError naming `name` unless 0 < t < caustic_time."""
+    """Raise PreconditionError naming `name` unless 0 < t < caustic_time."""
     if not 0.0 < t < caustic_time(params):
-        raise ParameterError(
+        raise PreconditionError(
             f"{name} must lie in (0, {caustic_time(params)}), got {t}")
 
 
@@ -187,7 +187,7 @@ def blowup_family(beta: float, t: float, soliton: RadialField,
     t = 0.  Q is interpolated with its r^(2-b) origin fit.
     """
     if t <= 0.0:
-        raise ParameterError("the family is defined for t > 0")
+        raise PreconditionError("the family is defined for t > 0")
     q = ProfileInterpolant(soliton, singular_exponent=2.0 - params.b)
     N = grid.dim
     ratio = beta / t
@@ -259,7 +259,8 @@ def snapshot_sampler(snapshots):
 def _minimal_mass_values(fp, t, params, q_interp, r, extended=False):
     """Composite closed form at trapped time t on radii r.
 
-    For 0 <= t < T all scale factors are positive; with extended=True the
+    For 0 <= t < T < caustic_time, which minimal_mass_solution requires,
+    all scale factors are positive; with extended=True the
     expression is continued past T/caustics using principal complex powers
     (used by the periodicity diagnostics).
     """
@@ -273,8 +274,6 @@ def _minimal_mass_values(fp, t, params, q_interp, r, extended=False):
     # inner free time of the composed family and the combined scale
     sigma = math.sin(2.0 * gamma * (T - t)) / (2.0 * gamma * math.cos(2.0 * gamma * T))
     s_inner = sigma / c
-    if not extended and (sigma <= 0.0 or s_inner <= 0.0):
-        raise ParameterError("inner time not positive; t outside [0, T)")
     quad_phase = 0.5 * gamma * math.tan(2.0 * gamma * t) + 1.0 / (4.0 * s_inner * c * c)
     if extended:
         amp = np.power(complex(lam0 / sigma), N / 2.0)
@@ -296,7 +295,7 @@ def minimal_mass_solution(fp: BlowupFamilyParams, t: float,
     params.require_critical("the minimal-mass solution")
     require_before_caustic("collapse time T", fp.T, params)
     if not 0.0 <= t < fp.T:
-        raise ParameterError(f"t = {t} outside [0, T = {fp.T})")
+        raise PreconditionError(f"t = {t} outside [0, T = {fp.T})")
     q = ProfileInterpolant(soliton, singular_exponent=2.0 - params.b)
     vals = _minimal_mass_values(fp, t, params, q, grid.r)
     return RadialField(grid, vals)

@@ -29,6 +29,12 @@ class ParameterError(ValueError):
     """A model, grid or solver parameter violates its admissible range."""
 
 
+class PreconditionError(ParameterError):
+    """A scalar, parameter, mesh or step setting outside an operation's
+    domain, found before the operation does any work: the input's fault,
+    not the outcome's."""
+
+
 class GridMismatchError(ParameterError):
     """Fields, sample arrays or model parameters live on different grids."""
 
@@ -38,15 +44,17 @@ class ConvergenceError(RuntimeError):
 
 
 def require_positive_finite(name: str, value) -> None:
-    """Raise ParameterError naming `name` unless 0 < value < inf (nan fails)."""
+    """Raise PreconditionError naming `name` unless 0 < value < inf (nan
+    fails)."""
     if not 0.0 < value < np.inf:
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
+        raise PreconditionError(
+            f"{name} must be positive and finite, got {value}")
 
 
 def require_dimension(dim) -> None:
-    """Raise ParameterError unless dim is an integer >= 1."""
+    """Raise PreconditionError unless dim is an integer >= 1."""
     if not (isinstance(dim, int) and dim >= 1):
-        raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
+        raise PreconditionError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,15 @@ class ModelParams:
         require_dimension(self.dim)
         bmax = min(2.0, float(self.dim))
         if not (0.0 < self.b < bmax):
-            raise ParameterError(
+            raise PreconditionError(
                 f"b must satisfy 0 < b < min(2, N) = {bmax}, got b = {self.b}")
         if not (1.0 < self.p < self.p_max):
-            raise ParameterError(
+            raise PreconditionError(
                 f"p must satisfy 1 < p < {self.p_max}, got p = {self.p}")
         require_positive_finite("gamma", self.gamma)
         if (self.omega is not None
                 and not -self.gamma * self.dim < self.omega < np.inf):
-            raise ParameterError(
+            raise PreconditionError(
                 f"omega must be finite and exceed -gamma*N = "
                 f"{-self.gamma * self.dim}, got omega = {self.omega}")
 
@@ -113,22 +121,22 @@ class ModelParams:
 
     def require_omega(self) -> float:
         if self.omega is None:
-            raise ParameterError("this operation needs params.omega")
+            raise PreconditionError("this operation needs params.omega")
         return self.omega
 
     def require_critical(self, what: str) -> None:
-        """Raise ParameterError unless p is the mass-critical power; `what`
-        names the operation that needs it."""
+        """Raise PreconditionError unless p is the mass-critical power;
+        `what` names the operation that needs it."""
         if not self.is_critical:
-            raise ParameterError(
+            raise PreconditionError(
                 f"{what} needs the critical power p = {self.p_critical}, "
                 f"got p = {self.p}")
 
     def require_critical_or_larger(self, what: str) -> None:
-        """Raise ParameterError when p is below the mass-critical power;
+        """Raise PreconditionError when p is below the mass-critical power;
         `what` names the operation that needs p >= p_c."""
         if self.criticality == SUBCRITICAL:
-            raise ParameterError(
+            raise PreconditionError(
                 f"{what} needs p >= the critical power {self.p_critical}, "
                 f"got p = {self.p}")
 
@@ -147,18 +155,18 @@ def validate_params(raw: Mapping | None = None, **kwargs) -> ModelParams:
     """Build ModelParams from a mapping, rejecting unknown keys.
 
     Reports the critical power and the admissible upper power through the
-    returned object (p_critical, p_max); raises ParameterError naming the
-    violated bound otherwise.
+    returned object (p_critical, p_max); raises PreconditionError naming
+    the violated bound otherwise.
     """
     data = dict(raw or {})
     data.update(kwargs)
     allowed = {"dim", "b", "p", "gamma", "omega"}
     unknown = set(data) - allowed
     if unknown:
-        raise ParameterError(f"unknown parameter(s): {sorted(unknown)}")
+        raise PreconditionError(f"unknown parameter(s): {sorted(unknown)}")
     missing = {"dim", "b", "p"} - set(data)
     if missing:
-        raise ParameterError(f"missing parameter(s): {sorted(missing)}")
+        raise PreconditionError(f"missing parameter(s): {sorted(missing)}")
     dim = data["dim"]
     dim = int(dim) if isinstance(dim, float) and dim.is_integer() else dim
     return ModelParams(dim=dim,
@@ -184,7 +192,7 @@ class RadialGrid:
         require_positive_finite("rmax", rmax)
         n = int(round(rmax / h))
         if n < 4 or abs(n * h - rmax) > 1e-9 * rmax:
-            raise ParameterError(
+            raise PreconditionError(
                 f"rmax = {rmax} must be an integer multiple (>= 4) of h = {h}")
         require_dimension(dim)
         self.h = float(h)

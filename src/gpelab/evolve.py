@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ModelParams, ParameterError, RadialField, _write_table,
-                   factor_operator, nonlinear_rate, require_positive_finite,
-                   variance_rate)
+from .core import (ModelParams, ParameterError, PreconditionError,
+                   RadialField, _write_table, factor_operator, nonlinear_rate,
+                   require_positive_finite, variance_rate)
 from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
@@ -60,26 +60,29 @@ class EvolveConfig:
         require_positive_finite("t_end", self.t_end)
         # a float would pass `step % record_every` on other steps than asked
         if not isinstance(self.record_every, numbers.Integral):
-            raise ParameterError(
+            raise PreconditionError(
                 f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
-            raise ParameterError("record_every must be >= 1")
+            raise PreconditionError("record_every must be >= 1")
         if not 1.0 < self.blowup_gradient_factor < math.inf:
-            raise ParameterError("blowup_gradient_factor must be finite and "
-                                 f"exceed 1, got {self.blowup_gradient_factor}")
+            raise PreconditionError(
+                "blowup_gradient_factor must be finite and exceed 1, got "
+                f"{self.blowup_gradient_factor}")
         if not math.isfinite(self.coupling):
-            raise ParameterError(f"coupling must be finite, got {self.coupling}")
+            raise PreconditionError(
+                f"coupling must be finite, got {self.coupling}")
         for ts in self.snapshot_times:
             if not 0.0 <= ts <= self.t_end:
-                raise ParameterError(f"snapshot time {ts} outside [0, t_end]")
+                raise PreconditionError(
+                    f"snapshot time {ts} outside [0, t_end]")
 
     def require_trap_resolved(self, params: ModelParams) -> None:
-        """Raise ParameterError unless dt resolves the trap period of the
+        """Raise PreconditionError unless dt resolves the trap period of the
         trapped equation, dt <= (pi / (2 gamma)) / 200; a free-equation
         run has no trap and passes."""
         dt_max = (math.pi / (2.0 * params.gamma)) / 200.0
         if not self.free_equation and self.dt > dt_max:
-            raise ParameterError(
+            raise PreconditionError(
                 f"dt = {self.dt} does not resolve the trap period; "
                 f"need dt <= {dt_max}")
 
@@ -284,7 +287,7 @@ def predict_collapse_time(u0: RadialField, params: ModelParams,
     """
     params.require_critical("collapse-time prediction")
     if not math.isfinite(criterion_tol):
-        raise ParameterError(
+        raise PreconditionError(
             f"criterion_tol must be finite, got {criterion_tol}")
     gamma = params.gamma
     m = _field_moments(u0, params)

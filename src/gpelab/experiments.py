@@ -13,8 +13,9 @@ import numpy as np
 
 from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
                           require_before_caustic, snapshot_sampler)
-from .core import (ConvergenceError, ModelParams, ParameterError, RadialField,
-                   RadialGrid, _write_table, mass, sigma_inner, sigma_norm_sq)
+from .core import (ConvergenceError, ModelParams, ParameterError,
+                   PreconditionError, RadialField, RadialGrid, _write_table,
+                   mass, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, _moments, action,
                           classify, h_omega_norm_sq, virial_coefficient)
@@ -28,8 +29,8 @@ __all__ = [
     "scale_potential_preserving", "dilation_exponent",
     "nehari_project", "estimate_d_omega", "construct_cross_point",
     "estimate_d_n_upper", "estimate_levels",
-    "threshold_sweep", "dichotomy_run", "stability_run", "lens_runs",
-    "lens_check", "random_trial_field",
+    "threshold_sweep", "dichotomy_run", "stability_run", "lens_check",
+    "random_trial_field",
 ]
 
 
@@ -262,7 +263,7 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
     1e-8) and nehari < 0.
     """
     if lam <= 1.0:
-        raise ParameterError("need an amplitude factor lam > 1")
+        raise PreconditionError("need an amplitude factor lam > 1")
     v = scale_amplitude(phi, lam)
     m = _field_moments(v, params)
     gamma, omega = params.gamma, params.require_omega()
@@ -570,28 +571,6 @@ def stability_run(params: ModelParams, grid: RadialGrid, q: float,
 
 # --------------------------------------------------------------------- lens
 
-def lens_runs(params: ModelParams, grid: RadialGrid, free_rmax: float,
-              dt: float, t_max: float, n_check: int, amplitude: float,
-              width: float):
-    """The free and the trapped run of lens_check, as (initial state,
-    EvolveConfig) pairs recording only at the check times; raises
-    ParameterError for any bad setting before anything runs."""
-    params.require_critical("the lens equivalence")
-    require_before_caustic("the last lens check time", t_max, params)
-    checks = tuple(float(t) for t in np.linspace(0.0, t_max, n_check + 1)[1:])
-    g2 = 2.0 * params.gamma
-    free_times = tuple(math.tan(g2 * t) / g2 for t in checks)
-    free_grid = RadialGrid(h=grid.h, rmax=free_rmax, dim=params.dim)
-    runs = [(RadialField(g, amplitude * np.exp(-g.r ** 2 / (2.0 * width ** 2))),
-             EvolveConfig(dt=dt, t_end=times[-1], free_equation=free,
-                          record_every=10 ** 9, snapshot_times=times,
-                          blowup_gradient_factor=1e9))
-            for g, times, free in ((free_grid, free_times, True),
-                                   (grid, checks, False))]
-    runs[1][1].require_trap_resolved(params)
-    return runs
-
-
 def lens_check(params: ModelParams, grid: RadialGrid, free_rmax: float,
                dt: float, t_max: float, n_check: int, amplitude: float,
                width: float):
@@ -602,14 +581,28 @@ def lens_check(params: ModelParams, grid: RadialGrid, free_rmax: float,
     free_rmax (same h) and trapped on grid.  Returns the n_check times
     evenly spaced in (0, t_max], the L2 distances of the lens-mapped free
     run from the trapped run there, and the sup error of lens_inverse after
-    lens_forward of the free state at the last time.
+    lens_forward of the free state at the last time.  Every setting is
+    checked, each bad one raising PreconditionError, before either run
+    starts.
     """
-    (free_u0, free_cfg), (u0, cfg) = lens_runs(
-        params, grid, free_rmax, dt, t_max, n_check, amplitude, width)
+    params.require_critical("the lens equivalence")
+    require_before_caustic("the last lens check time", t_max, params)
+    checks = tuple(float(t) for t in np.linspace(0.0, t_max, n_check + 1)[1:])
+    g2 = 2.0 * params.gamma
+    free_times = tuple(math.tan(g2 * t) / g2 for t in checks)
+    free_grid = RadialGrid(h=grid.h, rmax=free_rmax, dim=params.dim)
+    (free_u0, free_cfg), (u0, cfg) = [
+        (RadialField(g, amplitude * np.exp(-g.r ** 2 / (2.0 * width ** 2))),
+         EvolveConfig(dt=dt, t_end=times[-1], free_equation=free,
+                      record_every=10 ** 9, snapshot_times=times,
+                      blowup_gradient_factor=1e9))
+        for g, times, free in ((free_grid, free_times, True),
+                               (grid, checks, False))]
+    cfg.require_trap_resolved(params)
     # records only at the check times; recording leaves the state alone
     sampler = snapshot_sampler(evolve(free_u0, params, free_cfg).snapshots)
     trapped = evolve(u0, params, cfg).snapshots
-    checks, free_last = [t for t, _ in trapped], free_cfg.snapshot_times[-1]
+    checks, free_last = [t for t, _ in trapped], free_times[-1]
     mismatches = [math.sqrt(mass(lens_forward(sampler, t, params, grid) - f))
                   for t, f in trapped]
     mapped = ProfileInterpolant(lens_forward(sampler, checks[-1], params, grid))

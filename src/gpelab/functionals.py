@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ModelParams, ParameterError, RadialField, gradient_sq,
-                   stationary_residual)
+from .core import (ModelParams, ParameterError, PreconditionError,
+                   RadialField, gradient_sq, stationary_residual)
 
 __all__ = [
     "AmbiguousSignError", "FunctionalReport", "SetLabel",
@@ -165,7 +165,7 @@ def gn_slack(u: RadialField, params: ModelParams, critical_mass: float) -> float
     """
     params.require_critical("the sharp-constant check")
     if critical_mass <= 0.0:
-        raise ParameterError("critical_mass must be positive")
+        raise PreconditionError("critical_mass must be positive")
     m = _field_moments(u, params)
     s = (4.0 - 2.0 * params.b) / params.dim
     best = critical_mass ** (-s / 2.0) * (2.0 + params.dim - params.b) / params.dim
@@ -238,7 +238,7 @@ def classify(u: RadialField, params: ModelParams, d: float) -> SetLabel:
     R_MINUS_ONLY.
     """
     if d <= 0.0:
-        raise ParameterError("the level d must be positive")
+        raise PreconditionError("the level d must be positive")
     m = _field_moments(u, params)
     omega = params.require_omega()
     if m.action(params.p, params.gamma, omega) >= d:

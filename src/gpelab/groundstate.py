@@ -22,9 +22,10 @@ import numpy as np
 from scipy.linalg.blas import dnrm2
 
 from .core import (ConvergenceError, GridMismatchError, ModelParams,
-                   ParameterError, RadialField, RadialGrid, apply_laplacian,
-                   default_grid, factor_operator, nonlinear_rate, nonlinearity,
-                   require_positive_finite, stationary_residual)
+                   ParameterError, PreconditionError, RadialField, RadialGrid,
+                   apply_laplacian, default_grid, factor_operator,
+                   nonlinear_rate, nonlinearity, require_positive_finite,
+                   stationary_residual)
 from .functionals import _field_moments, _moments
 
 __all__ = [
@@ -45,7 +46,7 @@ class ConstraintEmptyError(ParameterError):
     """The mass/ball constraint set is empty (q > ball_radius / (gamma N))."""
 
 
-class OutsideHypothesesError(ParameterError):
+class OutsideHypothesesError(PreconditionError):
     """Parameters outside the hypotheses of the uniqueness criterion."""
 
 
@@ -278,7 +279,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
             domega = (-gap - 2.0 * float(np.dot(w, u * step))) / denom
             step = step + domega * x1
         scale = 1.0
-        for _ in range(12):
+        while True:
             u_try, omega_try = u + scale * step, omega + scale * domega
             F = stationary_residual(u_try, grid, coeff + omega_try, b, p)
             if np.max(np.abs(F)) < res or res < tol or scale < 1e-3:

@@ -233,6 +233,15 @@ class TestExitCodes:
          "[groundstate] method"),
         ("evolve", BASE + "[evolve]\ninitial = plane_wave\n",
          "[evolve] initial"),
+        ("groundstate", BASE.replace("p = 2.0", "p = 2.5")
+         + "[groundstate]\nmethod = soliton\n", None),
+        # h = 8/801 divides [grid] rmax = 8 but not the soliton mesh's 20
+        ("sweep", BASE.replace("h = 0.004", f"h = {8 / 801!r}"), None),
+        ("verify", BASE.replace("h = 0.004", f"h = {8 / 801!r}"), None),
+        ("evolve", BASE.replace("h = 0.004", f"h = {8 / 801!r}")
+         + "[evolve]\ninitial = soliton_scaled\n", None),
+        # verify's own dt = 1e-3 exceeds (pi / (2 gamma)) / 200 at gamma = 8
+        ("verify", BASE.replace("gamma = 1.0", "gamma = 8"), None),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
             "evolve_dt_nan", "evolve_record_every_0", "evolve_width_0",
             "sweep_dt_negative", "sweep_supercritical", "lens_supercritical",
@@ -252,7 +261,11 @@ class TestExitCodes:
             "uniqueness_r_max_below_first_sample",
             "uniqueness_r_max_at_first_sample", "levels_n_random_negative",
             "flow_without_q", "groundstate_method_unknown",
-            "evolve_initial_unknown"])
+            "evolve_initial_unknown", "soliton_supercritical",
+            "sweep_h_not_dividing_soliton_mesh",
+            "verify_h_not_dividing_soliton_mesh",
+            "evolve_soliton_h_not_dividing_soliton_mesh",
+            "verify_trap_period_unresolved"])
     def test_bad_value_is_2_without_marker(self, tmp_path, capsys, command,
                                            text, named):
         out = tmp_path / "out"

@@ -892,8 +892,8 @@ class TestThresholdSweep:
         assert [(row.c, row.outcome) for row in result.rows] == [
             (0.9, "failed"), (1.0, "failed")]
         for row in result.rows:
-            assert row.reason.startswith("ParameterError: dt = 0.1 does not "
-                                         "resolve the trap period")
+            assert row.reason.startswith("PreconditionError: dt = 0.1 does "
+                                         "not resolve the trap period")
 
     def test_requires_critical(self, soliton, grid, params_subcritical):
         cfg = EvolveConfig(dt=1e-3, t_end=0.5)

@@ -3,7 +3,8 @@ that needs it raises the same error: ModelParams.require_critical for the
 critical power, ModelParams.require_critical_or_larger for p >= p_c,
 ModelParams.require_grid for the grid's dimension,
 require_positive_finite for positive, finite inputs and require_dimension
-for the dimension itself."""
+for the dimension itself.  A failed precondition is a PreconditionError;
+an outcome of work is not, even where it is a ParameterError."""
 
 import math
 
@@ -14,13 +15,15 @@ from gpelab.closedforms import (BlowupFamilyParams, discrete_oscillator_mode,
                                 lens_inverse, minimal_mass_initial,
                                 minimal_mass_solution, oscillator_mode)
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
-                         RadialField, RadialGrid, require_positive_finite,
-                         validate_params)
+                         PreconditionError, RadialField, RadialGrid,
+                         require_positive_finite, validate_params)
 from gpelab.evolve import EvolveConfig, evolve, predict_collapse_time
-from gpelab.experiments import estimate_levels, threshold_sweep
+from gpelab.experiments import (estimate_d_n_upper, estimate_levels,
+                                threshold_sweep)
 from gpelab.functionals import (energy, energy_gradient, gn_slack, potential,
                                 weinstein)
-from gpelab.groundstate import (constrained_minimizer, solve_bound_state,
+from gpelab.groundstate import (ConstraintEmptyError, EnergyUnboundedError,
+                                constrained_minimizer, solve_bound_state,
                                 solve_soliton)
 
 SMALL = dict(h=0.05, rmax=2.0)
@@ -54,7 +57,7 @@ class TestCriticalPower:
     @pytest.mark.parametrize("what", sorted(CRITICAL_ONLY))
     def test_supercritical_rejected_naming_the_operation(
             self, small_field, params_supercritical, what):
-        with pytest.raises(ParameterError) as info:
+        with pytest.raises(PreconditionError) as info:
             CRITICAL_ONLY[what](small_field, params_supercritical)
         msg = str(info.value)
         assert msg.startswith(what)
@@ -68,7 +71,7 @@ class TestCriticalPower:
 class TestCriticalOrLarger:
     def test_subcritical_levels_rejected_naming_the_operation(
             self, small_field, params_subcritical):
-        with pytest.raises(ParameterError) as info:
+        with pytest.raises(PreconditionError) as info:
             estimate_levels(params_subcritical, small_field.grid)
         msg = str(info.value)
         assert msg.startswith("the level estimates needs p >= the critical "
@@ -110,7 +113,7 @@ class TestPositiveFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0,
                                      -1.0])
     def test_rejected(self, bad):
-        with pytest.raises(ParameterError,
+        with pytest.raises(PreconditionError,
                            match=f"x must be positive and finite, got {bad}"):
             require_positive_finite("x", bad)
 
@@ -127,6 +130,37 @@ class TestDimension:
         lambda dim: RadialGrid(dim=dim, **SMALL),
     ], ids=["ModelParams", "validate_params", "RadialGrid"])
     def test_one_message(self, build, bad):
-        with pytest.raises(ParameterError) as info:
+        with pytest.raises(PreconditionError) as info:
             build(bad)
         assert str(info.value) == f"dim must be an integer >= 1, got {bad!r}"
+
+
+def _empty_cross_window():
+    # lam* = 0.99276 < 1: the draw of TestCrossLevel's empty window
+    params = ModelParams(dim=1, b=0.878, p=5.7334, gamma=1.0, omega=4.279)
+    phi = solve_bound_state(params, RadialGrid(1e-2, 8.0, 1)).profile
+    estimate_d_n_upper(phi, params)
+
+
+# case -> (error class, message, call)
+OUTCOMES = {
+    "constraint_empty": (
+        ConstraintEmptyError, "constraint set empty",
+        lambda: constrained_minimizer(0.5, ModelParams(dim=3, b=0.5, p=2.5),
+                                      RadialGrid(dim=3, **SMALL),
+                                      ball_radius=1.0)),
+    "empty_cross_window": (
+        ParameterError, r"window \(1, lam\*\) is empty", _empty_cross_window),
+    "energy_unbounded": (
+        EnergyUnboundedError, "energy unbounded",
+        lambda: constrained_minimizer(70.0, ModelParams(dim=3, b=0.5, p=2.0),
+                                      RadialGrid(h=1e-2, rmax=8.0, dim=3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTCOMES))
+def test_outcome_errors_are_not_preconditions(case):
+    cls, message, call = OUTCOMES[case]
+    with pytest.raises(cls, match=message) as info:
+        call()
+    assert not isinstance(info.value, PreconditionError)

@@ -4,9 +4,9 @@ src/gpelab/ is passed by some call in src/gpelab/, perfbench/ or the
 acceptance suite.  An option that only a unit test sets is a private
 constant of its module instead.  This reads the sources and runs nothing.
 
-A call through `_from_config(f, ...)` or `partial(f, ...)` counts as a call
-of f.  Names are resolved through the calling file's imports; `x.f(...)` on
-anything but a package module or class counts for every public method f."""
+A call through `partial(f, ...)` counts as a call of f.  Names are
+resolved through the calling file's imports; `x.f(...)` on anything but a
+package module or class counts for every public method f."""
 
 import ast
 from pathlib import Path
@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "gpelab"
 CALLERS = (sorted(PACKAGE.glob("*.py"))
            + sorted((ROOT / "perfbench").glob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
-WRAPPERS = {"_from_config", "partial"}
+WRAPPERS = {"partial"}
 
 # (owner, parameter) -> why the default stays a public option; the owner
 # is "module.function", "module.Class.method" or "module.Class.__init__"
