@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.linalg.blas import ztbsv
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, zgttrf
 
 CRITICALITY_TOL = 1e-12
 
@@ -224,6 +224,9 @@ class RadialGrid:
                   self.lap_upper, self.sym_offdiag, self.sqrt_weights):
             a.setflags(write=False)
         self._r_pow = {}
+        # the mesh of spacing 2h, built on first use and then kept
+        # (groundstate._coarse_mesh)
+        self._coarse = None
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -416,30 +419,30 @@ def symmetric_form(grid: RadialGrid, coeff):
     return coeff - grid.lap_diag, grid.sym_offdiag
 
 
-def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0,
-                    definite=False):
+def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
     """Factor shift + scale (-Lap + coeff) once; returns solve(rhs).
 
     coeff is a node array or a scalar; complex coeff, scale or shift give a
     complex factorization, real ones a real one, and solve takes right-hand
-    sides of the same type.  definite=True declares a real operator
-    positive definite, as the descent and gradient-flow operators
-    1 + step (-Lap + coeff) with -Lap + coeff >= 0 are: it is factored
-    L D L' on its symmetric_form by LAPACK dpttrf, and solve is one dpttrs
-    between the scalings by sqrt(w).  Other real operators (the indefinite
-    Newton Jacobians) use the pivoted LAPACK dgttrf/dgttrs.  A complex
-    zgttrf factorization without a row exchange is L D U', L and U' unit
-    bidiagonal, so its solve is two BLAS sweeps and a scaling by 1/d, with
-    no division inside a recurrence.  The Crank-Nicolson operator
-    1 + (i dt/2)(-Lap + V), V >= 0, never needs an exchange: it is strictly
-    diagonally dominant with imaginary off-diagonals, so zgttrf's
-    |re| + |im| pivot test never swaps.  Raises
-    ConvergenceError when a pivot vanishes, a definite operator has a pivot
-    that is not positive, or a complex operator needs a row exchange.
+    sides of the same type.  A real operator must be positive definite, as
+    the descent and gradient-flow operators 1 + step (-Lap + coeff) with
+    -Lap + coeff >= 0 are: it is factored L D L' on its symmetric_form by
+    LAPACK dpttrf, and solve is one dpttrs between the scalings by
+    sqrt(w).  The indefinite Newton Jacobians are solved by solve_operator
+    instead.  A complex zgttrf factorization without a row exchange is
+    L D U', L and U' unit bidiagonal, so its solve is two BLAS sweeps and
+    a scaling by 1/d, with no division inside a recurrence.  The
+    Crank-Nicolson operator 1 + (i dt/2)(-Lap + V), V >= 0, never needs an
+    exchange: it is strictly diagonally dominant with imaginary
+    off-diagonals, so zgttrf's |re| + |im| pivot test never swaps.  Raises
+    ConvergenceError when a real operator has a pivot that is not
+    positive, a complex pivot vanishes, or a complex operator needs a row
+    exchange.
     """
-    if definite:
-        diag, off = symmetric_form(grid, coeff)
-        d, e, info = dpttrf(shift + scale * diag, scale * off)
+    # a complex scale makes the diagonal complex too
+    diag = shift + scale * (coeff - grid.lap_diag)
+    if not np.iscomplexobj(diag):
+        d, e, info = dpttrf(diag, scale * grid.sym_offdiag)
         if info != 0:
             raise ConvergenceError(
                 f"operator is not positive definite: pivot {info} of its "
@@ -452,18 +455,10 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0,
             return x
         return solve
 
-    # a complex scale makes the diagonal complex too
-    diag = shift + scale * (coeff - grid.lap_diag)
-    trf = zgttrf if np.iscomplexobj(diag) else dgttrf
-    dl, d, du, du2, ipiv, info = trf(-scale * grid.lap_lower, diag,
-                                     -scale * grid.lap_upper)
+    dl, d, du, du2, ipiv, info = zgttrf(-scale * grid.lap_lower, diag,
+                                        -scale * grid.lap_upper)
     if info != 0:
         raise ConvergenceError(f"operator is singular (pivot {info} vanishes)")
-    if trf is dgttrf:
-        def solve(rhs):
-            return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
-        return solve
-
     if np.any(ipiv != np.arange(1, grid.n + 1)):
         raise ConvergenceError("complex operator needed a row exchange; "
                                "its solve takes unpivoted factors only")
@@ -481,6 +476,20 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0,
         return ztbsv(1, upper, y, diag=1, overwrite_x=1)
 
     return solve
+
+
+def solve_operator(grid: RadialGrid, coeff, rhs) -> np.ndarray:
+    """Solve (-Lap + coeff) x = rhs for a real operator that may be
+    indefinite (the Newton Jacobians) in one LAPACK dgtsv call: Gaussian
+    elimination with partial pivoting and back substitution together, with
+    no factors kept.  rhs is a node array, or an (n, k) array whose k
+    columns are solved by the same call; it is left as it was.  Raises
+    ConvergenceError when a pivot vanishes."""
+    x, info = dgtsv(-grid.lap_lower, coeff - grid.lap_diag, -grid.lap_upper,
+                    rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
+    if info != 0:
+        raise ConvergenceError(f"operator is singular (pivot {info} vanishes)")
+    return x
 
 
 def default_grid(params: ModelParams) -> RadialGrid:

@@ -19,8 +19,9 @@ from .core import (ConvergenceError, ModelParams, ParameterError,
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, _moments, action,
                           classify, h_omega_norm_sq, virial_coefficient)
-from .groundstate import (GroundStateResult, _nehari_descent, _nehari_scale,
-                          constrained_minimizer, solve_bound_state)
+from .groundstate import (GroundStateResult, _coarse_mesh, _nehari_descent,
+                          _nehari_scale, _prolong, constrained_minimizer,
+                          solve_bound_state)
 
 __all__ = [
     "HypothesisError", "SweepRow", "SweepResult", "LevelEstimates",
@@ -129,35 +130,14 @@ def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
     return RadialField(grid, _trial_values(grid, rng, complex_part))
 
 
-def _coarse_mesh(grid: RadialGrid) -> RadialGrid:
-    """The mesh of spacing 2h on the same (0, rmax] and dimension, on which
-    random trials start; grid itself where its node count is odd or under
-    8, which takes no coarse stage."""
-    if grid.n % 2 or grid.n < 8:
-        return grid
-    return RadialGrid(2.0 * grid.h, grid.rmax, grid.dim)
-
-
-def _prolong(c: np.ndarray) -> np.ndarray:
-    """Linear interpolation of node values from the mesh of spacing 2h to the
-    mesh of spacing h: fine node 2j lies a quarter of a coarse cell below
-    coarse node j, and 2j+1 a quarter above.  Below the first coarse node
-    the profile is even (c_(-1) = c_0), past the last the odd ghost
-    c_(n_c) = -c_(n_c - 1) keeps u(rmax) = 0."""
-    below = np.concatenate((c[:1], c[:-1]))
-    above = np.concatenate((c[1:], -c[-1:]))
-    fine = np.empty(2 * c.size)
-    fine[0::2] = 0.75 * c + 0.25 * below
-    fine[1::2] = 0.75 * c + 0.25 * above
-    return fine
-
-
 def _trial_pool(grid: RadialGrid, reference: RadialField | None,
                 n_random: int, seed: int) -> list:
     """estimate_d_omega's trial pool as (node values, mesh) pairs: with a
     reference, its real part and five copies perturbed by 1e-2 random
     trials on grid, then n_random random trials drawn on _coarse_mesh(grid),
-    all from one generator."""
+    all from one generator.  That mesh of spacing 2h is the one the
+    stationary solves on grid start on (groundstate._coarse_mesh), built
+    once per grid and kept there."""
     rng = np.random.default_rng(seed)
     pool = []
     if reference is not None:
@@ -212,11 +192,12 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     with its stopping rule; the descent projects each state onto the zero
     set once, so its first state is the trial's projection.  The trials
     are drawn as real node arrays.  A random trial starts on the mesh of
-    spacing 2h: it is drawn and refined there, interpolated to grid and
-    finished there (nested iteration: Brandt, Math. Comp. 31, 1977); one
-    that the coarse descent cannot project goes on from its interpolated
-    draw.  The descent operator is factored once per mesh and shared by
-    every trial on it.  The reported
+    spacing 2h, groundstate._coarse_mesh(grid), which the bound-state solve
+    on grid shares: it is drawn and refined there, interpolated to grid by
+    groundstate._prolong and finished there (nested iteration: Brandt,
+    Math. Comp. 31, 1977); one that the coarse descent cannot project goes
+    on from its interpolated draw.  The descent operator is factored once
+    per mesh and shared by every trial on it.  The reported
     value is the smallest action of a refined trial on grid; a trial the
     descent cannot project there is skipped with its reason.
     With reference set (a computed minimizer) the reference and perturbed

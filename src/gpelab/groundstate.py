@@ -8,8 +8,13 @@ operator applied to the profile, not an ODE-sampling artifact.
 The free profile and the bound states are least-action states on the
 Nehari set.  One preconditioned descent of the action, rescaled onto the
 Nehari set after every step, brings a Gaussian (exponential for the free
-profile) start close to that state; Newton then solves the discrete system,
-and the result is rejected unless it is nontrivial, positive and monotone.
+profile) start close to that state.  It runs on the mesh of spacing 2h,
+and linear interpolation carries its state to the mesh of spacing h
+(nested iteration); Newton then solves the discrete system there, and the
+result is rejected unless it is nontrivial, positive and monotone.  Where
+the coarse descent fails, or Newton's result from it is rejected, the
+descent runs again on h from the same start.  Each Newton update is one
+pivoted tridiagonal solve (core.solve_operator).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .core import (ConvergenceError, GridMismatchError, ModelParams,
                    ParameterError, PreconditionError, RadialField, RadialGrid,
                    apply_laplacian, default_grid, factor_operator,
                    nonlinear_rate, nonlinearity, require_positive_finite,
-                   stationary_residual)
+                   solve_operator, stationary_residual)
 from .functionals import _field_moments, _moments
 
 __all__ = [
@@ -173,8 +178,7 @@ def _nehari_descent(coeff, grid, b, p):
     projection.
     """
     w = grid.weights
-    solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0,
-                            definite=True)
+    solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0)
 
     def descend(u):
         wx = np.empty(grid.n)
@@ -218,6 +222,33 @@ def _nehari_descent(coeff, grid, b, p):
     return descend
 
 
+def _coarse_mesh(grid):
+    """The mesh of spacing 2h on the same (0, rmax] and dimension, on which
+    a solve's descent and the random level trials start; grid itself where
+    its node count is odd or under 8, which takes no coarse stage.  It is
+    built once per grid and kept there, as r_pow keeps its powers, so its
+    own r_pow are computed once too."""
+    if grid.n % 2 or grid.n < 8:
+        return grid
+    if grid._coarse is None:
+        grid._coarse = RadialGrid(2.0 * grid.h, grid.rmax, grid.dim)
+    return grid._coarse
+
+
+def _prolong(c):
+    """Linear interpolation of node values from the mesh of spacing 2h to the
+    mesh of spacing h: fine node 2j lies a quarter of a coarse cell below
+    coarse node j, and 2j+1 a quarter above.  Below the first coarse node
+    the profile is even (c_(-1) = c_0), past the last the odd ghost
+    c_(n_c) = -c_(n_c - 1) keeps u(rmax) = 0."""
+    below = np.concatenate((c[:1], c[:-1]))
+    above = np.concatenate((c[1:], -c[-1:]))
+    fine = np.empty(2 * c.size)
+    fine[0::2] = 0.75 * c + 0.25 * below
+    fine[1::2] = 0.75 * c + 0.25 * above
+    return fine
+
+
 # ------------------------------------------------------------------- Newton
 
 # The rounding floor of the sup residual, per unit of max_i (|lap_diag_i|
@@ -243,13 +274,14 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
     update has cut the sup residual by less than 30%, to below tol or to at
     most its _rounding_floor, and with q only once |mass - q| <= 1e-12 q:
     Newton has then stalled at rounding, which for a state whose rounding
-    alone exceeds tol lies above tol.  Each update is halved until it
-    lowers the residual (at most down to 1/1000 of the full step); below
-    tol it is taken whole, as at the rounding floor the residual cannot
-    fall and halving would throttle the mass correction.  Returns
-    (u, omega, residual of that u, Newton updates made, why it stopped):
-    "tol" for a stall below tol, "floor" for a stall at the rounding floor,
-    "max_iter" for a run out of updates.
+    alone exceeds tol lies above tol.  Each update comes from one
+    solve_operator call, with -F and (with q) -u as its columns.  It is
+    halved until it lowers the residual (at most down to 1/1000 of the
+    full step); below tol it is taken whole, as at the rounding floor the
+    residual cannot fall and halving would throttle the mass correction.
+    Returns (u, omega, residual of that u, Newton updates made, why it
+    stopped): "tol" for a stall below tol, "floor" for a stall at the
+    rounding floor, "max_iter" for a run out of updates.
     """
     w = grid.weights
     F = stationary_residual(u, grid, coeff + omega, b, p)
@@ -268,11 +300,12 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
         if stop or it == max_iter:
             return u, omega, res, it, stop or "max_iter"
         res_prev = res
-        solve = factor_operator(grid, coeff + omega
-                                - p * nonlinear_rate(u, grid, b, p))
-        step, domega = solve(-F), 0.0
-        if q is not None:
-            x1 = solve(-u)
+        jac = coeff + omega - p * nonlinear_rate(u, grid, b, p)
+        if q is None:
+            step, domega = solve_operator(grid, jac, -F), 0.0
+        else:
+            # the bordered update: -F and -u are two columns of one solve
+            step, x1 = solve_operator(grid, jac, -np.array((F, u)).T).T
             denom = 2.0 * float(np.dot(w, u * x1))
             if denom == 0.0:
                 raise ConvergenceError("singular bordered system")
@@ -318,16 +351,34 @@ def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
 
 def _ground_state(params, grid, tol, omega, gamma_eff):
     """Least-action state of -Lap u + (omega + gamma_eff^2 r^2) u
-    = r^(-b) u^p: the Nehari descent from exp(-gamma_eff r^2/2) (exp(-r)
-    when gamma_eff = 0), polished by Newton."""
+    = r^(-b) u^p by nested iteration (Brandt, Math. Comp. 31, 1977): the
+    Nehari descent from exp(-gamma_eff r^2/2) (exp(-r) when gamma_eff = 0)
+    runs on _coarse_mesh(grid), the mesh of spacing 2h, _prolong carries
+    its state to grid, and Newton polishes it there.  Where the coarse
+    descent raises ConvergenceError or _polish rejects its result, the
+    descent runs again on grid from the same start and Newton polishes
+    that, which is the whole solve on a grid that takes no coarse stage."""
     _check_entry(params, grid, tol=tol)
     b, p = params.b, params.p
-    r2 = grid.r_pow(2.0)
-    coeff = omega + gamma_eff ** 2 * r2
-    start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
-             else np.exp(-grid.r))
-    guess, _ = _nehari_descent(coeff, grid, b, p)(start)
-    u, _, res, n_iter = _polish(guess, coeff, grid, b, p, tol)
+
+    def guess(mesh):
+        # the descent on mesh, carried to grid
+        r2 = mesh.r_pow(2.0)
+        start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
+                 else np.exp(-mesh.r))
+        v = _nehari_descent(omega + gamma_eff ** 2 * r2, mesh, b, p)(start)[0]
+        return v if mesh is grid else _prolong(v)
+
+    coeff = omega + gamma_eff ** 2 * grid.r_pow(2.0)
+    coarse = _coarse_mesh(grid)
+    if coarse is not grid:
+        try:
+            u, _, res, n_iter = _polish(guess(coarse), coeff, grid, b, p, tol)
+        except ConvergenceError:
+            pass        # the solve starts again on grid
+        else:
+            return _result(params, grid, u, gamma_eff, omega, res, n_iter)
+    u, _, res, n_iter = _polish(guess(grid), coeff, grid, b, p, tol)
     return _result(params, grid, u, gamma_eff, omega, res, n_iter)
 
 
@@ -437,8 +488,7 @@ def constrained_minimizer(q: float, params: ModelParams,
                  and params.criticality != "subcritical" else math.inf)
     for it in range(1, _FLOW_MAX_ITER + 1):
         solve = factor_operator(
-            grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0,
-            definite=True)
+            grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0)
         u = solve(u + dtau * nonlinearity(u, grid, b, p))
         u *= math.sqrt(q / float(np.dot(w, u * u)))
         m = _moments(u, grid, b, p)

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          GridMismatchError, ModelParams, ParameterError,
                          RadialField, RadialGrid,
                          _grad_form, apply_laplacian, factor_operator,
                          grad_norm_sq, gradient_sq, integrate_radial, mass,
-                         sigma_norm_sq, stationary_residual, symmetric_form,
+                         nonlinear_rate, sigma_norm_sq, solve_operator,
+                         stationary_residual, symmetric_form,
                          validate_params, variance)
 from gpelab.groundstate import ConvergenceError, solve_bound_state
 
@@ -135,9 +136,15 @@ class TestOperator:
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_singular_operator_raises(self):
-        grid = RadialGrid(h=0.25, rmax=4.0, dim=3)
-        with pytest.raises(ConvergenceError, match="singular"):
-            factor_operator(grid, np.zeros(grid.n), scale=0.0)
+        # N = 1, h = 1/4: every entry and every elimination step is exact.
+        # coeff -32 at the last node makes each row sum to 0 (the Neumann
+        # Laplacian times 16), so the last pivot of the one-shot solve is 0
+        grid = RadialGrid(h=0.25, rmax=4.0, dim=1)
+        coeff = np.zeros(grid.n)
+        coeff[-1] = -32.0
+        with pytest.raises(ConvergenceError,
+                           match=f"singular \\(pivot {grid.n} vanishes"):
+            solve_operator(grid, coeff, np.ones(grid.n))
 
     def test_residual_of_bound_state(self):
         params = validate_params(dim=3, b=0.5, p=2.0, omega=1.0)
@@ -150,7 +157,7 @@ class TestOperator:
 
 class TestDefiniteSolve:
     """The L D L' solve of the descent and gradient-flow operators against
-    the pivoted LU solve of the same operator."""
+    the pivoted LU solve (solve_operator) of the same operator."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("h", [1e-2, 2e-3])
@@ -167,9 +174,9 @@ class TestDefiniteSolve:
         grid = RadialGrid(h=h, rmax=8.0, dim=dim)
         coeff = -dim + omega_above_min + grid.r ** 2
         rhs = (1.0 + grid.r) * np.exp(-grid.r ** 2 / 2.0) + 0.1 * np.sin(grid.r)
-        got = factor_operator(grid, coeff, scale=step, shift=1.0,
-                              definite=True)(rhs)
-        want = factor_operator(grid, coeff, scale=step, shift=1.0)(rhs)
+        got = factor_operator(grid, coeff, scale=step, shift=1.0)(rhs)
+        # 1 + step (-Lap + coeff) = step (-Lap + coeff + 1 / step)
+        want = solve_operator(grid, coeff + 1.0 / step, rhs / step)
         cond = 1.0 + step * np.max(coeff - 2.0 * grid.lap_diag)
         tol = max(1e-12, np.finfo(float).eps * cond)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
@@ -177,7 +184,7 @@ class TestDefiniteSolve:
     def test_indefinite_operator_raises(self):
         grid = RadialGrid(h=0.05, rmax=8.0, dim=3)
         with pytest.raises(ConvergenceError, match="not positive definite"):
-            factor_operator(grid, grid.r ** 2 - 10.0, definite=True)
+            factor_operator(grid, grid.r ** 2 - 10.0)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_symmetric_form_is_the_weighted_operator(self, dim):
@@ -190,6 +197,34 @@ class TestDefiniteSolve:
         sw = np.sqrt(grid.weights)
         want = sw[:, None] * dense / sw[None, :]
         assert np.max(np.abs(sym - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestOneShotSolve:
+    """solve_operator, one dgtsv call, against LAPACK's pivoted dgttrf
+    followed by dgttrs on the Newton Jacobian of the default p = 2 bound
+    state, which needs row exchanges: the two agree bit for bit."""
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_matches_factor_and_solve(self, bound_state, params_critical,
+                                      columns):
+        grid, u = bound_state.profile.grid, bound_state.profile.values.real
+        b, p = params_critical.b, params_critical.p
+        trap = params_critical.omega + grid.r_pow(2.0)
+        jac = trap - p * nonlinear_rate(u, grid, b, p)
+        dl, d, du, du2, ipiv, info = dgttrf(
+            -grid.lap_lower, jac - grid.lap_diag, -grid.lap_upper)
+        assert info == 0
+        assert np.any(ipiv != np.arange(1, grid.n + 1))
+        rhs = -stationary_residual(u + 1e-3 * np.cos(grid.r), grid, trap, b,
+                                   p)
+        if columns == 2:
+            rhs = np.array((rhs, -u)).T
+        kept = rhs.copy()
+        got = solve_operator(grid, jac, rhs)
+        assert np.array_equal(rhs, kept)
+        want = dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+        assert got.shape == rhs.shape
+        assert np.array_equal(got, want)
 
 
 class TestCrankNicolsonSolve:

@@ -207,10 +207,9 @@ class TestSharedDescent:
                                             n_random, with_reference):
         factored = []
 
-        def factor(mesh, coeff, scale=1.0, shift=0.0, definite=False):
-            if definite:
-                factored.append((mesh.n, scale))
-            return factor_operator(mesh, coeff, scale, shift, definite)
+        def factor(mesh, coeff, scale=1.0, shift=0.0):
+            factored.append((mesh.n, scale))
+            return factor_operator(mesh, coeff, scale, shift)
 
         monkeypatch.setattr(gs, "factor_operator", factor)
         reference = bound_state.profile if with_reference else None
@@ -274,6 +273,8 @@ class TestSharedDescent:
         assert len(pool) == len(fields) == 8
         assert [mesh for _, mesh in pool] == [grid] * 6 + [coarse] * 2
         assert all(mesh is grid for _, mesh in pool[:6])
+        # the 2h mesh kept on grid, which the solves on grid start on too
+        assert all(mesh is gs._coarse_mesh(grid) for _, mesh in pool[6:])
         for (trial, _), field in zip(pool, fields):
             assert trial.dtype == np.float64
             assert np.array_equal(trial, field.values.real)

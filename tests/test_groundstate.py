@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
                          RadialField, RadialGrid, default_grid,
                          factor_operator, grad_norm_sq, mass, nonlinearity,
-                         stationary_residual, variance)
+                         solve_operator, stationary_residual, variance)
 from gpelab import groundstate as gs
 from gpelab.experiments import random_trial_field
 from gpelab.functionals import (_moments, action, energy, h_omega_norm_sq,
@@ -214,8 +214,7 @@ class TestNehariDescent:
         v = random_trial_field(grid, rng).values.real
         f = nonlinearity(v, grid, b, p)
         F = stationary_residual(v, grid, coeff, b, p)
-        solve = factor_operator(grid, coeff, scale=s, shift=1.0,
-                                definite=True)
+        solve = factor_operator(grid, coeff, scale=s, shift=1.0)
         folded = solve(v + s * (f - (relax - 1.0) * F))
         plain = v + relax * (solve(v + s * f) - v)
         assert np.max(np.abs(folded - plain)) <= 1e-13 * np.max(np.abs(plain))
@@ -435,7 +434,8 @@ class TestConstrainedMinimizer:
     @staticmethod
     def _spy(monkeypatch):
         # records the flow's moments (the start's, then one per step), its
-        # steps (the only definite factorizations) and Newton's update count
+        # steps (the only factorizations: Newton's updates are one-shot
+        # solves) and Newton's update count
         flow = {"moments": [], "steps": 0, "newton": None}
 
         def moments(*args):
@@ -444,9 +444,9 @@ class TestConstrainedMinimizer:
                 flow["moments"].append(m)
             return m
 
-        def factor(grid, coeff, scale=1.0, shift=0.0, definite=False):
-            flow["steps"] += definite
-            return factor_operator(grid, coeff, scale, shift, definite)
+        def factor(grid, coeff, scale=1.0, shift=0.0):
+            flow["steps"] += 1
+            return factor_operator(grid, coeff, scale, shift)
 
         def polish(*args):
             out = _polish(*args)
@@ -754,8 +754,8 @@ class TestRoundingFloor:
         v = u
         for _ in range(3):
             F = stationary_residual(v, grid, coeff, params.b, p)
-            v = v + factor_operator(
-                grid, coeff - p * grid.r ** -params.b * v ** (p - 1.0))(-F)
+            v = v + solve_operator(
+                grid, coeff - p * grid.r ** -params.b * v ** (p - 1.0), -F)
         assert res.iterations >= 1
         assert np.max(np.abs(v - u)) <= 1e-8 * np.max(u)
 
@@ -953,6 +953,102 @@ class TestAdmissibleSet:
         # draws from the constants of the loaded local modules, so the draw
         # set, and the count, depend on which test modules pytest loaded
         assert len(accepted) >= 70
+
+
+def _same_state(a, b):
+    """Two results of a solve agree bit for bit."""
+    assert np.array_equal(a.profile.values, b.profile.values)
+    assert (a.omega, a.residual_sup, a.pohozaev_1, a.pohozaev_2, a.mass,
+            a.energy, a.iterations) == (b.omega, b.residual_sup,
+                                        b.pohozaev_1, b.pohozaev_2, b.mass,
+                                        b.energy, b.iterations)
+
+
+class TestCoarseStart:
+    """A solve descends on the mesh of spacing 2h, interpolates the state
+    to h and polishes it there.  Where the coarse stage fails, or the mesh
+    takes none, the solve is the descent and polish on h alone, bit for
+    bit: _coarse_mesh stubbed to return its own grid gives that path."""
+
+    @staticmethod
+    def _fine_only(monkeypatch, params, grid):
+        with monkeypatch.context() as m:
+            m.setattr(gs, "_coarse_mesh", lambda g: g)
+            return solve_bound_state(params, grid)
+
+    def test_coarse_mesh_is_built_once_per_grid(self, grid):
+        coarse = gs._coarse_mesh(grid)
+        assert (coarse.h, coarse.rmax, coarse.dim, coarse.n) == (
+            2.0 * grid.h, grid.rmax, grid.dim, grid.n // 2)
+        assert gs._coarse_mesh(grid) is coarse
+        small = RadialGrid(h=0.5, rmax=3.0, dim=3)
+        assert small.n == 6 and gs._coarse_mesh(small) is small
+
+    def test_coarse_descent_failure_falls_back(self, monkeypatch,
+                                               params_critical, grid):
+        want = self._fine_only(monkeypatch, params_critical, grid)
+        meshes = []
+
+        def builder(coeff, mesh, b, p):
+            descend = _nehari_descent(coeff, mesh, b, p)
+
+            def run(u):
+                meshes.append(mesh.n)
+                if mesh is not grid:
+                    raise ConvergenceError("no Nehari projection: stub")
+                return descend(u)
+            return run
+
+        monkeypatch.setattr(gs, "_nehari_descent", builder)
+        got = solve_bound_state(params_critical, grid)
+        assert meshes == [grid.n // 2, grid.n]
+        _same_state(got, want)
+
+    def test_rejected_polish_falls_back(self, monkeypatch, params_critical,
+                                        grid):
+        want = self._fine_only(monkeypatch, params_critical, grid)
+        guesses = []
+
+        def polish(guess, *args):
+            guesses.append(guess)
+            if len(guesses) == 1:
+                raise ConvergenceError("profile is not monotone: stub")
+            return _polish(guess, *args)
+
+        monkeypatch.setattr(gs, "_polish", polish)
+        _same_state(solve_bound_state(params_critical, grid), want)
+        assert len(guesses) == 2
+
+    def test_odd_node_count_takes_no_coarse_stage(self, monkeypatch,
+                                                  params_critical):
+        odd = RadialGrid(h=1e-2, rmax=7.99, dim=3)
+        assert odd.n % 2 == 1 and gs._coarse_mesh(odd) is odd
+        want = self._fine_only(monkeypatch, params_critical, odd)
+        _same_state(solve_bound_state(params_critical, odd), want)
+
+    def test_agrees_with_the_fine_descent_over_seeded_draws(self,
+                                                            monkeypatch):
+        # the TestAdmissibleSet bound-state scheme, drawn by numpy: every
+        # draw that the descent on h alone solves is solved with the coarse
+        # stage too, to the same state within rounding
+        rng = np.random.default_rng(2031)
+        solved, gap = 0, 0.0
+        for _ in range(60):
+            dim = int(rng.integers(1, 6))
+            b, p = _admissible(dim, *rng.uniform(0.01, 0.99, 2))
+            omega = -dim + 0.01 + (dim + 30.0) * rng.uniform()
+            params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=omega)
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+            try:
+                want = self._fine_only(monkeypatch, params, grid)
+            except ConvergenceError:
+                continue
+            u = solve_bound_state(params, grid).profile.values.real
+            v = want.profile.values.real
+            gap = max(gap, np.max(np.abs(u - v)) / np.max(np.abs(v)))
+            solved += 1
+        # 60 of 60 are solved, and agree to 6.9e-13
+        assert solved >= 50 and gap <= 1e-9
 
 
 class TestEntryChecks:
