@@ -157,9 +157,7 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
     section = cfg["groundstate"]
     method, tol = section["method"], section["tol"]
     if method == "soliton":
-        grid = gs.soliton_grid(params, h=cfg["grid"]["h"],
-                               rmax=section.get("rmax", 20.0))
-        result = gs.solve_soliton(params, grid, tol=tol)
+        result = gs.solve_soliton(params, _soliton_grid(cfg, params), tol=tol)
     elif method == "shoot":
         result = gs.solve_bound_state(params, _grid(cfg, params), tol=tol)
     elif method == "flow":
@@ -193,10 +191,20 @@ def _cmd_groundstate(cfg, out_dir: Path) -> int:
     return 0
 
 
-def _critical_soliton(params, h):
-    """params at the critical power, and their soliton on the h mesh."""
+def _soliton_grid(cfg, params) -> RadialGrid:
+    """The free profile's mesh: [grid] h on (0, [groundstate] rmax], with
+    rmax 20 by default."""
+    rmax = cfg["groundstate"].get("rmax", 20.0)
+    try:
+        return gs.soliton_grid(params, h=cfg["grid"]["h"], rmax=rmax)
+    except PreconditionError as exc:
+        raise ConfigError(f"[groundstate] rmax: {exc}") from None
+
+
+def _critical_soliton(cfg, params):
+    """params at the critical power, and their soliton on _soliton_grid."""
     crit = params if params.is_critical else replace(params, p=params.p_critical)
-    return crit, gs.solve_soliton(crit, gs.soliton_grid(crit, h=h))
+    return crit, gs.solve_soliton(crit, _soliton_grid(cfg, crit))
 
 
 def _initial_state(cfg, params, grid) -> RadialField:
@@ -213,7 +221,7 @@ def _initial_state(cfg, params, grid) -> RadialField:
         res = gs.solve_bound_state(params, grid)
         return experiments.scale_amplitude(res.profile, amp)
     if kind == "soliton_scaled":
-        crit, sol = _critical_soliton(params, grid.h)
+        crit, sol = _critical_soliton(cfg, params)
         return experiments._scaled_soliton(sol.profile, grid, crit, amp,
                                            section["dilation"])
     raise ConfigError(f"unknown [evolve] initial: {kind}")
@@ -253,7 +261,7 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
         blowup_gradient_factor=section["blowup_gradient_factor"],
         record_every=section["record_every"])
     run_cfg.require_trap_resolved(params)
-    _, soliton = _critical_soliton(params, grid.h)
+    _, soliton = _critical_soliton(cfg, params)
     result = experiments.threshold_sweep(
         soliton.profile, params, grid, section["c_values"],
         section["lambda_values"], run_cfg,
@@ -332,7 +340,7 @@ def _verify_checks(cfg):
     yield ("oscillator: uncertainty equality", abs(hi) / m.M < 1e-6,
            f"rel defect {hi / m.M:.2e}")
 
-    crit, soliton = _critical_soliton(params, grid.h)
+    crit, soliton = _critical_soliton(cfg, params)
     yield ("soliton: residual", soliton.residual_sup < 1e-8,
            f"sup {soliton.residual_sup:.2e}")
     m = functionals._field_moments(soliton.profile, crit)

@@ -15,6 +15,10 @@ result is rejected unless it is nontrivial, positive and monotone.  Where
 the coarse descent fails, or Newton's result from it is rejected, the
 descent runs again on h from the same start.  Each Newton update is one
 pivoted tridiagonal solve (core.solve_operator).
+
+A mass-constrained minimizer is the state of Newton bordered by the mass,
+from a Gaussian of that mass; a normalized gradient flow runs from the
+same Gaussian only where that state is rejected.
 """
 
 from __future__ import annotations
@@ -71,11 +75,14 @@ class GroundStateResult:
     positive and nonincreasing at rounding: a far tail may hold entries
     within _FLOOR_EPS max|u| of zero (0 or a tiny negative), reported as
     Newton returned them (see _polish).  iterations counts the Newton
-    updates made; for the minimizer it adds the gradient-flow steps taken
-    before them.  The minimizer raises instead where its flow collapses
-    (||grad u||^2 rising for 50 steps above 25 times its start or passing
-    1e4 times it, or omega h^2 > 1e-2 at p >= p_c without a ball) or
-    takes _FLOW_MAX_ITER steps without reaching its stop.
+    updates that made the profile.  For a minimizer that its first Newton
+    did not reach, it is the gradient-flow steps plus the updates of the
+    Newton after them (the first Newton's updates are not counted).  The
+    minimizer raises only where that flow collapses (||grad u||^2 rising
+    for 50 steps above 25 times its start or passing 1e4 times it, or
+    omega h^2 > 1e-2 at p >= p_c without a ball), takes _FLOW_MAX_ITER
+    steps without reaching its stop, or ends in a state that Newton or
+    the ball check rejects.
     """
 
     profile: RadialField
@@ -266,7 +273,8 @@ def _rounding_floor(u, coeff, grid, b, p):
     return _FLOOR_EPS * float(scale)
 
 
-def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
+def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
+            min_scale=0.0):
     """Newton for -Lap u + (coeff + omega) u - r^(-b)|u|^(p-1)u = 0.
 
     With a mass target q the Jacobian is bordered by ||u||^2 = q and omega
@@ -279,9 +287,13 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
     halved until it lowers the residual (at most down to 1/1000 of the
     full step); below tol it is taken whole, as at the rounding floor the
     residual cannot fall and halving would throttle the mass correction.
+    An update that lowers the residual at no fraction of its full step
+    down to min_scale ends the run before it is taken; the default 0
+    never does.
     Returns (u, omega, residual of that u, Newton updates made, why it
     stopped): "tol" for a stall below tol, "floor" for a stall at the
-    rounding floor, "max_iter" for a run out of updates.
+    rounding floor, "max_iter" for a run out of updates, "line_search"
+    for an update given up at min_scale.
     """
     w = grid.weights
     F = stationary_residual(u, grid, coeff + omega, b, p)
@@ -317,21 +329,24 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60):
             F = stationary_residual(u_try, grid, coeff + omega_try, b, p)
             if np.max(np.abs(F)) < res or res < tol or scale < 1e-3:
                 break
+            if scale <= min_scale:
+                return u, omega, res, it, "line_search"
             scale *= 0.5
         u, omega = u_try, omega_try
         res = float(np.max(np.abs(F)))
 
 
-def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0):
+def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0, **newton):
     """Newton from guess, accepted only as a nontrivial positive monotone
     state whose residual is within tol or, where rounding alone exceeds
     tol, one at which Newton stalled at the rounding floor; returns (u,
     omega, residual, Newton updates).  Sign and monotonicity are judged at
     rounding too: entries and rises within _FLOOR_EPS max|u| of zero count
     as zero, so a tail that underflowed to 0 or to a tiny negative passes,
-    and u is returned as Newton left it."""
+    and u is returned as Newton left it.  Keywords in newton go to _newton
+    (the minimizer's first Newton sets min_scale)."""
     u, omega, res, n_iter, stop = _newton(guess, coeff, grid, b, p, tol, q,
-                                          omega)
+                                          omega, **newton)
     if res > tol and stop != "floor":
         raise ConvergenceError(
             f"stationary residual {res:.3e} above tolerance {tol:.1e}")
@@ -426,36 +441,52 @@ def stationary_residuals(u: RadialField, params: ModelParams):
 
 # ------------------------------------------------- constrained minimization
 
-# Step cap of the minimizer's normalized gradient flow.
+# Step cap of the minimizer's normalized gradient flow, and the least
+# fraction of its full step at which each update of the Newton run before
+# the flow must lower the residual.
 _FLOW_MAX_ITER = 40000
+_FIRST_MIN_SCALE = 0.125
 
 
 def constrained_minimizer(q: float, params: ModelParams,
                           grid: RadialGrid | None = None,
                           ball_radius: float | None = None,
                           tol: float = 1e-8) -> GroundStateResult:
-    """Energy minimizer at prescribed mass q by normalized gradient descent.
+    """Energy minimizer at prescribed mass q: a bordered Newton from the
+    start, and a normalized gradient flow where that Newton is rejected.
 
-    Semi-implicit treatment of the stiff linear operator, explicit
-    nonlinearity, renormalization to mass q each step; a bordered Newton
-    polish removes the remaining flow error.  The multiplier is extracted
-    from the inner-product identity omega q = P - ||grad u||^2
-    - gamma^2 ||x u||^2, which is exact at stationarity.
+    The start is exp(-gamma r^2/2) normalized to mass q, at the multiplier
+    of the inner-product identity omega q = P - ||grad u||^2
+    - gamma^2 ||x u||^2, which is exact at stationarity.  The bordered
+    Newton (Keller, in Applications of Bifurcation Theory, 1977) runs from
+    it first and gives up at the first update that lowers the sup
+    residual at none of 1, 1/2, 1/4 and 1/8 (_FIRST_MIN_SCALE) of its full
+    step.  Its state is returned
+    where it passes every exit that the flow's state must pass: _polish's
+    checks, ||grad u||^2 at most 1e4 times its start, omega h^2 <= 1e-2
+    at p >= p_c without a ball, and the ball check below.
+
+    Otherwise the normalized gradient flow (Bao & Du, SIAM J. Sci.
+    Comput. 25, 2004) runs from the same start: semi-implicit treatment of
+    the stiff linear operator, explicit nonlinearity, renormalization to
+    mass q each step.  It hands its state to the same Newton once the sup
+    residual is below max(sqrt(tol), 100 tol).  It is a collapse when
+    ||grad u||^2 has risen for 50 steps in a row above 25 times its start,
+    when it passes 1e4 times its start, or, at p >= p_c without a ball,
+    when omega h^2 passes 1e-2 (a state under 10 h wide).  A collapse
+    raises EnergyUnboundedError at p >= p_c without a ball, a
+    ConvergenceError naming h below p_c, and a ConvergenceError naming the
+    admissible range with a ball.  A flow still short of the stop after
+    _FLOW_MAX_ITER steps raises ConvergenceError.
 
     With ball_radius set this is the local variational problem on the ball
     ||u||_H^2 <= ball_radius; the constraint set is nonempty iff
     q <= ball_radius / (gamma N), and the minimizer must end up strictly
     inside the ball (checked a posteriori with a 1% margin).
 
-    The flow hands its state to Newton once the sup residual is below
-    max(sqrt(tol), 100 tol).  It is a collapse when ||grad u||^2 has risen
-    for 50 steps in a row above 25 times its start, when it passes 1e4
-    times its start, or, at p >= p_c without a ball, when omega h^2 passes
-    1e-2 (a state under 10 h wide).  A collapse raises EnergyUnboundedError
-    at p >= p_c without a ball, a ConvergenceError naming h below p_c, and
-    a ConvergenceError naming the admissible range with a ball.  A flow
-    still short of the stop after _FLOW_MAX_ITER steps raises
-    ConvergenceError.
+    iterations is the first Newton's update count where its state is
+    returned; otherwise it is the flow's steps plus the updates of the
+    Newton after them, as if the first Newton had not run.
     """
     if grid is None:
         grid = default_grid(params)
@@ -472,20 +503,32 @@ def constrained_minimizer(q: float, params: ModelParams,
 
     u = np.exp(-gamma * r2 / 2.0)
     u *= math.sqrt(q / float(np.dot(w, u * u)))
+    m = _moments(u, grid, b, p)
+    g0, omega = m.G, m.multiplier(gamma)
+    # p >= p_c without a ball, a state under 10 h wide is a collapse too
+    width_cap = (1e-2 / grid.h ** 2 if ball_radius is None
+                 and params.criticality != "subcritical" else math.inf)
+    ball_cap = math.inf if ball_radius is None else 0.99 * ball_radius
+
+    try:
+        v, nu, res, n_newton = _polish(u, trap_coeff, grid, b, p, tol, q,
+                                       omega, min_scale=_FIRST_MIN_SCALE)
+    except ConvergenceError:
+        pass        # the flow runs
+    else:
+        mv = _moments(v, grid, b, p)
+        if (mv.G <= 1e4 * g0 and nu <= width_cap
+                and mv.h_norm_sq(gamma, 0.0) <= ball_cap):
+            return _result(params, grid, v, gamma, nu, res, n_newton)
 
     # Multiplier-shifted semi-implicit step: with the current multiplier in
     # the implicit operator, discrete stationary states are exact fixed
     # points of the normalized step (the unshifted variant stalls at an
     # O(dtau)-biased profile).
     dtau = 0.5
-    m = _moments(u, grid, b, p)
-    g0, omega = m.G, m.multiplier(gamma)
     g_prev = g0
     grow = 0
     flow_tol = max(math.sqrt(tol), 100.0 * tol)
-    # p >= p_c without a ball, a state under 10 h wide is a collapse too
-    width_cap = (1e-2 / grid.h ** 2 if ball_radius is None
-                 and params.criticality != "subcritical" else math.inf)
     for it in range(1, _FLOW_MAX_ITER + 1):
         solve = factor_operator(
             grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0)
@@ -526,7 +569,7 @@ def constrained_minimizer(q: float, params: ModelParams,
     u, omega, res, n_newton = _polish(u, trap_coeff, grid, b, p, tol, q, omega)
     if ball_radius is not None:
         hsq = _moments(u, grid, b, p).h_norm_sq(gamma, 0.0)
-        if hsq > 0.99 * ball_radius:
+        if hsq > ball_cap:
             raise ConvergenceError(
                 f"minimizer not strictly inside the ball: ||u||_H^2 = {hsq} "
                 f"vs ball_radius = {ball_radius}")

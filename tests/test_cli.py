@@ -10,6 +10,7 @@ import pytest
 
 import gpelab
 from gpelab import cli, experiments
+from gpelab import groundstate as gs
 from gpelab.cli import ConfigError, load_config, main, run
 from gpelab.core import ModelParams, RadialField, RadialGrid, mass
 from gpelab.groundstate import load_profile, solve_bound_state
@@ -235,11 +236,14 @@ class TestExitCodes:
          "[evolve] initial"),
         ("groundstate", BASE.replace("p = 2.0", "p = 2.5")
          + "[groundstate]\nmethod = soliton\n", None),
-        # h = 8/801 divides [grid] rmax = 8 but not the soliton mesh's 20
-        ("sweep", BASE.replace("h = 0.004", f"h = {8 / 801!r}"), None),
-        ("verify", BASE.replace("h = 0.004", f"h = {8 / 801!r}"), None),
+        # h = 8/801 divides [grid] rmax = 8 but not the soliton mesh's
+        # default [groundstate] rmax = 20
+        ("sweep", BASE.replace("h = 0.004", f"h = {8 / 801!r}"),
+         "[groundstate] rmax"),
+        ("verify", BASE.replace("h = 0.004", f"h = {8 / 801!r}"),
+         "[groundstate] rmax"),
         ("evolve", BASE.replace("h = 0.004", f"h = {8 / 801!r}")
-         + "[evolve]\ninitial = soliton_scaled\n", None),
+         + "[evolve]\ninitial = soliton_scaled\n", "[groundstate] rmax"),
         # verify's own dt = 1e-3 exceeds (pi / (2 gamma)) / 200 at gamma = 8
         ("verify", BASE.replace("gamma = 1.0", "gamma = 8"), None),
     ], ids=["grid_h_nan", "grid_h_not_dividing", "soliton_rmax_nan",
@@ -605,6 +609,27 @@ lambda_values = 1.65
         run("evolve", path, tmp_path / "evolve")
         run("sweep", path, tmp_path / "sweep")
         assert seen["evolve"].tobytes() == seen["sweep"].tobytes()
+
+    def test_soliton_scaled_reads_groundstate_rmax(self, tmp_path,
+                                                  monkeypatch):
+        # h = 8/801 divides [groundstate] rmax = 8, so the soliton is solved
+        # on (0, 8], where the default rmax = 20 is a config error
+        meshes, solve = [], gs.solve_soliton
+
+        def solve_soliton(params, grid, **kwargs):
+            meshes.append((grid.h, grid.rmax))
+            return solve(params, grid, **kwargs)
+
+        monkeypatch.setattr(gs, "solve_soliton", solve_soliton)
+        path = write_config(tmp_path, BASE.replace("h = 0.004",
+                                                   f"h = {8 / 801!r}")
+                            + SHORT_EVOLVE + "initial = soliton_scaled\n"
+                            "\n[groundstate]\nrmax = 8.0\n")
+        assert run("evolve", path, tmp_path / "out") == 0
+        assert meshes == [(8 / 801, 8.0)]
+        q_mass = 59.95388554159379      # frozen soliton mass of the suite
+        diag = _diagnostics(tmp_path / "out")
+        assert diag["mass"][0] == pytest.approx(q_mass, rel=1e-3)
 
     def test_free_equation_flag(self, tmp_path):
         gauss = "initial = gaussian\n"
