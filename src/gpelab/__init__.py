@@ -17,11 +17,11 @@ from .evolve import (DiagnosticSeries, EvolveConfig, EvolveResult,
                      predict_collapse_time, virial_check)
 from .experiments import (CrossPoint, DichotomyResult, LevelEstimates,
                           StabilityResult, SweepResult, construct_cross_point,
-                          dichotomy_run, dilation_exponent, estimate_d_n_upper,
-                          estimate_d_omega, estimate_levels, nehari_project,
-                          scale_amplitude, scale_dilation,
-                          scale_mass_preserving, scale_potential_preserving,
-                          stability_run, threshold_sweep)
+                          dichotomy_run, estimate_d_n_upper, estimate_d_omega,
+                          estimate_levels, nehari_project, scale_amplitude,
+                          scale_dilation, scale_mass_preserving,
+                          scale_potential_preserving, stability_run,
+                          threshold_sweep)
 from .functionals import (FunctionalReport, SetLabel, action, classify,
                           energy, gn_slack, nehari, potential, report, virial,
                           weinstein)

@@ -27,7 +27,7 @@ __all__ = [
     "HypothesisError", "SweepRow", "SweepResult", "LevelEstimates",
     "CrossPoint", "DichotomyResult", "StabilityResult",
     "scale_amplitude", "scale_mass_preserving", "scale_dilation",
-    "scale_potential_preserving", "dilation_exponent",
+    "scale_potential_preserving",
     "nehari_project", "estimate_d_omega", "construct_cross_point",
     "estimate_d_n_upper", "estimate_levels",
     "threshold_sweep", "dichotomy_run", "stability_run", "lens_check",
@@ -66,8 +66,10 @@ def scale_mass_preserving(u: RadialField, mu: float) -> RadialField:
 
 
 def scale_dilation(u: RadialField, mu: float, params: ModelParams) -> RadialField:
-    """u -> mu^((2-b)/(p-1)) u(mu x), the dilation whose kinetic term scales
-    with the positive exponent dilation_exponent(params)."""
+    """u -> mu^((2-b)/(p-1)) u(mu x), the dilation whose kinetic term
+    ||grad u||^2 scales like mu^a, a = (4 - 2b - (N-2)(p-1)) / (p-1):
+    positive on the admissible range and zero exactly at the upper
+    admissible power."""
     interp = ProfileInterpolant(u, singular_exponent=2.0 - params.b)
     return _dilate(interp, u.grid, mu, params)
 
@@ -78,13 +80,6 @@ def scale_potential_preserving(u: RadialField, mu: float,
     interp = ProfileInterpolant(u, singular_exponent=2.0 - params.b)
     return _rescale(interp, u.grid, mu,
                     mu ** ((params.dim - params.b) / (params.p + 1.0)))
-
-
-def dilation_exponent(params: ModelParams) -> float:
-    """a = (4 - 2b - (N-2)(p-1)) / (p-1); positive on the admissible range
-    and zero exactly at the upper admissible power."""
-    return ((4.0 - 2.0 * params.b - (params.dim - 2.0) * (params.p - 1.0))
-            / (params.p - 1.0))
 
 
 # ------------------------------------------------------------ level estimates

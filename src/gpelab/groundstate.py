@@ -80,9 +80,9 @@ class GroundStateResult:
     Newton after them (the first Newton's updates are not counted).  The
     minimizer raises only where that flow collapses (||grad u||^2 rising
     for 50 steps above 25 times its start or passing 1e4 times it, or
-    omega h^2 > 1e-2 at p >= p_c without a ball), takes _FLOW_MAX_ITER
-    steps without reaching its stop, or ends in a state that Newton or
-    the ball check rejects.
+    omega h^2 > 1e-2 without a ball), takes _FLOW_MAX_ITER steps without
+    reaching its stop, or ends in a state that Newton or the ball check
+    rejects.
     """
 
     profile: RadialField
@@ -464,7 +464,7 @@ def constrained_minimizer(q: float, params: ModelParams,
     step.  Its state is returned
     where it passes every exit that the flow's state must pass: _polish's
     checks, ||grad u||^2 at most 1e4 times its start, omega h^2 <= 1e-2
-    at p >= p_c without a ball, and the ball check below.
+    without a ball, and the ball check below.
 
     Otherwise the normalized gradient flow (Bao & Du, SIAM J. Sci.
     Comput. 25, 2004) runs from the same start: semi-implicit treatment of
@@ -472,11 +472,11 @@ def constrained_minimizer(q: float, params: ModelParams,
     mass q each step.  It hands its state to the same Newton once the sup
     residual is below max(sqrt(tol), 100 tol).  It is a collapse when
     ||grad u||^2 has risen for 50 steps in a row above 25 times its start,
-    when it passes 1e4 times its start, or, at p >= p_c without a ball,
-    when omega h^2 passes 1e-2 (a state under 10 h wide).  A collapse
-    raises EnergyUnboundedError at p >= p_c without a ball, a
-    ConvergenceError naming h below p_c, and a ConvergenceError naming the
-    admissible range with a ball.  A flow still short of the stop after
+    when it passes 1e4 times its start, or, without a ball, when omega h^2
+    passes 1e-2 (a state under 10 h wide, which the mesh cannot resolve
+    at any power).  A collapse raises EnergyUnboundedError at p >= p_c
+    without a ball, a ConvergenceError naming h below p_c, and a
+    ConvergenceError naming the admissible range with a ball.  A flow still short of the stop after
     _FLOW_MAX_ITER steps raises ConvergenceError.
 
     With ball_radius set this is the local variational problem on the ball
@@ -505,9 +505,8 @@ def constrained_minimizer(q: float, params: ModelParams,
     u *= math.sqrt(q / float(np.dot(w, u * u)))
     m = _moments(u, grid, b, p)
     g0, omega = m.G, m.multiplier(gamma)
-    # p >= p_c without a ball, a state under 10 h wide is a collapse too
-    width_cap = (1e-2 / grid.h ** 2 if ball_radius is None
-                 and params.criticality != "subcritical" else math.inf)
+    # without a ball, a state under 10 h wide is a collapse too
+    width_cap = 1e-2 / grid.h ** 2 if ball_radius is None else math.inf
     ball_cap = math.inf if ball_radius is None else 0.99 * ball_radius
 
     try:

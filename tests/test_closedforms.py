@@ -292,3 +292,22 @@ class TestMinimalMass:
                                            soliton.profile, grid)
             dev = math.sqrt(mass(f - closed) / mass(closed))
             assert dev < 5e-3
+
+    def test_evolution_is_second_order_in_time(self, family, soliton,
+                                               params_critical):
+        # halving dt cuts the deviation from the closed form at t = 0.5 by
+        # 4.28 (3.4e-2 to 8.0e-3; 4.37 for the next halving), where a
+        # first-order step would give about 2.  At t = 0.45 the h = 4e-3
+        # floor breaks the ratio (6.5, then 1.3)
+        from gpelab.evolve import EvolveConfig, evolve
+        g = RadialGrid(h=4e-3, rmax=14.0, dim=3)
+        u0 = minimal_mass_initial(family, params_critical, soliton.profile, g)
+        closed = minimal_mass_solution(family, 0.5, params_critical,
+                                       soliton.profile, g)
+        devs = []
+        for dt in (2e-4, 1e-4):
+            cfg = EvolveConfig(dt=dt, t_end=0.5, record_every=500,
+                               snapshot_times=(0.5,))
+            (_, f), = evolve(u0, params_critical, cfg).snapshots
+            devs.append(math.sqrt(mass(f - closed) / mass(closed)))
+        assert 3.5 <= devs[0] / devs[1] <= 4.5

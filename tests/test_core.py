@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
@@ -16,6 +14,7 @@ from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          validate_params, variance)
 from gpelab.groundstate import ConvergenceError, solve_bound_state
 
+from corpus import smooth_fields
 from helpers import rel_err
 
 # Independent oracle: int_{R^3} r^(-1/2) e^(-r^2) dx = 2 pi Gamma(5/4),
@@ -384,44 +383,32 @@ class TestNorms:
             grad_norm_sq(u) + variance(u), rel=1e-14)
 
 
-@st.composite
-def smooth_fields(draw):
-    amp = draw(st.floats(0.1, 3.0))
-    width = draw(st.floats(0.5, 2.5))
-    shift = draw(st.floats(0.0, 2.0))
-    phase = draw(st.floats(0.0, 2.0 * math.pi))
-    return amp, width, shift, phase
-
-
 class TestProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(smooth_fields())
-    def test_gauge_invariance(self, spec):
-        amp, width, shift, phase = spec
+    def test_gauge_invariance(self):
         g = RadialGrid(h=8e-3, rmax=8.0, dim=3)
-        vals = amp * np.exp(-(g.r - shift) ** 2 / (2 * width ** 2))
-        u = RadialField(g, vals)
-        v = RadialField(g, vals * np.exp(1j * phase))
-        for fn in (mass, grad_norm_sq, variance, sigma_norm_sq):
-            a, b = fn(u), fn(v)
-            assert abs(a - b) <= 1e-14 * max(abs(a), 1.0)
+        for amp, width, shift, phase in smooth_fields():
+            vals = amp * np.exp(-(g.r - shift) ** 2 / (2 * width ** 2))
+            u = RadialField(g, vals)
+            v = RadialField(g, vals * np.exp(1j * phase))
+            for fn in (mass, grad_norm_sq, variance, sigma_norm_sq):
+                a, b = fn(u), fn(v)
+                assert abs(a - b) <= 1e-14 * max(abs(a), 1.0)
 
-    @settings(max_examples=40, deadline=None)
-    @given(smooth_fields())
-    def test_harmonic_uncertainty(self, spec):
+    def test_harmonic_uncertainty(self):
         # mass <= (2/N) |grad| |x u| up to O(h^2) discretization slack,
         # which is saturated by the Gaussian equality case
-        amp, width, shift, _ = spec
         g = RadialGrid(h=8e-3, rmax=8.0, dim=3)
-        vals = amp * np.exp(-(g.r - shift) ** 2 / (2 * width ** 2))
-        u = RadialField(g, vals)
-        m = mass(u)
-        gr = grad_norm_sq(u)
-        bound = (2.0 / 3.0) * math.sqrt(gr * variance(u))
-        # O(h^2) slack with a curvature-aware prefactor (the equality-case
-        # Gaussians saturate it at a rate set by their inverse width^4)
-        slack = g.h ** 2 / 16.0 * m * (1.0 + (gr / m) ** 2)
-        assert m <= bound + slack
+        for amp, width, shift, _ in smooth_fields():
+            vals = amp * np.exp(-(g.r - shift) ** 2 / (2 * width ** 2))
+            u = RadialField(g, vals)
+            m = mass(u)
+            gr = grad_norm_sq(u)
+            bound = (2.0 / 3.0) * math.sqrt(gr * variance(u))
+            # O(h^2) slack with a curvature-aware prefactor (the
+            # equality-case Gaussians saturate it at a rate set by their
+            # inverse width^4)
+            slack = g.h ** 2 / 16.0 * m * (1.0 + (gr / m) ** 2)
+            assert m <= bound + slack
 
     def test_derivative_refinement_order(self):
         errs = []

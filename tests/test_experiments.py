@@ -16,8 +16,7 @@ from gpelab.functionals import (SetLabel, _field_moments, _moments, action,
                                 virial_coefficient)
 from gpelab.core import grad_norm_sq
 from gpelab.experiments import (HypothesisError, _dilate,
-                                construct_cross_point,
-                                dichotomy_run, dilation_exponent,
+                                construct_cross_point, dichotomy_run,
                                 estimate_d_n_upper, estimate_d_omega,
                                 estimate_levels, nehari_project,
                                 random_trial_field, scale_amplitude,
@@ -51,26 +50,11 @@ class TestScalings:
                                            params_critical)
             assert rel_err(potential(v, params_critical), P0) < 1e-6
 
-    def test_dilation_exponent_positive(self):
-        for dim in (3, 4):
-            for b in (0.25, 0.5, 0.75):
-                pmax = 1 + (4 - 2 * b) / (dim - 2)
-                for frac in (0.2, 0.5, 0.9):
-                    p = 1 + frac * (pmax - 1)
-                    params = ModelParams(dim=dim, b=b, p=p, gamma=1.0)
-                    assert dilation_exponent(params) > 0
-
-    def test_dilation_exponent_vanishes_at_upper_power(self):
-        # a = 0 exactly at p = p_max
-        b, dim = 0.5, 3
-        pmax = 1 + (4 - 2 * b) / (dim - 2)
-        a = (4 - 2 * b - (dim - 2) * (pmax - 1)) / (pmax - 1)
-        assert a == pytest.approx(0.0, abs=1e-15)
-
     def test_dilation_changes_kinetic_term_with_exponent(self, bound_state,
                                                          params_critical):
         # the kinetic part of the dilated profile scales like mu^a
-        a = dilation_exponent(params_critical)
+        dim, b, p = params_critical.dim, params_critical.b, params_critical.p
+        a = (4.0 - 2.0 * b - (dim - 2.0) * (p - 1.0)) / (p - 1.0)
         g1 = grad_norm_sq(scale_dilation(bound_state.profile, 1.2,
                                          params_critical))
         g0 = grad_norm_sq(bound_state.profile)

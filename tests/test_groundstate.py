@@ -4,8 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
                          RadialField, RadialGrid, default_grid,
@@ -23,6 +21,8 @@ from gpelab.groundstate import (ConstraintEmptyError, ConvergenceError,
                                 solve_soliton, soliton_grid,
                                 stationary_residuals, uniqueness_report)
 
+from corpus import (H_COARSE, admissible, bound_state_draws,
+                    minimizer_draws, unconstrained_draws)
 from helpers import rel_err
 
 # Frozen regression values from an independent shooting oracle
@@ -398,6 +398,21 @@ class TestConstrainedMinimizer:
         assert not isinstance(err.value, EnergyUnboundedError)
         assert "collapsed to the mesh scale h = 0.01" in str(err.value)
 
+    @pytest.mark.parametrize("h", [1e-2, 2e-3])
+    def test_subcritical_state_under_ten_h_wide_raises(self, h):
+        # TestRoundingTail's N = 1 input on coarser meshes: below p_c too
+        # a state under 10 h wide is not resolved (the flow settles here
+        # at omega h^2 of 0.11 at h = 1e-2 without the width cap), so it
+        # collapses to the mesh scale
+        params = ModelParams(dim=1, b=0.961, p=1.8311, gamma=1.0)
+        assert params.criticality == "subcritical"
+        grid = RadialGrid(h=h, rmax=8.0, dim=1)
+        with pytest.raises(ConvergenceError) as err:
+            constrained_minimizer(63.55, params, grid)
+        assert not isinstance(err.value, EnergyUnboundedError)
+        assert str(err.value) == ("descent diverged below p_c: the state "
+                                  f"collapsed to the mesh scale h = {h}")
+
     def test_cross_solver_consistency(self, params_critical, grid, soliton):
         # flow minimizer at q below critical mass equals the bound-state
         # profile at the extracted multiplier
@@ -542,7 +557,7 @@ class TestFirstNewton:
         # TestRoundingTail's N = 1 state: Newton from the start converges
         # to a sign-changing state, which _polish rejects
         params = ModelParams(dim=1, b=0.961, p=1.8311, gamma=1.0)
-        grid = RadialGrid(h=1e-2, rmax=8.0, dim=1)
+        grid = RadialGrid(h=1.25e-3, rmax=8.0, dim=1)
         raised = []
 
         def polish(*args, **first):
@@ -598,12 +613,12 @@ class TestFirstNewton:
             dim = int(rng.integers(1, 6))
             b_frac, p_frac, q_frac = rng.uniform(0.01, 0.99, 3)
             if k % 2 == 0:
-                b, p = _admissible(dim, b_frac, p_frac)
+                b, p = admissible(dim, b_frac, p_frac)
                 params = ModelParams(dim=dim, b=b, p=p, gamma=1.0)
                 ball = 1.0 if params.criticality != "subcritical" else None
                 q = q_frac / dim if ball else 10.0 ** (5.0 * q_frac - 3.0)
             else:
-                b, p_top = _admissible(dim, b_frac, 1.0)
+                b, p_top = admissible(dim, b_frac, 1.0)
                 p_c = 1.0 + (4.0 - 2.0 * b) / dim
                 params = ModelParams(dim=dim, b=b, gamma=1.0,
                                      p=p_c + (p_top - p_c) * p_frac)
@@ -616,9 +631,10 @@ class TestFirstNewton:
             else:
                 _close_state(got, want)
                 returned += 1
-        # 132 of the 150 return, 125 of them from the first Newton, and
-        # agree to 1.2e-13; 13 raise EnergyUnboundedError and 5
-        # ConvergenceError, one of them after a first Newton outside the ball
+        # 127 of the 150 return, 125 of them from the first Newton, and
+        # agree to 1.2e-13; 13 raise EnergyUnboundedError and 10
+        # ConvergenceError, one of them after a first Newton outside the
+        # ball and five below p_c on states of omega h^2 0.014-1.7
         assert returned >= 100
 
 
@@ -936,10 +952,12 @@ class TestRoundingTail:
 
     EPS_ZERO = 100.0 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("h", [1e-2, 2e-3])
+    @pytest.mark.parametrize("h", [1.25e-3, 1e-3])
     def test_underflowed_tail_is_accepted(self, h):
-        # mass 63.55 at N = 1: peaks of 37 and 54, far tails of 0 and about
-        # -1e-88 where Newton converged (the exact checks raised here)
+        # mass 63.55 at N = 1: peaks of 59 and 61 (omega h^2 of 0.008 and
+        # 0.006), far tails of -6.4e-109 and -9.5e-114 where Newton
+        # converged (the exact checks raised here); on h = 1e-2 and 2e-3
+        # the state is under 10 h wide and raises
         params = ModelParams(dim=1, b=0.961, p=1.8311, gamma=1.0)
         grid = RadialGrid(h=h, rmax=8.0, dim=1)
         res = constrained_minimizer(63.55, params, grid)
@@ -993,20 +1011,6 @@ class TestRoundingTail:
             self._polish_of(monkeypatch, u, params_critical)
 
 
-# Admissible draws on a coarse mesh: N <= 5, b and p as inner fractions of
-# their open ranges (p capped at 5 where p_max is infinite)
-H_COARSE = 1e-2
-
-
-def _admissible(dim, b_frac, p_frac):
-    b = min(2.0, dim) * b_frac
-    p_max = 1.0 + (4.0 - 2.0 * b) / (dim - 2) if dim >= 3 else 5.0
-    return b, 1.0 + (min(p_max, 5.0) - 1.0) * p_frac
-
-
-inner = st.floats(0.01, 0.99)
-
-
 def _check_state(res, params, grid, coeff, tol=1e-8, nehari_scale=None):
     """The outcome every accepted stationary solve must have (a positive
     state is nontrivial); |nehari| is measured against nehari_scale, by
@@ -1024,86 +1028,54 @@ def _check_state(res, params, grid, coeff, tol=1e-8, nehari_scale=None):
 class TestAdmissibleSet:
     """Every admissible input ends in a nontrivial, positive, monotone
     stationary state or in a named gpelab error, and most draws end in a
-    state: a floor on the accepted count fails a solver that raises on
-    every draw."""
+    state: the accepted count of each seeded corpus is pinned."""
 
     def test_bound_state(self):
         accepted = []
-
-        @settings(max_examples=150, deadline=None, derandomize=True)
-        @given(st.integers(1, 5), inner, inner, st.floats(0.0, 1.0))
-        def draw(dim, b_frac, p_frac, omega_frac):
-            b, p = _admissible(dim, b_frac, p_frac)
-            omega = -dim + 0.01 + (dim + 30.0) * omega_frac
-            params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=omega)
-            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+        for params in bound_state_draws():
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=params.dim)
             try:
                 res = solve_bound_state(params, grid)
             except ConvergenceError as err:
                 # p close to 1: the Nehari projection leaves the
                 # floating-point range (or underflows to 0)
                 assert "Nehari projection" in str(err)
-                return
-            _check_state(res, params, grid, omega + grid.r ** 2)
+                continue
+            _check_state(res, params, grid, params.omega + grid.r ** 2)
             accepted.append(params)
-
-        draw()
-        # hypothesis also draws from the constants of the loaded local
-        # modules, so the draw set depends on which test modules pytest
-        # loaded: 147 of these 150 draws are accepted when the whole suite
-        # is collected, 147 when this file is; other draw sets 133-148
-        assert len(accepted) >= 120
+        assert len(accepted) == 145
 
     def test_constrained_minimizer(self):
         accepted = []
-
-        @settings(max_examples=100, deadline=None, derandomize=True)
-        @given(st.integers(1, 5), inner, inner, inner)
-        def draw(dim, b_frac, p_frac, q_frac):
-            # a ball of radius 1 where the energy is unbounded below, with q
-            # inside its admissible range; otherwise q in (1e-3, 1e2)
-            b, p = _admissible(dim, b_frac, p_frac)
-            params = ModelParams(dim=dim, b=b, p=p, gamma=1.0)
-            ball = 1.0 if params.criticality != "subcritical" else None
-            q = q_frac / dim if ball else 10.0 ** (5.0 * q_frac - 3.0)
-            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+        for params, q, ball in minimizer_draws():
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=params.dim)
             try:
                 res = constrained_minimizer(q, params, grid, ball_radius=ball)
             except ConvergenceError as err:
-                # a flow that leaves the ball or ends on a sign-changing
-                # state; never a residual above tol
+                # a flow that leaves the ball, collapses to the mesh scale
+                # or ends on a sign-changing state; never a residual above
+                # tol
                 assert re.search("descent diverged|not strictly inside the "
                                  "ball|not strictly positive", str(err))
-                return
+                continue
             _check_state(res, params, grid, res.omega + grid.r ** 2)
             assert abs(res.mass - q) <= 1e-10 * q
             accepted.append(params)
-
-        draw()
-        # 89 of these 100 draws are accepted when the whole suite is
-        # collected, 89 when this file is (see test_bound_state); other
-        # draw sets 77-91
-        assert len(accepted) >= 70
+        # three subcritical draws without a ball collapse to the mesh
+        # scale: states of omega h^2 0.039 and 1.2, and one of 1.42 whose
+        # rounding tail _check_state would reject
+        assert len(accepted) == 84
 
     def test_constrained_minimizer_without_ball(self):
+        # a state below the soliton mass at p_c and in a local well at
+        # small mass above p_c; elsewhere the energy is unbounded below
         accepted = []
-
-        @settings(max_examples=100, deadline=None, derandomize=True)
-        @given(st.integers(1, 5), inner, st.just(0.0) | inner, inner)
-        def draw(dim, b_frac, p_frac, q_frac):
-            # p from p_c (p_frac = 0) towards the cap, q in (1e-3, 1e2): a
-            # state below the soliton mass at p_c and in a local well at
-            # small mass above p_c; elsewhere the energy is unbounded below
-            b, p_top = _admissible(dim, b_frac, 1.0)
-            p_c = 1.0 + (4.0 - 2.0 * b) / dim
-            params = ModelParams(dim=dim, b=b, p=p_c + (p_top - p_c) * p_frac,
-                                 gamma=1.0)
-            q = 10.0 ** (5.0 * q_frac - 3.0)
-            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
+        for params, q in unconstrained_draws():
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=params.dim)
             try:
                 res = constrained_minimizer(q, params, grid)
             except EnergyUnboundedError:
-                return
+                continue
             # resolved by the mesh: the decay length 1/sqrt(omega) is over
             # 10 h (the legitimate states here reach omega h^2 of 1e-3)
             assert res.omega * grid.h ** 2 <= 1e-2
@@ -1115,12 +1087,7 @@ class TestAdmissibleSet:
                          nehari_scale=m.G + m.V + abs(res.omega) * m.M)
             assert abs(res.mass - q) <= 1e-10 * q
             accepted.append(params)
-
-        draw()
-        # most draws are accepted and the others raise; hypothesis also
-        # draws from the constants of the loaded local modules, so the draw
-        # set, and the count, depend on which test modules pytest loaded
-        assert len(accepted) >= 70
+        assert len(accepted) == 73
 
 
 def _same_state(a, b):
@@ -1203,7 +1170,7 @@ class TestCoarseStart:
         solved, gap = 0, 0.0
         for _ in range(60):
             dim = int(rng.integers(1, 6))
-            b, p = _admissible(dim, *rng.uniform(0.01, 0.99, 2))
+            b, p = admissible(dim, *rng.uniform(0.01, 0.99, 2))
             omega = -dim + 0.01 + (dim + 30.0) * rng.uniform()
             params = ModelParams(dim=dim, b=b, p=p, gamma=1.0, omega=omega)
             grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=dim)
