@@ -10,6 +10,7 @@ functions, so they are safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import gamma as _gamma_fn
 from typing import Callable, Mapping
@@ -49,6 +50,15 @@ def require_positive_finite(name: str, value) -> None:
     if not 0.0 < value < np.inf:
         raise PreconditionError(
             f"{name} must be positive and finite, got {value}")
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise PreconditionError naming `name` unless value is an integer
+    (numbers.Integral) >= minimum."""
+    if not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise PreconditionError(f"{name} must be >= {minimum}")
 
 
 def require_dimension(dim) -> None:
@@ -183,8 +193,8 @@ class RadialGrid:
     Nodes sit at r_i = (i + 1/2) h, so the factor r^(-b) is evaluable
     everywhere; the domain boundary rmax = n*h is a cell face where the
     Dirichlet condition u(rmax) = 0 is imposed.  Every integral on it is
-    one BLAS inner product against the node weights (the face conductances
-    for the gradient form).
+    one inner product (dot) against the node weights (the face
+    conductances for the gradient form).
     """
 
     def __init__(self, h: float, rmax: float, dim: int):
@@ -296,6 +306,25 @@ class RadialField:
         return RadialField(self.grid, self.values - other.values)
 
 
+# OpenBLAS splits a dot product over its threads above 10000 entries, which
+# changes the order of the sum, and so its last bits, with the thread count
+_DOT_BLOCK = 10000
+
+
+def dot(x, y, conjugate: bool = False):
+    """sum_i x_i y_i (conj(x_i) y_i with conjugate) of two node arrays, with
+    the same bits at every BLAS thread count: one BLAS inner product up to
+    _DOT_BLOCK entries, and above that one per consecutive block of
+    _DOT_BLOCK entries, added in order.  Every integral in gpelab is one
+    call."""
+    inner = np.vdot if conjugate else np.dot
+    n = len(x)
+    if n <= _DOT_BLOCK:
+        return inner(x, y)
+    return sum(inner(x[i:i + _DOT_BLOCK], y[i:i + _DOT_BLOCK])
+               for i in range(0, n, _DOT_BLOCK))
+
+
 def integrate_radial(samples, grid: RadialGrid):
     """Integral over R^N of a radial integrand sampled at the nodes.
 
@@ -306,7 +335,7 @@ def integrate_radial(samples, grid: RadialGrid):
     if samples.shape != (grid.n,):
         raise GridMismatchError(
             f"expected {grid.n} samples, got shape {samples.shape}")
-    total = np.dot(grid.weights, samples)
+    total = dot(grid.weights, samples)
     if np.iscomplexobj(samples):
         return complex(total)
     return float(total)
@@ -314,13 +343,13 @@ def integrate_radial(samples, grid: RadialGrid):
 
 def mass(u: RadialField) -> float:
     """Squared L^2 norm of the field."""
-    return float(np.dot(u.grid.weights, np.abs(u.values) ** 2))
+    return float(dot(u.grid.weights, np.abs(u.values) ** 2))
 
 
 def variance(u: RadialField) -> float:
     """Squared weighted norm ||x u||_{L^2}^2."""
     g = u.grid
-    return float(np.dot(g.weights, g.r_pow(2.0) * np.abs(u.values) ** 2))
+    return float(dot(g.weights, g.r_pow(2.0) * np.abs(u.values) ** 2))
 
 
 def _grad_form(x, y, grid: RadialGrid) -> complex:
@@ -333,7 +362,7 @@ def _grad_form(x, y, grid: RadialGrid) -> complex:
     """
     dx = np.diff(x)
     dy = dx if y is x else np.diff(y)
-    s = np.vdot(dy, grid.conductance[1:grid.n] * dx) / grid.h
+    s = dot(dy, grid.conductance[1:grid.n] * dx, conjugate=True) / grid.h
     s += grid.conductance[grid.n] * x[-1] * np.conj(y[-1]) / grid.h
     return grid.sphere * s
 
@@ -358,7 +387,7 @@ def sigma_inner(u: RadialField, v: RadialField) -> complex:
     u.grid.compatible(v.grid)
     g = u.grid
     s = _grad_form(u.values, v.values, g)
-    s += np.dot(g.weights, g.r_pow(2.0) * u.values * np.conj(v.values))
+    s += dot(g.weights, g.r_pow(2.0) * u.values * np.conj(v.values))
     return complex(s)
 
 
@@ -379,7 +408,7 @@ def variance_rate(values, grid: RadialGrid) -> float:
     of the discrete variance under the space-discrete flow; the rmax ghost
     face adds 0."""
     flux = grid.conductance[1:grid.n] * np.diff(values)
-    s = np.vdot((grid.r[:-1] + 0.5 * grid.h) * values[:-1], flux)
+    s = dot((grid.r[:-1] + 0.5 * grid.h) * values[:-1], flux, conjugate=True)
     return 4.0 * grid.sphere * float(np.imag(s))
 
 

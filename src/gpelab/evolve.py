@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ModelParams, ParameterError, PreconditionError,
                    RadialField, _write_table, factor_operator, nonlinear_rate,
-                   require_positive_finite, variance_rate)
+                   require_count, require_positive_finite, variance_rate)
 from .functionals import _field_moments, _Moments, _moments
 
 __all__ = [
@@ -59,11 +58,7 @@ class EvolveConfig:
         require_positive_finite("dt", self.dt)
         require_positive_finite("t_end", self.t_end)
         # a float would pass `step % record_every` on other steps than asked
-        if not isinstance(self.record_every, numbers.Integral):
-            raise PreconditionError(
-                f"record_every must be an integer, got {self.record_every!r}")
-        if self.record_every < 1:
-            raise PreconditionError("record_every must be >= 1")
+        require_count("record_every", self.record_every, 1)
         if not 1.0 < self.blowup_gradient_factor < math.inf:
             raise PreconditionError(
                 "blowup_gradient_factor must be finite and exceed 1, got "

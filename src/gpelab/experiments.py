@@ -15,7 +15,7 @@ from .closedforms import (ProfileInterpolant, lens_forward, lens_inverse,
                           require_before_caustic, snapshot_sampler)
 from .core import (ConvergenceError, ModelParams, ParameterError,
                    PreconditionError, RadialField, RadialGrid, _write_table,
-                   mass, sigma_inner, sigma_norm_sq)
+                   mass, require_count, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
 from .functionals import (SetLabel, _field_moments, _moments, action,
                           classify, h_omega_norm_sq, virial_coefficient)
@@ -125,14 +125,34 @@ def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
     return RadialField(grid, _trial_values(grid, rng, complex_part))
 
 
+# Halvings of h down to the mesh the random level trials are drawn and
+# ranked on (_ladder)
+_LADDER_DEPTH = 3
+
+
+def _ladder(grid: RadialGrid) -> list:
+    """grid and the meshes below it, each groundstate._coarse_mesh of the one
+    above and kept there, down to _LADDER_DEPTH halvings of h; it stops
+    early at a mesh that takes no coarse stage (an odd node count or under
+    8 nodes), so a grid with an odd node count is its own ladder."""
+    meshes = [grid]
+    while len(meshes) <= _LADDER_DEPTH:
+        coarse = _coarse_mesh(meshes[-1])
+        if coarse is meshes[-1]:
+            break
+        meshes.append(coarse)
+    return meshes
+
+
 def _trial_pool(grid: RadialGrid, reference: RadialField | None,
                 n_random: int, seed: int) -> list:
     """estimate_d_omega's trial pool as (node values, mesh) pairs: with a
     reference, its real part and five copies perturbed by 1e-2 random
-    trials on grid, then n_random random trials drawn on _coarse_mesh(grid),
-    all from one generator.  That mesh of spacing 2h is the one the
-    stationary solves on grid start on (groundstate._coarse_mesh), built
-    once per grid and kept there."""
+    trials on grid, then n_random random trials drawn on the last mesh of
+    _ladder(grid), of spacing 8h where grid halves three times, all from
+    one generator.  n_random is a count, at least 1 without a reference;
+    anything else raises PreconditionError naming it."""
+    require_count("n_random", n_random, 0 if reference is not None else 1)
     rng = np.random.default_rng(seed)
     pool = []
     if reference is not None:
@@ -141,16 +161,17 @@ def _trial_pool(grid: RadialGrid, reference: RadialField | None,
         pool.append((ref, grid))
         pool += [(ref + 1e-2 * _trial_values(grid, rng), grid)
                  for _ in range(5)]
-    coarse = _coarse_mesh(grid)
-    return pool + [(_trial_values(coarse, rng), coarse)
+    bottom = _ladder(grid)[-1]
+    return pool + [(_trial_values(bottom, rng), bottom)
                    for _ in range(n_random)]
 
 
 def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
-    """Least action of the trials of pool refined by the Nehari descent, one
-    factorization per mesh; see estimate_d_omega."""
+    """Least action of the trials of pool finished on grid by the Nehari
+    descent, one factorization per mesh; see estimate_d_omega."""
     b, p, gamma = params.b, params.p, params.gamma
     omega = params.require_omega()
+    ladder = _ladder(grid)
     descents = {}
 
     def descend(u, mesh):
@@ -159,20 +180,37 @@ def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
                 omega + gamma ** 2 * mesh.r_pow(2.0), mesh, b, p)
         return descents[mesh](u)[0]
 
-    best, skipped = math.inf, []
+    def score(v, mesh):
+        return _moments(v, mesh, b, p).action(p, gamma, omega)
+
+    finished, ranked, skipped = [], [], []
     for i, (trial, mesh) in enumerate(pool):
         if mesh is not grid:
             try:
-                trial = descend(trial, mesh)
+                v = descend(trial, mesh)
             except ConvergenceError:
-                pass            # the draw itself goes on to grid
-            trial = _prolong(trial)
+                for _ in ladder[1:]:    # the draw itself goes on to grid
+                    trial = _prolong(trial)
+            else:
+                ranked.append((score(v, mesh), i, v))
+                continue
         try:
-            refined = descend(trial, grid)
+            finished.append(score(descend(trial, grid), grid))
+        except ConvergenceError as exc:
+            skipped.append(f"trial {i}: {exc}")
+    # the trial of least action on the bottom mesh alone climbs to grid,
+    # the next-ranked one where that climb raises; ties go to the lower
+    # pool index
+    for _, i, v in sorted(ranked, key=lambda entry: entry[:2]):
+        try:
+            for mesh in reversed(ladder[:-1]):
+                v = descend(_prolong(v), mesh)
         except ConvergenceError as exc:
             skipped.append(f"trial {i}: {exc}")
             continue
-        best = min(best, _moments(refined, grid, b, p).action(p, gamma, omega))
+        finished.append(score(v, grid))
+        break
+    best = min(finished, default=math.inf)
     if not math.isfinite(best):
         raise ParameterError("all trials degenerate; " + "; ".join(skipped))
     return best
@@ -186,17 +224,25 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     Every trial is refined by the Nehari descent of the ground-state solve,
     with its stopping rule; the descent projects each state onto the zero
     set once, so its first state is the trial's projection.  The trials
-    are drawn as real node arrays.  A random trial starts on the mesh of
-    spacing 2h, groundstate._coarse_mesh(grid), which the bound-state solve
-    on grid shares: it is drawn and refined there, interpolated to grid by
-    groundstate._prolong and finished there (nested iteration: Brandt,
-    Math. Comp. 31, 1977); one that the coarse descent cannot project goes
-    on from its interpolated draw.  The descent operator is factored once
-    per mesh and shared by every trial on it.  The reported
-    value is the smallest action of a refined trial on grid; a trial the
-    descent cannot project there is skipped with its reason.
-    With reference set (a computed minimizer) the reference and perturbed
-    copies of it join the trial pool, so the estimate matches its action.
+    are drawn as real node arrays.  The random trials are drawn on the
+    mesh of spacing 8h, three halvings of grid by
+    groundstate._coarse_mesh (fewer where a mesh takes no coarse stage,
+    none on a grid with an odd node count), and each is refined there and
+    ranked by its action.  Every trial descends to the same least-action
+    state, so only the best-ranked one is carried up, by nested iteration
+    (Brandt, Math. Comp. 31, 1977): groundstate._prolong interpolates it
+    to the mesh above, where it is refined again, up to grid.  Where that
+    climb raises, its reason is kept and the next-ranked trial climbs.
+    Ties go to the trial drawn first.  A draw that the first descent
+    cannot project goes on from its draw, interpolated to grid.  The
+    descent operator is factored once per mesh and shared by every trial
+    on it.  The reported value is the smallest action of a trial finished
+    on grid; a trial the descent cannot project there is skipped with its
+    reason, and where no trial is finished the estimate raises
+    ParameterError with every reason.  With reference set (a computed
+    minimizer) the reference and perturbed copies of it join the trial
+    pool on grid, so the estimate matches its action.  n_random is a
+    count, at least 1 without a reference (PreconditionError otherwise).
     """
     return _least_action(params, grid,
                          _trial_pool(grid, reference, n_random, seed))

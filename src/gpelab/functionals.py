@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (ModelParams, ParameterError, PreconditionError,
-                   RadialField, gradient_sq, stationary_residual)
+                   RadialField, dot, gradient_sq, stationary_residual)
 
 __all__ = [
     "AmbiguousSignError", "FunctionalReport", "SetLabel",
@@ -82,10 +82,10 @@ def _moments(values, grid, b, p) -> _Moments:
     modulus = np.abs(values)
     density = modulus ** 2
     return _Moments(
-        M=float(np.dot(grid.weights, density)),
+        M=float(dot(grid.weights, density)),
         G=gradient_sq(values, grid),
-        V=float(np.dot(grid.weights, grid.r_pow(2.0) * density)),
-        P=float(np.dot(grid.weights, grid.r_pow(-b) * modulus ** (p + 1))))
+        V=float(dot(grid.weights, grid.r_pow(2.0) * density)),
+        P=float(dot(grid.weights, grid.r_pow(-b) * modulus ** (p + 1))))
 
 
 def _field_moments(u: RadialField, params: ModelParams) -> _Moments:

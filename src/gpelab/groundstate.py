@@ -32,7 +32,7 @@ from scipy.linalg.blas import dnrm2
 
 from .core import (ConvergenceError, GridMismatchError, ModelParams,
                    ParameterError, PreconditionError, RadialField, RadialGrid,
-                   apply_laplacian, default_grid, factor_operator,
+                   apply_laplacian, default_grid, dot, factor_operator,
                    nonlinear_rate, nonlinearity, require_positive_finite,
                    solve_operator, stationary_residual)
 from .functionals import _field_moments, _moments
@@ -194,8 +194,7 @@ def _nehari_descent(coeff, grid, b, p):
             # x -> lam x and Lx -> lam Lx - f in place; returns f
             fx = nonlinearity(x, grid, b, p)
             np.multiply(w, x, out=wx)
-            lam = _nehari_scale(float(np.dot(wx, Lx)), float(np.dot(wx, fx)),
-                                p)
+            lam = _nehari_scale(float(dot(wx, Lx)), float(dot(wx, fx)), p)
             fx *= lam ** p
             x *= lam
             Lx *= lam
@@ -210,7 +209,8 @@ def _nehari_descent(coeff, grid, b, p):
         for it in range(_DESCENT_MAX_ITER):
             if _sup(F) < _DESCENT_RTOL * _sup(f):
                 return v, it
-            # BLAS nrm2 scales as it sums: no overflow near _LOG_FORM_MAX
+            # BLAS nrm2 scales as it sums: no overflow near _LOG_FORM_MAX;
+            # OpenBLAS runs it on one thread at every size (unlike its dot)
             norm = dnrm2(F)
             theta = min(max(1.0 - (1.0 - norm / norm_prev) / relax, 0.0), 0.9)
             relax, norm_prev = 2.0 / (2.0 - theta), norm
@@ -231,10 +231,12 @@ def _nehari_descent(coeff, grid, b, p):
 
 def _coarse_mesh(grid):
     """The mesh of spacing 2h on the same (0, rmax] and dimension, on which
-    a solve's descent and the random level trials start; grid itself where
-    its node count is odd or under 8, which takes no coarse stage.  It is
-    built once per grid and kept there, as r_pow keeps its powers, so its
-    own r_pow are computed once too."""
+    a solve's descent starts; grid itself where its node count is odd or
+    under 8, which takes no coarse stage.  It is built once per grid and
+    kept there, as r_pow keeps its powers, so its own r_pow are computed
+    once too.  Applied to its own result it gives the meshes of spacing
+    4h and 8h, each kept on the one above, on which the random level
+    trials are drawn and climb (experiments._ladder)."""
     if grid.n % 2 or grid.n < 8:
         return grid
     if grid._coarse is None:
@@ -306,7 +308,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
             elif res <= _rounding_floor(u, coeff + omega, grid, b, p):
                 stop = "floor"
         if q is not None:
-            gap = float(np.dot(w, u * u)) - q
+            gap = float(dot(w, u * u)) - q
             if abs(gap) > 1e-12 * q:
                 stop = None
         if stop or it == max_iter:
@@ -318,10 +320,10 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
         else:
             # the bordered update: -F and -u are two columns of one solve
             step, x1 = solve_operator(grid, jac, -np.array((F, u)).T).T
-            denom = 2.0 * float(np.dot(w, u * x1))
+            denom = 2.0 * float(dot(w, u * x1))
             if denom == 0.0:
                 raise ConvergenceError("singular bordered system")
-            domega = (-gap - 2.0 * float(np.dot(w, u * step))) / denom
+            domega = (-gap - 2.0 * float(dot(w, u * step))) / denom
             step = step + domega * x1
         scale = 1.0
         while True:
@@ -502,7 +504,7 @@ def constrained_minimizer(q: float, params: ModelParams,
     trap_coeff = gamma ** 2 * r2
 
     u = np.exp(-gamma * r2 / 2.0)
-    u *= math.sqrt(q / float(np.dot(w, u * u)))
+    u *= math.sqrt(q / float(dot(w, u * u)))
     m = _moments(u, grid, b, p)
     g0, omega = m.G, m.multiplier(gamma)
     # without a ball, a state under 10 h wide is a collapse too
@@ -532,7 +534,7 @@ def constrained_minimizer(q: float, params: ModelParams,
         solve = factor_operator(
             grid, trap_coeff + max(omega, -gamma * dim), scale=dtau, shift=1.0)
         u = solve(u + dtau * nonlinearity(u, grid, b, p))
-        u *= math.sqrt(q / float(np.dot(w, u * u)))
+        u *= math.sqrt(q / float(dot(w, u * u)))
         m = _moments(u, grid, b, p)
         g = m.G
         if g > g_prev * (1.0 + 1e-10) and g > 25.0 * g0:

@@ -441,9 +441,11 @@ n_random = 2
 
     def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # OpenBLAS splits its dot products across threads only above 10000
-        # entries, which moves their last bits; the default mesh has 4000
-        # nodes, so one and two threads must write the same bytes
+        # entries, which moves their last bits; core.dot sums such products
+        # in fixed blocks of 10000, so one and two threads must write the
+        # same bytes on the default mesh (4000 nodes) and at 16000 nodes
         path = write_config(tmp_path, "[levels]\nn_random = 4\n")
+        fine = write_config(tmp_path, "[grid]\nh = 5e-4\n", "fine.ini")
         src = str(Path(gpelab.__file__).resolve().parents[1])
         files = []
         for threads in ("1", "2"):
@@ -451,15 +453,19 @@ n_random = 2
             env["PYTHONPATH"] = os.pathsep.join(
                 p for p in (src, env.get("PYTHONPATH")) if p)
             out = tmp_path / f"threads{threads}"
-            for command in ("groundstate", "levels"):
+            runs = (("groundstate", path, out), ("levels", path, out),
+                    ("groundstate", fine, out / "fine"))
+            for command, config, where in runs:
                 proc = subprocess.run(
-                    [sys.executable, "-m", "gpelab.cli", command, str(path),
-                     "--out", str(out)],
+                    [sys.executable, "-m", "gpelab.cli", command, str(config),
+                     "--out", str(where)],
                     env=env, capture_output=True, text=True, timeout=300)
                 assert proc.returncode == 0, proc.stderr
-            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+            files.append({f.relative_to(out).as_posix(): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()})
         assert set(files[0]) == {"groundstate.json", "profile.txt",
-                                 "levels.json", "levels.csv"}
+                                 "levels.json", "levels.csv",
+                                 "fine/groundstate.json", "fine/profile.txt"}
         assert files[0] == files[1]
 
     def test_main_entry(self, base_config, tmp_path, capsys):

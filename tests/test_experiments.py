@@ -25,6 +25,7 @@ from gpelab.experiments import (HypothesisError, _dilate,
                                 SweepRow, threshold_sweep)
 from gpelab.groundstate import _nehari_descent, solve_bound_state
 
+from corpus import H_COARSE, bound_state_draws
 from helpers import rel_err
 
 
@@ -126,8 +127,8 @@ class TestNehariLevel:
                                               monkeypatch):
         # every descent gets a nonlinearity with P < 0, a different multiple
         # per call, so its first projection fails: each random trial fails
-        # on the coarse mesh, goes on from its interpolated draw and fails
-        # again on grid, where its reason is kept
+        # on the mesh of spacing 8h, goes on from its draw interpolated to
+        # grid and fails again there, where its reason is kept
         calls = []
 
         def degenerate(values, grid, b, p):
@@ -138,16 +139,18 @@ class TestNehariLevel:
         with pytest.raises(ParameterError, match="all trials degenerate") as info:
             estimate_d_omega(params_critical, grid, n_random=3)
         reasons = str(info.value).split("; ")[1:]
-        assert [v.size for v in calls] == [grid.n // 2, grid.n] * 3
+        assert [v.size for v in calls] == [grid.n // 8, grid.n] * 3
         assert len(set(reasons)) == 3
         for i, reason in enumerate(reasons):
             assert reason.startswith(f"trial {i}: no Nehari projection: ")
 
     def test_failing_trial_is_skipped(self, grid, params_critical,
                                       monkeypatch):
-        # the descent of trial 1 raises on grid; trials 0 and 2 alone set
-        # the estimate
+        # trial 1 raises on the mesh of spacing 8h and again on grid from
+        # its draw, so it is skipped; trials 0 and 2 are ranked there and
+        # the better one alone climbs and sets the estimate
         p = params_critical
+        ladder = experiments._ladder(grid)
         builds, stages = {}, []
 
         def builder(*args):
@@ -157,19 +160,24 @@ class TestNehariLevel:
 
             def run(u):
                 stages.append((mesh, u))
-                if mesh is grid and sum(m is grid for m, _ in stages) == 2:
+                if len(stages) in (2, 3):
                     raise ConvergenceError("no Nehari projection: stub")
                 return descend(u)
             return run
 
         monkeypatch.setattr(experiments, "_nehari_descent", builder)
         d = estimate_d_omega(p, grid, n_random=3, seed=5)
-        coarse = experiments._coarse_mesh(grid)
-        assert list(builds) == [coarse, grid]
-        assert [m.n for m, _ in stages] == [grid.n // 2, grid.n] * 3
-        descend = _nehari_descent(*builds[grid])
-        finals = [descend(u)[0] for m, u in stages if m is grid]
-        assert d == min(_real_action(finals[i], grid, p) for i in (0, 2))
+        bottom = ladder[-1]
+        assert list(builds) == [bottom, grid, ladder[2], ladder[1]]
+        assert [m.n for m, _ in stages] == [grid.n // 8, grid.n // 8, grid.n,
+                                            grid.n // 8, grid.n // 4,
+                                            grid.n // 2, grid.n]
+        rng = np.random.default_rng(5)
+        draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
+        assert np.array_equal(stages[2][1], _prolong_up(draws[1], 3))
+        ranked = [_descend_alone(draws[i], bottom, p) for i in (0, 2)]
+        best = min(ranked, key=lambda v: _real_action(v, bottom, p))
+        assert d == _real_action(_climb_alone(best, ladder, p), grid, p)
 
 
 def _real_action(values, grid, params):
@@ -179,10 +187,55 @@ def _real_action(values, grid, params):
         params.p, params.gamma, params.require_omega())
 
 
+def _descend_alone(values, mesh, params):
+    """The Nehari descent of values on mesh with its own factorization."""
+    coeff = params.require_omega() + params.gamma ** 2 * mesh.r_pow(2.0)
+    return _nehari_descent(coeff, mesh, params.b, params.p)(values)[0]
+
+
+def _prolong_up(values, times):
+    """values interpolated up `times` halvings of the mesh spacing."""
+    for _ in range(times):
+        values = experiments._prolong(values)
+    return values
+
+
+def _climb_alone(values, ladder, params):
+    """values, refined on the last mesh of ladder, carried up to ladder[0]
+    by fresh descents on each mesh above it."""
+    for mesh in reversed(ladder[:-1]):
+        values = _descend_alone(experiments._prolong(values), mesh, params)
+    return values
+
+
+class _Recorder:
+    """Stands for experiments._nehari_descent: records each run as (mesh,
+    start, (state, steps)); `fail(mesh, k)` says whether the k-th run on
+    mesh (from 1) raises."""
+
+    def __init__(self, fail=lambda mesh, k: False):
+        self.runs, self.fail = [], fail
+
+    def __call__(self, *args):
+        descend = _nehari_descent(*args)
+
+        def run(u):
+            mesh = args[1]
+            k = 1 + sum(m is mesh for m, _, _ in self.runs)
+            if self.fail(mesh, k):
+                self.runs.append((mesh, u, None))
+                raise ConvergenceError("no Nehari projection: stub")
+            out = descend(u)
+            self.runs.append((mesh, u, out))
+            return out
+        return run
+
+
 class TestSharedDescent:
-    """estimate_d_omega factors the descent operator once per mesh and
-    refines every trial of its real-valued pool on that mesh with it, bit
-    for bit as a descent that factors its own operator would."""
+    """estimate_d_omega factors the descent operator once per mesh of the
+    ladder h, 2h, 4h, 8h and refines every trial of its real-valued pool on
+    a mesh with it, bit for bit as a descent that factors its own operator
+    would."""
 
     @pytest.mark.parametrize("n_random", [3, 10])
     @pytest.mark.parametrize("with_reference", [False, True])
@@ -199,40 +252,37 @@ class TestSharedDescent:
         reference = bound_state.profile if with_reference else None
         estimate_d_omega(params_critical, grid, reference=reference,
                          n_random=n_random, seed=2)
-        fine, coarse = (grid.n, gs._DESCENT_STEP), (grid.n // 2,
-                                                   gs._DESCENT_STEP)
-        assert factored == ([fine, coarse] if with_reference
-                            else [coarse, fine])
+        fine, e8, e4, e2 = [(grid.n // k, gs._DESCENT_STEP)
+                            for k in (1, 8, 4, 2)]
+        assert factored == ([fine, e8, e4, e2] if with_reference
+                            else [e8, e4, e2, fine])
 
     def test_shared_descent_matches_its_own_factorization(
             self, monkeypatch, grid, params_supercritical, bound_state_super):
-        runs = []
-
-        def builder(*args):
-            descend = _nehari_descent(*args)
-
-            def run(u):
-                out = descend(u)
-                runs.append((args, u, out))
-                return out
-            return run
-
-        monkeypatch.setattr(experiments, "_nehari_descent", builder)
-        d = estimate_d_omega(params_supercritical, grid,
-                             reference=bound_state_super.profile, n_random=3,
-                             seed=4)
-        # six reference trials on grid, then three random ones on both
-        assert [args[1].n for args, _, _ in runs] == (
-            [grid.n] * 6 + [grid.n // 2, grid.n] * 3)
-        for args, u, (v, steps) in runs:
-            alone, alone_steps = _nehari_descent(*args)(u)
+        p = params_supercritical
+        rec = _Recorder()
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
+        d = estimate_d_omega(p, grid, reference=bound_state_super.profile,
+                             n_random=3, seed=4)
+        # six reference trials on grid, three random ones on 8h, then the
+        # one climb through 4h, 2h and grid
+        assert [m.n for m, _, _ in rec.runs] == (
+            [grid.n] * 6 + [grid.n // 8] * 3
+            + [grid.n // 4, grid.n // 2, grid.n])
+        for mesh, u, (v, steps) in rec.runs:
+            coeff = p.gamma ** 2 * mesh.r_pow(2.0)
+            alone, alone_steps = _nehari_descent(coeff, mesh, p.b, p.p)(u)
             assert np.array_equal(v, alone) and steps == alone_steps
-        # each coarse result, interpolated, is the next fine start
-        for (_, _, (v, _)), (_, u, _) in zip(runs[6::2], runs[7::2]):
+        # each climb start is the prolongation of the state below it
+        bottom = [v for _, _, (v, _) in rec.runs[6:9]]
+        best = min(bottom, key=lambda v: _real_action(v, rec.runs[6][0], p))
+        starts = [u for _, u, _ in rec.runs[9:]]
+        below = [best] + [v for _, _, (v, _) in rec.runs[9:-1]]
+        for u, v in zip(starts, below):
             assert np.array_equal(u, experiments._prolong(v))
-        fine = [v for args, _, (v, _) in runs if args[1] is grid]
-        assert d == min(_real_action(v, grid, params_supercritical)
-                        for v in fine)
+        fine = [v for m, _, (v, _) in rec.runs if m is grid]
+        assert len(fine) == 7
+        assert d == min(_real_action(v, grid, p) for v in fine)
 
     def test_real_trial_draw_matches_the_field(self, grid):
         drawn, fields = np.random.default_rng(7), np.random.default_rng(7)
@@ -246,27 +296,31 @@ class TestSharedDescent:
     def test_pool_holds_the_reference_copies_as_real_arrays(self, grid,
                                                             bound_state):
         # the reference and its copies on grid, the random draws on the
-        # mesh of spacing 2h, from one generator
+        # mesh of spacing 8h, from one generator
         phi = bound_state.profile
         pool = experiments._trial_pool(grid, phi, 2, 9)
-        coarse = RadialGrid(2.0 * grid.h, grid.rmax, grid.dim)
+        e8 = RadialGrid(8.0 * grid.h, grid.rmax, grid.dim)
         rng = np.random.default_rng(9)
         fields = [phi] + [phi + scale_amplitude(random_trial_field(grid, rng),
                                                 1e-2) for _ in range(5)]
-        fields += [random_trial_field(coarse, rng) for _ in range(2)]
+        fields += [random_trial_field(e8, rng) for _ in range(2)]
         assert len(pool) == len(fields) == 8
-        assert [mesh for _, mesh in pool] == [grid] * 6 + [coarse] * 2
+        assert [mesh for _, mesh in pool] == [grid] * 6 + [e8] * 2
+        assert e8.n == grid.n // 8
         assert all(mesh is grid for _, mesh in pool[:6])
-        # the 2h mesh kept on grid, which the solves on grid start on too
-        assert all(mesh is gs._coarse_mesh(grid) for _, mesh in pool[6:])
+        # 8h is the 2h mesh of the 4h mesh of the 2h mesh, each kept on the
+        # one above, as the solves on grid keep their 2h mesh
+        kept = gs._coarse_mesh(gs._coarse_mesh(gs._coarse_mesh(grid)))
+        assert all(mesh is kept for _, mesh in pool[6:])
         for (trial, _), field in zip(pool, fields):
             assert trial.dtype == np.float64
             assert np.array_equal(trial, field.values.real)
 
 
 class TestCoarseStart:
-    """Random trials are drawn and refined on the mesh of spacing 2h,
-    interpolated to the given mesh and finished there."""
+    """Random trials are drawn and refined on the mesh of spacing 8h and
+    ranked there by their action; the best alone is interpolated and
+    refined up the ladder to the given mesh."""
 
     def test_prolong_is_exact_on_a_linear_profile(self, grid):
         coarse = experiments._coarse_mesh(grid)
@@ -294,34 +348,93 @@ class TestCoarseStart:
                  for _ in range(3)]
         assert d == min(_real_action(v, odd, p) for v in alone)
 
+    def test_odd_node_grid_takes_no_ladder(self, grid):
+        # the ladder stops at the first mesh that takes no coarse stage
+        odd = RadialGrid(h=1e-2, rmax=7.99, dim=3)
+        assert experiments._ladder(odd) == [odd]
+        assert all(mesh is odd for _, mesh in
+                   experiments._trial_pool(odd, None, 3, 0))
+        assert [m.n for m in experiments._ladder(grid)] == [
+            grid.n, grid.n // 2, grid.n // 4, grid.n // 8]
+        short = RadialGrid(h=1e-2, rmax=10.04, dim=3)
+        assert [m.n for m in experiments._ladder(short)] == [1004, 502, 251]
+        small = RadialGrid(h=0.05, rmax=0.6, dim=3)
+        assert [m.n for m in experiments._ladder(small)] == [12, 6]
+
     def test_coarse_failure_refines_the_draw_on_grid(self, monkeypatch, grid,
                                                      params_critical):
-        # every coarse descent raises; each trial still reaches grid from
-        # its interpolated draw, so none is dropped
-        coarse = experiments._coarse_mesh(grid)
-        fine_starts = []
-
-        def builder(*args):
-            descend = _nehari_descent(*args)
-
-            def run(u):
-                if args[1] is not grid:
-                    raise ConvergenceError("no Nehari projection: stub")
-                fine_starts.append(u)
-                return descend(u)
-            return run
-
-        monkeypatch.setattr(experiments, "_nehari_descent", builder)
+        # every descent off grid raises; each trial still reaches grid from
+        # its draw, interpolated up three halvings, so none is dropped
+        rec = _Recorder(fail=lambda mesh, k: mesh is not grid)
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(params_critical, grid, n_random=3, seed=6)
+        bottom = experiments._ladder(grid)[-1]
         rng = np.random.default_rng(6)
-        draws = [experiments._trial_values(coarse, rng) for _ in range(3)]
-        assert len(fine_starts) == 3
+        draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
+        assert [m.n for m, _, _ in rec.runs] == [grid.n // 8, grid.n] * 3
+        fine_starts = [u for m, u, _ in rec.runs if m is grid]
         for u, c in zip(fine_starts, draws):
-            assert np.array_equal(u, experiments._prolong(c))
-        descend = _nehari_descent(params_critical.gamma ** 2 * grid.r ** 2,
-                                  grid, params_critical.b, params_critical.p)
-        assert d == min(_real_action(descend(u)[0], grid, params_critical)
-                        for u in fine_starts)
+            assert np.array_equal(u, _prolong_up(c, 3))
+        assert d == min(
+            _real_action(_descend_alone(u, grid, params_critical), grid,
+                         params_critical) for u in fine_starts)
+
+    def test_the_climber_has_the_least_action_on_8h(self, monkeypatch, grid,
+                                                    params_supercritical):
+        p = params_supercritical
+        rec = _Recorder()
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
+        d = estimate_d_omega(p, grid, n_random=10, seed=3)
+        ladder = experiments._ladder(grid)
+        rng = np.random.default_rng(3)
+        draws = [experiments._trial_values(ladder[-1], rng)
+                 for _ in range(10)]
+        ranked = [_descend_alone(c, ladder[-1], p) for c in draws]
+        scores = [_real_action(v, ladder[-1], p) for v in ranked]
+        winner = scores.index(min(scores))
+        # ten descents on 8h, then one climb
+        assert [m.n for m, _, _ in rec.runs] == (
+            [grid.n // 8] * 10 + [grid.n // 4, grid.n // 2, grid.n])
+        assert np.array_equal(rec.runs[10][1],
+                              experiments._prolong(ranked[winner]))
+        assert d == _real_action(_climb_alone(ranked[winner], ladder, p),
+                                 grid, p)
+
+    def test_a_failed_climb_hands_over_to_the_next_ranked(
+            self, monkeypatch, grid, params_critical):
+        # the first climb raises on 2h; the runner-up climbs and sets d
+        p = params_critical
+        rec = _Recorder(fail=lambda mesh, k: mesh.n == grid.n // 2 and k == 1)
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
+        d = estimate_d_omega(p, grid, n_random=4, seed=8)
+        ladder = experiments._ladder(grid)
+        rng = np.random.default_rng(8)
+        ranked = [_descend_alone(experiments._trial_values(ladder[-1], rng),
+                                 ladder[-1], p) for _ in range(4)]
+        order = sorted(range(4),
+                       key=lambda i: _real_action(ranked[i], ladder[-1], p))
+        assert [m.n for m, _, _ in rec.runs[4:]] == [
+            grid.n // 4, grid.n // 2, grid.n // 4, grid.n // 2, grid.n]
+        first, second = rec.runs[4][1], rec.runs[6][1]
+        assert np.array_equal(first, experiments._prolong(ranked[order[0]]))
+        assert np.array_equal(second, experiments._prolong(ranked[order[1]]))
+        assert d == _real_action(_climb_alone(ranked[order[1]], ladder, p),
+                                 grid, p)
+
+    def test_every_failed_climb_keeps_its_reason_in_rank_order(
+            self, monkeypatch, grid, params_critical):
+        # two equal draws tie on 8h and the lower pool index climbs first;
+        # with every climb raising, each reason is kept
+        bottom = experiments._ladder(grid)[-1]
+        draw = experiments._trial_values(bottom, np.random.default_rng(2))
+        pool = [(draw, bottom), (draw.copy(), bottom)]
+        rec = _Recorder(fail=lambda mesh, k: mesh.n == grid.n // 4)
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
+        with pytest.raises(ParameterError) as info:
+            experiments._least_action(params_critical, grid, pool)
+        assert str(info.value) == (
+            "all trials degenerate; trial 0: no Nehari projection: stub; "
+            "trial 1: no Nehari projection: stub")
 
     @pytest.mark.parametrize("params_name, state_name", [
         ("params_critical", "bound_state"),
@@ -335,6 +448,28 @@ class TestCoarseStart:
         for seed in range(6):
             d = estimate_d_omega(params, grid, n_random=1, seed=seed)
             assert -1e-9 < (d - S) / S < 1e-6
+
+
+class TestLevelCorpus:
+    def test_estimate_over_the_admissible_corpus(self):
+        # every draw whose bound state returns has a random-trial estimate
+        # just above that state's action; where p is so close to 1 that
+        # the Nehari projection leaves the floating-point range, both fail
+        above, degenerate = 0, 0
+        for i, params in enumerate(bound_state_draws()):
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=params.dim)
+            try:
+                S = action(solve_bound_state(params, grid).profile, params)
+            except ConvergenceError:
+                with pytest.raises(ParameterError,
+                                   match="all trials degenerate"):
+                    estimate_d_omega(params, grid, n_random=10, seed=i)
+                degenerate += 1
+                continue
+            d = estimate_d_omega(params, grid, n_random=10, seed=i)
+            assert -1e-9 < (d - S) / S < 1e-3, (i, params)
+            above += 1
+        assert (above, degenerate) == (145, 5)
 
 
 class TestCrossLevel:

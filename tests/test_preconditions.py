@@ -2,9 +2,10 @@
 that needs it raises the same error: ModelParams.require_critical for the
 critical power, ModelParams.require_critical_or_larger for p >= p_c,
 ModelParams.require_grid for the grid's dimension,
-require_positive_finite for positive, finite inputs and require_dimension
-for the dimension itself.  A failed precondition is a PreconditionError;
-an outcome of work is not, even where it is a ParameterError."""
+require_positive_finite for positive, finite inputs, require_dimension
+for the dimension itself and require_count for a count.  A failed
+precondition is a PreconditionError; an outcome of work is not, even
+where it is a ParameterError."""
 
 import math
 
@@ -18,8 +19,8 @@ from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
                          PreconditionError, RadialField, RadialGrid,
                          require_positive_finite, validate_params)
 from gpelab.evolve import EvolveConfig, evolve, predict_collapse_time
-from gpelab.experiments import (estimate_d_n_upper, estimate_levels,
-                                threshold_sweep)
+from gpelab.experiments import (estimate_d_n_upper, estimate_d_omega,
+                                estimate_levels, threshold_sweep)
 from gpelab.functionals import (energy, energy_gradient, gn_slack, potential,
                                 weinstein)
 from gpelab.groundstate import (ConstraintEmptyError, EnergyUnboundedError,
@@ -133,6 +134,49 @@ class TestDimension:
         with pytest.raises(PreconditionError) as info:
             build(bad)
         assert str(info.value) == f"dim must be an integer >= 1, got {bad!r}"
+
+
+# call on (params, grid, reference) -> the message of its failed count
+COUNTS = {
+    "n_random=0": (lambda p, g, ref: estimate_d_omega(p, g, n_random=0),
+                   "n_random must be >= 1"),
+    "n_random=-2": (lambda p, g, ref: estimate_d_omega(p, g, n_random=-2),
+                    "n_random must be >= 1"),
+    "n_random=-2 with a reference": (
+        lambda p, g, ref: estimate_d_omega(p, g, reference=ref, n_random=-2),
+        "n_random must be >= 0"),
+    "n_random=2.5": (lambda p, g, ref: estimate_d_omega(p, g, n_random=2.5),
+                     "n_random must be an integer, got 2.5"),
+    "levels n_random=2.5": (
+        lambda p, g, ref: estimate_levels(p, g, n_random=2.5),
+        "n_random must be an integer, got 2.5"),
+    "record_every=0": (
+        lambda p, g, ref: EvolveConfig(dt=1e-3, t_end=0.1, record_every=0),
+        "record_every must be >= 1"),
+    "record_every=2.0": (
+        lambda p, g, ref: EvolveConfig(dt=1e-3, t_end=0.1, record_every=2.0),
+        "record_every must be an integer, got 2.0"),
+}
+
+
+class TestCount:
+    @pytest.fixture(scope="class")
+    def coarse(self, params_critical):
+        grid = RadialGrid(h=1e-2, rmax=8.0, dim=3)
+        return grid, solve_bound_state(params_critical, grid).profile
+
+    @pytest.mark.parametrize("case", sorted(COUNTS))
+    def test_one_message(self, params_critical, coarse, case):
+        call, message = COUNTS[case]
+        with pytest.raises(PreconditionError) as info:
+            call(params_critical, *coarse)
+        assert str(info.value) == message
+
+    def test_no_random_trial_with_a_reference(self, params_critical, coarse):
+        grid, ref = coarse
+        assert estimate_d_omega(params_critical, grid, reference=ref,
+                                n_random=0) == estimate_d_omega(
+            params_critical, grid, reference=ref, n_random=3)
 
 
 def _empty_cross_window():
