@@ -367,12 +367,10 @@ def _verify_checks(cfg):
     yield ("levels: least action matches minimizer",
            abs(d_om - S_phi) <= 1e-2 * S_phi, f"{d_om} vs {S_phi}")
     if params.criticality != SUBCRITICAL:   # the cross points need p >= p_c
-        dn, pts = experiments.estimate_d_n_upper(bound.profile, params)
-        ok = all(pt.nehari < 0
-                 and abs(pt.virial) < 1e-8 * grad_norm_sq(pt.field)
-                 for pt in pts)
+        dn, (pt,) = experiments.estimate_d_n_upper(bound.profile, params)
+        ok = pt.nehari < 0 and abs(pt.virial) < 1e-8 * grad_norm_sq(pt.field)
         yield ("levels: cross points admissible", ok and dn > 0,
-               f"d_n_upper {dn:.4f} from {len(pts)} points")
+               f"d_n_upper {dn:.4f} at lam {pt.lam:.6f}")
 
     try:
         rep = gs.uniqueness_report(params)

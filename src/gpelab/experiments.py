@@ -17,8 +17,9 @@ from .core import (ConvergenceError, ModelParams, ParameterError,
                    PreconditionError, RadialField, RadialGrid, _write_table,
                    mass, require_count, sigma_inner, sigma_norm_sq)
 from .evolve import EvolveConfig, evolve, predict_collapse_time
-from .functionals import (SetLabel, _field_moments, _moments, action,
-                          classify, h_omega_norm_sq, virial_coefficient)
+from .functionals import (SetLabel, _Moments, _field_moments, _moments,
+                          action, classify, h_omega_norm_sq,
+                          virial_coefficient)
 from .groundstate import (GroundStateResult, _coarse_mesh, _nehari_descent,
                           _nehari_scale, _prolong, constrained_minimizer,
                           solve_bound_state)
@@ -150,9 +151,7 @@ def _trial_pool(grid: RadialGrid, reference: RadialField | None,
     reference, its real part and five copies perturbed by 1e-2 random
     trials on grid, then n_random random trials drawn on the last mesh of
     _ladder(grid), of spacing 8h where grid halves three times, all from
-    one generator.  n_random is a count, at least 1 without a reference;
-    anything else raises PreconditionError naming it."""
-    require_count("n_random", n_random, 0 if reference is not None else 1)
+    one generator; the callers have checked n_random."""
     rng = np.random.default_rng(seed)
     pool = []
     if reference is not None:
@@ -244,6 +243,7 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     pool on grid, so the estimate matches its action.  n_random is a
     count, at least 1 without a reference (PreconditionError otherwise).
     """
+    require_count("n_random", n_random, 0 if reference is not None else 1)
     return _least_action(params, grid,
                          _trial_pool(grid, reference, n_random, seed))
 
@@ -259,6 +259,36 @@ class CrossPoint:
     action: float
     nehari: float
     virial: float
+
+
+def _virial_root(m: _Moments, gamma: float, c_I: float) -> float:
+    """The dilation mu at which the virial of mu^a v(mu r), a = (2-b)/(p-1),
+    vanishes under the exact scaling laws, from v's moments m with G - c_I P
+    > 0 (see construct_cross_point)."""
+    return (gamma ** 2 * m.V / (m.G - c_I * m.P)) ** 0.25
+
+
+def _law_action(m: _Moments, params: ModelParams, lam: float) -> float:
+    """Action of the cross point of lam phi under the exact scaling laws,
+    from phi's moments m: v = lam phi has moments lam^2 (M, G, V) and
+    lam^(p+1) P, and its dilation by _virial_root scales G and P by
+    mu^(2a+2-N), V by mu^(2a-2-N) and M by mu^(2a-N).  +inf where the
+    dilation coefficient G - c_I P of v is not positive or the closed form
+    leaves the floating-point range, so such a factor ranks last."""
+    p, gamma, c_I = params.p, params.gamma, virial_coefficient(params)
+    try:
+        v = _Moments(M=lam ** 2 * m.M, G=lam ** 2 * m.G, V=lam ** 2 * m.V,
+                     P=lam ** (p + 1.0) * m.P)
+        if not v.G - c_I * v.P > 0.0:
+            return math.inf
+        mu = _virial_root(v, gamma, c_I)
+        s = mu ** (2.0 * (2.0 - params.b) / (p - 1.0) - params.dim)
+        S = _Moments(M=s * v.M, G=s * mu ** 2 * v.G, V=s / mu ** 2 * v.V,
+                     P=s * mu ** 2 * v.P).action(p, gamma,
+                                                  params.require_omega())
+    except ArithmeticError:
+        return math.inf
+    return S if math.isfinite(S) else math.inf
 
 
 def construct_cross_point(phi: RadialField, params: ModelParams,
@@ -303,7 +333,7 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
     interp = ProfileInterpolant(v, singular_exponent=2.0 - params.b)
     lo, hi = 1.0, math.inf
     mu_prev, I_prev = lo, m.virial(gamma, c_I)
-    mu = (gamma ** 2 * m.V / (m.G - c_I * m.P)) ** 0.25
+    mu = _virial_root(m, gamma, c_I)
     for _ in range(100):
         if mu > 64.0:
             raise ParameterError("dilation bracket failure")
@@ -340,16 +370,22 @@ _CROSS_FRACTIONS = (0.05, 0.15, 0.3, 0.5, 0.7, 0.85)
 
 
 def estimate_d_n_upper(phi: RadialField, params: ModelParams):
-    """Upper bound for the cross-constrained level: least action over
-    constructed cross points.  Returns (value, points).
+    """Upper bound for the cross-constrained level: the action of the
+    constructed cross point that the exact scaling laws rank least.
+    Returns (value, points), points holding that one point.
 
     The amplitude factors 1 + f (lam* - 1), f in _CROSS_FRACTIONS, lie in
     (1, lam*), where the dilation coefficient stays positive: lam* =
     (||grad phi||^2 / (c_I P(phi)))^(1/(p-1)), above 1 for any phi with
-    vanishing virial.  A phi with P(phi) = 0 (the zero field) has no lam*
-    and raises a ParameterError that gives P.  An empty window (lam* <= 1)
-    raises one ParameterError that gives lam*; when no factor works, it
-    gives each factor's reason.
+    vanishing virial.  Each factor is ranked by _law_action, the action of
+    its cross point in closed form from phi's four moments (ties to the
+    smaller f), and construct_cross_point builds the point on the mesh at
+    the least-ranked factor; where that build raises, the next-ranked one
+    is built.  The value is that discrete point's action, so it stays an
+    upper bound that the point certifies.  A phi with P(phi) = 0 (the zero
+    field) has no lam* and raises a ParameterError that gives P.  An empty
+    window (lam* <= 1) raises one ParameterError that gives lam*; when no
+    factor works, it gives each factor's reason in _CROSS_FRACTIONS order.
     """
     m = _field_moments(phi, params)
     if not m.P > 0.0:
@@ -361,23 +397,26 @@ def estimate_d_n_upper(phi: RadialField, params: ModelParams):
         raise ParameterError(
             f"no cross point: the amplitude window (1, lam*) is empty, "
             f"lam* = {lam_star}")
-    points, skipped = [], []
-    for f in _CROSS_FRACTIONS:
-        lam = 1.0 + f * (lam_star - 1.0)
+    lambdas = [1.0 + f * (lam_star - 1.0) for f in _CROSS_FRACTIONS]
+    skipped = {}
+    for lam in sorted(lambdas, key=lambda lam: _law_action(m, params, lam)):
         try:
-            points.append(construct_cross_point(phi, params, lam))
+            point = construct_cross_point(phi, params, lam)
         except ParameterError as exc:
-            skipped.append(f"lambda={lam}: {exc}")
-    if not points:
-        raise ParameterError("no cross point could be constructed; "
-                             + "; ".join(skipped))
-    return min(pt.action for pt in points), points
+            skipped[lam] = f"lambda={lam}: {exc}"
+            continue
+        return point.action, [point]
+    raise ParameterError("no cross point could be constructed; "
+                         + "; ".join(skipped[lam] for lam in lambdas))
 
 
 @dataclass(frozen=True)
 class LevelEstimates:
     """Variational levels: least nehari action, cross-constrained upper
-    bound, and their minimum d (the admissible-action threshold)."""
+    bound, and their minimum d (the admissible-action threshold).
+    trial_count counts the trials of d_omega's pool and the ranked
+    amplitude factors of d_n_upper, one per _CROSS_FRACTIONS entry, though
+    only the least-ranked cross point is built."""
 
     d_omega: float
     d_n_upper: float
@@ -396,13 +435,14 @@ def estimate_levels(params: ModelParams, grid: RadialGrid,
                     n_random: int = 40, seed: int = 0) -> LevelEstimates:
     """Estimate both variational levels from the bound state at omega."""
     params.require_critical_or_larger("the level estimates")
+    require_count("n_random", n_random, 0)
     prof = solve_bound_state(params, grid).profile
     pool = _trial_pool(grid, prof, n_random, seed)
     d_omega = _least_action(params, grid, pool)
-    d_n_upper, points = estimate_d_n_upper(prof, params)
+    d_n_upper, _ = estimate_d_n_upper(prof, params)
     return LevelEstimates(d_omega=d_omega, d_n_upper=d_n_upper,
                           d=min(d_omega, d_n_upper),
-                          trial_count=len(pool) + len(points))
+                          trial_count=len(pool) + len(_CROSS_FRACTIONS))
 
 
 # ------------------------------------------------------------------- sweeps

@@ -472,6 +472,91 @@ class TestLevelCorpus:
         assert (above, degenerate) == (145, 5)
 
 
+def _least_of_every_point(phi, params):
+    """estimate_d_n_upper by building every default factor: (value, point)
+    of least action among all points built (the first on a tie), or the
+    ParameterError that lists each factor's reason."""
+    m = _field_moments(phi, params)
+    if not m.P > 0.0:
+        raise ParameterError(
+            f"no cross point: lam* needs P(phi) > 0, P = {m.P}")
+    lam_star = ((m.G / (virial_coefficient(params) * m.P))
+                ** (1.0 / (params.p - 1.0)))
+    if lam_star <= 1.0:
+        raise ParameterError(
+            f"no cross point: the amplitude window (1, lam*) is empty, "
+            f"lam* = {lam_star}")
+    points, skipped = [], []
+    for f in experiments._CROSS_FRACTIONS:
+        lam = 1.0 + f * (lam_star - 1.0)
+        try:
+            points.append(construct_cross_point(phi, params, lam))
+        except ParameterError as exc:
+            skipped.append(f"lambda={lam}: {exc}")
+    if not points:
+        raise ParameterError("no cross point could be constructed; "
+                             + "; ".join(skipped))
+    least = min(points, key=lambda pt: pt.action)
+    return least.action, least
+
+
+def _assert_same_as_every_point(phi, params):
+    """estimate_d_n_upper returns the reference's point bit for bit, or
+    raises its message; True where it returns."""
+    try:
+        value, least = _least_of_every_point(phi, params)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as info:
+            estimate_d_n_upper(phi, params)
+        assert str(info.value) == str(exc)
+        return False
+    dn, [pt] = estimate_d_n_upper(phi, params)
+    assert dn == value and pt.lam == least.lam and pt.mu == least.mu
+    assert pt.field.values.tobytes() == least.field.values.tobytes()
+    return True
+
+
+class TestCrossCorpus:
+    """The closed-form ranking of estimate_d_n_upper against building all
+    six points and keeping the least."""
+
+    def test_same_point_as_every_build_over_the_corpus(self):
+        outcomes = [_assert_same_as_every_point(
+                        solve_bound_state(params, RadialGrid(
+                            h=H_COARSE, rmax=8.0, dim=params.dim)).profile,
+                        params)
+                    for params in bound_state_draws()
+                    if params.p >= params.p_critical]
+        assert (outcomes.count(True), outcomes.count(False)) == (30, 58)
+
+    @pytest.mark.parametrize("power", ["critical", "supercritical"])
+    def test_law_action_matches_each_built_point(self, request, power):
+        # the closed form against the discrete point at each default
+        # factor; a factor past lam* or out of the floating-point range
+        # ranks last
+        params = request.getfixturevalue(f"params_{power}")
+        phi = request.getfixturevalue(
+            "bound_state" if power == "critical"
+            else "bound_state_super").profile
+        m = _field_moments(phi, params)
+        for lam in _default_lambdas(phi, params):
+            pt = construct_cross_point(phi, params, lam)
+            assert rel_err(experiments._law_action(m, params, lam),
+                           pt.action) < 2e-6
+        assert experiments._law_action(m, params, 3.0) == np.inf
+        assert experiments._law_action(m, params, 1e200) == np.inf
+
+    def test_least_factor_inside_the_window(self, grid):
+        # p = 2.5, omega = -1: the action dips at f = 0.3 and rises again,
+        # so the least factor is not the last one
+        params = ModelParams(dim=3, b=0.5, p=2.5, gamma=1.0, omega=-1.0)
+        phi = solve_bound_state(params, grid).profile
+        assert _assert_same_as_every_point(phi, params)
+        _, [pt] = estimate_d_n_upper(phi, params)
+        assert pt.lam == _default_lambdas(phi, params)[
+            experiments._CROSS_FRACTIONS.index(0.3)]
+
+
 class TestCrossLevel:
     def test_cross_point_admissible(self, bound_state, params_critical):
         pt = construct_cross_point(bound_state.profile, params_critical, 1.05)
@@ -503,19 +588,28 @@ class TestCrossLevel:
         params = request.getfixturevalue(f"params_{power}")
         phi = request.getfixturevalue(
             "bound_state" if power == "critical" else "bound_state_super")
-        probes = []
+        probes, builds = [], []
 
         def counting_dilate(*args):
             probes.append(args)
             return _dilate(*args)
 
+        class CountingInterpolant(ProfileInterpolant):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
         monkeypatch.setattr(experiments, "_dilate", counting_dilate)
+        monkeypatch.setattr(experiments, "ProfileInterpolant",
+                            CountingInterpolant)
         _, points = estimate_d_n_upper(phi.profile, params)
-        assert len(points) == 6
-        assert len(probes) <= 4 * len(points)
-        for pt in points:
-            assert pt.nehari < 0
-            assert abs(pt.virial) <= 1e-12 * max(1.0, grad_norm_sq(pt.field))
+        # only the least-ranked factor is built on the mesh
+        assert len(points) == 1
+        assert len(builds) == 1
+        assert len(probes) <= 4
+        pt, = points
+        assert pt.nehari < 0
+        assert abs(pt.virial) <= 1e-12 * max(1.0, grad_norm_sq(pt.field))
 
     def test_cross_point_frees_its_interpolant(self, bound_state,
                                                params_critical, monkeypatch):
@@ -585,9 +679,11 @@ class TestCrossLevel:
     def test_levels_bundle(self, grid, params_critical, bound_state):
         levels = estimate_levels(params_critical, grid, n_random=3)
         # the reference, its five perturbed copies, 3 random trials and
-        # the cross points
-        _, points = estimate_d_n_upper(bound_state.profile, params_critical)
-        assert levels.trial_count == 1 + 5 + 3 + len(points)
+        # the six ranked amplitude factors, though one point is built
+        dn, points = estimate_d_n_upper(bound_state.profile, params_critical)
+        assert len(experiments._CROSS_FRACTIONS) == 6 and len(points) == 1
+        assert levels.trial_count == 1 + 5 + 3 + 6
+        assert levels.d_n_upper == dn
         assert levels.d == min(levels.d_omega, levels.d_n_upper)
         assert levels.d > 0
         assert levels.d_omega > 0
@@ -729,12 +825,21 @@ class TestBrent:
             phi = request.getfixturevalue(
                 "bound_state" if case == "critical"
                 else "bound_state_super").profile
-        lambdas = _default_lambdas(phi, params)
-        expected = [lam for lam in lambdas
-                    if _brent_cross_mu(phi, params, lam) is not None]
-        _, points = estimate_d_n_upper(phi, params)
-        assert [pt.lam for pt in points] == expected
-        assert len(expected) == (5 if case == "strong" else 6)
+        # construct_cross_point builds exactly the factors brentq builds,
+        # and estimate_d_n_upper returns the least action among them
+        built = []
+        for lam in _default_lambdas(phi, params):
+            if _brent_cross_mu(phi, params, lam) is None:
+                with pytest.raises(ParameterError):
+                    construct_cross_point(phi, params, lam)
+            else:
+                built.append(construct_cross_point(phi, params, lam))
+        assert len(built) == (5 if case == "strong" else 6)
+        least = min(built, key=lambda pt: pt.action)
+        dn, [pt] = estimate_d_n_upper(phi, params)
+        assert dn == least.action
+        assert pt.lam == least.lam and pt.mu == least.mu
+        assert pt.field.values.tobytes() == least.field.values.tobytes()
 
     def test_first_probe_is_the_law(self, bound_state, params_critical,
                                     monkeypatch):

@@ -18,6 +18,7 @@ from gpelab.closedforms import (BlowupFamilyParams, discrete_oscillator_mode,
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
                          PreconditionError, RadialField, RadialGrid,
                          require_positive_finite, validate_params)
+from gpelab import experiments
 from gpelab.evolve import EvolveConfig, evolve, predict_collapse_time
 from gpelab.experiments import (estimate_d_n_upper, estimate_d_omega,
                                 estimate_levels, threshold_sweep)
@@ -136,6 +137,16 @@ class TestDimension:
         assert str(info.value) == f"dim must be an integer >= 1, got {bad!r}"
 
 
+def _levels_before_the_solve(params, grid, n_random):
+    # the count is checked before the bound state is solved
+    def solve(*args, **kwargs):
+        raise AssertionError("estimate_levels solved before its count check")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "solve_bound_state", solve)
+        estimate_levels(params, grid, n_random=n_random)
+
+
 # call on (params, grid, reference) -> the message of its failed count
 COUNTS = {
     "n_random=0": (lambda p, g, ref: estimate_d_omega(p, g, n_random=0),
@@ -148,7 +159,7 @@ COUNTS = {
     "n_random=2.5": (lambda p, g, ref: estimate_d_omega(p, g, n_random=2.5),
                      "n_random must be an integer, got 2.5"),
     "levels n_random=2.5": (
-        lambda p, g, ref: estimate_levels(p, g, n_random=2.5),
+        lambda p, g, ref: _levels_before_the_solve(p, g, 2.5),
         "n_random must be an integer, got 2.5"),
     "record_every=0": (
         lambda p, g, ref: EvolveConfig(dt=1e-3, t_end=0.1, record_every=0),
