@@ -413,18 +413,23 @@ def variance_rate(values, grid: RadialGrid) -> float:
 
 
 def apply_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Apply the conservative radial Laplacian to node samples."""
+    """Apply the conservative radial Laplacian to node samples, or to each
+    row of a (k, n) array of them."""
     out = grid.lap_diag * values
-    out[:-1] += grid.lap_upper * values[1:]
-    out[1:] += grid.lap_lower * values[:-1]
+    out[..., :-1] += grid.lap_upper * values[..., 1:]
+    out[..., 1:] += grid.lap_lower * values[..., :-1]
     return out
 
 
 def nonlinear_rate(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
-    """The focusing rate r^(-b) |u|^(p-1) at the nodes."""
-    au = np.abs(values)
+    """The focusing rate r^(-b) |u|^(p-1) at the nodes, or at the nodes of
+    each row of a (k, n) array."""
+    rate = np.abs(values)
     # |u|^1 is |u| itself: p = 2 skips the power
-    return grid.r_pow(-b) * (au if p == 2.0 else au ** (p - 1.0))
+    if p != 2.0:
+        rate **= p - 1.0
+    rate *= grid.r_pow(-b)
+    return rate
 
 
 def nonlinearity(values, grid: RadialGrid, b: float, p: float) -> np.ndarray:
@@ -457,10 +462,12 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
     the descent and gradient-flow operators 1 + step (-Lap + coeff) with
     -Lap + coeff >= 0 are: it is factored L D L' on its symmetric_form by
     LAPACK dpttrf, and solve is one dpttrs between the scalings by
-    sqrt(w).  The indefinite Newton Jacobians are solved by solve_operator
-    instead.  A complex zgttrf factorization without a row exchange is
-    L D U', L and U' unit bidiagonal, so its solve is two BLAS sweeps and
-    a scaling by 1/d, with no division inside a recurrence.  The
+    sqrt(w), for a node array or for the k columns of an (n, k) array
+    (Fortran order is solved in place).  The indefinite Newton Jacobians
+    are solved by solve_operator instead.  A complex zgttrf factorization
+    without a row exchange is L D U', L and U' unit bidiagonal, so its
+    solve is two BLAS sweeps and a scaling by 1/d, with no division inside
+    a recurrence.  The
     Crank-Nicolson operator 1 + (i dt/2)(-Lap + V), V >= 0, never needs an
     exchange: it is strictly diagonally dominant with imaginary
     off-diagonals, so zgttrf's |re| + |im| pivot test never swaps.  Raises
@@ -477,10 +484,12 @@ def factor_operator(grid: RadialGrid, coeff, scale=1.0, shift=0.0):
                 f"operator is not positive definite: pivot {info} of its "
                 f"L D L' factorization is not positive")
         sqrt_w = grid.sqrt_weights
+        sqrt_w_col = sqrt_w[:, None]
 
         def solve(rhs):
-            x = dpttrs(d, e, sqrt_w * rhs, overwrite_b=1)[0]
-            x /= sqrt_w
+            s = sqrt_w if rhs.ndim == 1 else sqrt_w_col
+            x = dpttrs(d, e, s * rhs, overwrite_b=1)[0]
+            x /= s
             return x
         return solve
 

@@ -21,8 +21,8 @@ from .functionals import (SetLabel, _Moments, _field_moments, _moments,
                           action, classify, h_omega_norm_sq,
                           virial_coefficient)
 from .groundstate import (GroundStateResult, _coarse_mesh, _nehari_descent,
-                          _nehari_scale, _prolong, constrained_minimizer,
-                          solve_bound_state)
+                          _nehari_scale, _prolong, _state,
+                          constrained_minimizer, solve_bound_state)
 
 __all__ = [
     "HypothesisError", "SweepRow", "SweepResult", "LevelEstimates",
@@ -148,18 +148,14 @@ def _ladder(grid: RadialGrid) -> list:
 def _trial_pool(grid: RadialGrid, reference: RadialField | None,
                 n_random: int, seed: int) -> list:
     """estimate_d_omega's trial pool as (node values, mesh) pairs: with a
-    reference, its real part and five copies perturbed by 1e-2 random
-    trials on grid, then n_random random trials drawn on the last mesh of
-    _ladder(grid), of spacing 8h where grid halves three times, all from
-    one generator; the callers have checked n_random."""
+    reference, its real part on grid, then n_random random trials drawn
+    from one generator on the last mesh of _ladder(grid), of spacing 8h
+    where grid halves three times; the callers have checked n_random."""
     rng = np.random.default_rng(seed)
     pool = []
     if reference is not None:
         grid.compatible(reference.grid)
-        ref = reference.values.real
-        pool.append((ref, grid))
-        pool += [(ref + 1e-2 * _trial_values(grid, rng), grid)
-                 for _ in range(5)]
+        pool.append((reference.values.real, grid))
     bottom = _ladder(grid)[-1]
     return pool + [(_trial_values(bottom, rng), bottom)
                    for _ in range(n_random)]
@@ -167,43 +163,59 @@ def _trial_pool(grid: RadialGrid, reference: RadialField | None,
 
 def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
     """Least action of the trials of pool finished on grid by the Nehari
-    descent, one factorization per mesh; see estimate_d_omega."""
+    descent, one factorization per mesh and one block per mesh and stage;
+    see estimate_d_omega."""
     b, p, gamma = params.b, params.p, params.gamma
     omega = params.require_omega()
     ladder = _ladder(grid)
     descents = {}
 
-    def descend(u, mesh):
+    def descend(trials, mesh):
+        # each trial's outcome of the Nehari descent on mesh, in one block
+        if not trials:
+            return []
         if mesh not in descents:
             descents[mesh] = _nehari_descent(
                 omega + gamma ** 2 * mesh.r_pow(2.0), mesh, b, p)
-        return descents[mesh](u)[0]
+        return descents[mesh](trials)
 
     def score(v, mesh):
         return _moments(v, mesh, b, p).action(p, gamma, omega)
 
-    finished, ranked, skipped = [], [], []
-    for i, (trial, mesh) in enumerate(pool):
-        if mesh is not grid:
-            try:
-                v = descend(trial, mesh)
-            except ConvergenceError:
-                for _ in ladder[1:]:    # the draw itself goes on to grid
-                    trial = _prolong(trial)
+    finished, skipped = [], []
+
+    def finish(indices, trials):
+        # descend trials on grid as one block; keep each action or reason
+        for i, out in zip(indices, descend(trials, grid)):
+            if isinstance(out, ConvergenceError):
+                skipped.append(f"trial {i}: {out}")
             else:
-                ranked.append((score(v, mesh), i, v))
-                continue
-        try:
-            finished.append(score(descend(trial, grid), grid))
-        except ConvergenceError as exc:
-            skipped.append(f"trial {i}: {exc}")
+                finished.append(score(out[0], grid))
+
+    on_grid = [i for i, (_, mesh) in enumerate(pool) if mesh is grid]
+    finish(on_grid, [pool[i][0] for i in on_grid])
+    # the random trials descend as one block on the bottom mesh and are
+    # ranked there; a draw whose descent raises goes on from its draw,
+    # interpolated to grid
+    bottom = ladder[-1]
+    drawn = [i for i, (_, mesh) in enumerate(pool) if mesh is not grid]
+    ranked, raised = [], []
+    for i, out in zip(drawn, descend([pool[i][0] for i in drawn], bottom)):
+        if isinstance(out, ConvergenceError):
+            raised.append(i)
+        else:
+            ranked.append((score(out[0], bottom), i, out[0]))
+    starts = [pool[i][0] for i in raised]
+    for _ in ladder[1:]:
+        starts = [_prolong(trial) for trial in starts]
+    finish(raised, starts)
     # the trial of least action on the bottom mesh alone climbs to grid,
     # the next-ranked one where that climb raises; ties go to the lower
     # pool index
     for _, i, v in sorted(ranked, key=lambda entry: entry[:2]):
         try:
             for mesh in reversed(ladder[:-1]):
-                v = descend(_prolong(v), mesh)
+                v = _state(descend([_prolong(v)], mesh)[0])
         except ConvergenceError as exc:
             skipped.append(f"trial {i}: {exc}")
             continue
@@ -226,22 +238,25 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     are drawn as real node arrays.  The random trials are drawn on the
     mesh of spacing 8h, three halvings of grid by
     groundstate._coarse_mesh (fewer where a mesh takes no coarse stage,
-    none on a grid with an odd node count), and each is refined there and
+    none on a grid with an odd node count).  They descend there together,
+    as the columns of one block that steps in lock step with one solve per
+    step, each trial bit for bit as it would descend alone, and each is
     ranked by its action.  Every trial descends to the same least-action
     state, so only the best-ranked one is carried up, by nested iteration
     (Brandt, Math. Comp. 31, 1977): groundstate._prolong interpolates it
     to the mesh above, where it is refined again, up to grid.  Where that
     climb raises, its reason is kept and the next-ranked trial climbs.
-    Ties go to the trial drawn first.  A draw that the first descent
+    Ties go to the trial drawn first.  A draw that the block descent
     cannot project goes on from its draw, interpolated to grid.  The
     descent operator is factored once per mesh and shared by every trial
     on it.  The reported value is the smallest action of a trial finished
     on grid; a trial the descent cannot project there is skipped with its
     reason, and where no trial is finished the estimate raises
     ParameterError with every reason.  With reference set (a computed
-    minimizer) the reference and perturbed copies of it join the trial
-    pool on grid, so the estimate matches its action.  n_random is a
-    count, at least 1 without a reference (PreconditionError otherwise).
+    minimizer) the reference joins the pool alone, refined on grid, so
+    the estimate matches its action, and the random trials take the
+    generator's first draws.  n_random is a count, at least 1 without a
+    reference (PreconditionError otherwise).
     """
     require_count("n_random", n_random, 0 if reference is not None else 1)
     return _least_action(params, grid,
@@ -386,7 +401,9 @@ def estimate_d_n_upper(phi: RadialField, params: ModelParams):
     field) has no lam* and raises a ParameterError that gives P.  An empty
     window (lam* <= 1) raises one ParameterError that gives lam*; when no
     factor works, it gives each factor's reason in _CROSS_FRACTIONS order.
+    p must be at least the critical power (PreconditionError otherwise).
     """
+    params.require_critical_or_larger("the cross-constrained level")
     m = _field_moments(phi, params)
     if not m.P > 0.0:
         raise ParameterError(

@@ -143,15 +143,11 @@ def _nehari_scale(H, P, p):
     return (H / P) ** (1.0 / (p - 1.0))
 
 
-def _sup(a):
-    """max|a| without the array |a|: max(a.max(), -a.min()) is exact."""
-    return max(a.max(), -a.min())
-
-
 def _nehari_descent(coeff, grid, b, p):
     """Preconditioned descent of the action with reprojection onto the
     Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v, over-relaxed by its
-    own observed contraction; returns descend(u) -> (v, steps taken).
+    own observed contraction; returns descend(trials) -> one outcome per
+    trial: (v, steps taken), or the ConvergenceError that stopped it.
 
     The plain step is S(v) = (1 + step L)^(-1) (v + step f(v)) with
     f(v) = r^(-b)|v|^(p-1)v and L = -Lap + coeff, positive definite for the
@@ -165,8 +161,18 @@ def _nehari_descent(coeff, grid, b, p):
     Laplacian.  x is rescaled onto <L v, v> = P(v), which removes the one
     unstable (amplitude) direction of the least-action state (Li & Zhou,
     SIAM J. Sci. Comput. 23 (2001); cf. the Petviashvili iteration).
-    descend copies u once and then forms the right-hand side, L x and the
-    rescaling in place, in F's buffer and the solve's output.
+
+    descend copies its k >= 1 trials once, into the rows of a C-order
+    (k, n) block (the columns of an (n, k) Fortran-order one), and steps
+    them in lock step: each step is one solve with k right-hand sides, and
+    the elementwise work of the nonlinearity, the right-hand side and L x
+    runs once on the block, in place.  The scalars of each trial (its two
+    inner products, 2-norm, projection scale and factor) are Python floats
+    of its own, and its row is scaled by them row by row (numpy scales a
+    row by a float faster than it broadcasts a column of them), so every
+    trial is, bit for bit, its descent alone.  A trial stops at its own
+    step and leaves the block, as does one whose projection raises, with
+    its error; the others go on unchanged.
 
     The factor: the linearized plain step is similar to a symmetric
     operator with eigenvalues (1 + step <N' phi, phi>) / (1 + step <L phi,
@@ -179,54 +185,91 @@ def _nehari_descent(coeff, grid, b, p):
     to [0, 0.9], with c_0 = 1.  At an excited state some mode stays above 1
     and repels for every c in [1, 2), so the descent cannot settle there.
 
-    Stationary states are fixed points.  descend stops once max|F| <
+    Stationary states are fixed points.  A trial stops once max|F| <
     _DESCENT_RTOL max|f(v)|, or after _DESCENT_MAX_ITER steps of size
-    _DESCENT_STEP, and raises ConvergenceError when a state has no Nehari
-    projection.
+    _DESCENT_STEP, and raises ConvergenceError when its state has no
+    Nehari projection.
     """
-    w = grid.weights
+    # the weights as a row: a block of one row takes numpy's fast path
+    w = grid.weights[None, :]
     solve = factor_operator(grid, coeff, scale=_DESCENT_STEP, shift=1.0)
 
-    def descend(u):
-        wx = np.empty(grid.n)
+    def descend(trials):
+        v = np.array(trials, dtype=float)
+        outcomes = [None] * len(v)
+        # per row of the block: its trial, factor c and last 2-norm of F;
+        # no last norm reads as kappa = 0, which gives c_0 = 1
+        rows = [[i, 1.0, math.inf] for i in range(len(v))]
 
-        def project(x, Lx):
-            # x -> lam x and Lx -> lam Lx - f in place; returns f
-            fx = nonlinearity(x, grid, b, p)
-            np.multiply(w, x, out=wx)
-            lam = _nehari_scale(float(dot(wx, Lx)), float(dot(wx, fx)), p)
-            fx *= lam ** p
-            x *= lam
-            Lx *= lam
-            Lx -= fx
-            return fx
+        def without(gone):
+            # the block and its rows less the rows in gone
+            keep = [j for j in range(len(rows)) if j not in gone]
+            return (v[keep], F[keep], f[keep], [rows[j] for j in keep],
+                    size[:, :len(keep)])
 
-        v = np.array(u, dtype=float)
+        size = np.empty((2,) + v.shape)
         F = -apply_laplacian(v, grid) + coeff * v
-        f = project(v, F)
-        # no previous norm reads as kappa = 0, which gives c_0 = 1
-        relax, norm_prev = 1.0, math.inf
-        for it in range(_DESCENT_MAX_ITER):
-            if _sup(F) < _DESCENT_RTOL * _sup(f):
-                return v, it
-            # BLAS nrm2 scales as it sums: no overflow near _LOG_FORM_MAX;
-            # OpenBLAS runs it on one thread at every size (unlike its dot)
-            norm = dnrm2(F)
-            theta = min(max(1.0 - (1.0 - norm / norm_prev) / relax, 0.0), 0.9)
-            relax, norm_prev = 2.0 / (2.0 - theta), norm
-            # rhs = v + step (f - (relax - 1) F), formed in F
-            F *= relax - 1.0
+        for it in range(_DESCENT_MAX_ITER + 1):
+            # F holds L v: each row goes to v -> lam v, F -> lam L v - f
+            f = nonlinearity(v, grid, b, p)
+            wv = w * v
+            failed = []
+            for j, (row, v_j, F_j, f_j, wv_j) in enumerate(
+                    zip(rows, v, F, f, wv)):
+                try:
+                    lam = _nehari_scale(float(dot(wv_j, F_j)),
+                                        float(dot(wv_j, f_j)), p)
+                except ConvergenceError as exc:
+                    outcomes[row[0]] = exc
+                    failed.append(j)
+                    continue
+                f_j *= lam ** p
+                v_j *= lam
+                F_j *= lam
+            if failed:
+                v, F, f, rows, size = without(failed)
+            F -= f
+            # max|F| and max|f| per row; exact, as max(F.max(), -F.min()) is
+            np.abs(F, out=size[0])
+            np.abs(f, out=size[1])
+            sup_F, sup_f = np.maximum.reduce(size, axis=2).tolist()
+            done = []
+            for j, (row, F_j) in enumerate(zip(rows, F)):
+                if (sup_F[j] < _DESCENT_RTOL * sup_f[j]
+                        or it == _DESCENT_MAX_ITER):
+                    outcomes[row[0]] = (v[j], it)
+                    done.append(j)
+                    continue
+                # BLAS nrm2 scales as it sums: no overflow near
+                # _LOG_FORM_MAX; OpenBLAS runs it on one thread at every
+                # size (unlike its dot)
+                norm = dnrm2(F_j)
+                theta = min(max(1.0 - (1.0 - norm / row[2]) / row[1], 0.0),
+                            0.9)
+                row[1:] = 2.0 / (2.0 - theta), norm
+                F_j *= row[1] - 1.0
+            if len(done) == len(rows):
+                return outcomes
+            if done:
+                v, F, f, rows, size = without(done)
+            # rhs = v + step (f - (c - 1) F), formed in F
             np.subtract(f, F, out=F)
             F *= _DESCENT_STEP
             F += v
-            v = solve(F)
+            v = solve(F.T).T
             # L v = (rhs - v) / step
             F -= v
             F /= _DESCENT_STEP
-            f = project(v, F)
-        return v, _DESCENT_MAX_ITER
 
     return descend
+
+
+def _state(outcome):
+    """The state v of one trial's outcome of descend; raises the
+    ConvergenceError that stopped the trial."""
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome[0]
 
 
 def _coarse_mesh(grid):
@@ -383,7 +426,8 @@ def _ground_state(params, grid, tol, omega, gamma_eff):
         r2 = mesh.r_pow(2.0)
         start = (np.exp(-gamma_eff * r2 / 2.0) if gamma_eff > 0.0
                  else np.exp(-mesh.r))
-        v = _nehari_descent(omega + gamma_eff ** 2 * r2, mesh, b, p)(start)[0]
+        descend = _nehari_descent(omega + gamma_eff ** 2 * r2, mesh, b, p)
+        v = _state(descend([start])[0])
         return v if mesh is grid else _prolong(v)
 
     coeff = omega + gamma_eff ** 2 * grid.r_pow(2.0)

@@ -126,9 +126,10 @@ class TestNehariLevel:
     def test_all_degenerate_keeps_each_reason(self, grid, params_critical,
                                               monkeypatch):
         # every descent gets a nonlinearity with P < 0, a different multiple
-        # per call, so its first projection fails: each random trial fails
-        # on the mesh of spacing 8h, goes on from its draw interpolated to
-        # grid and fails again there, where its reason is kept
+        # per call, so its first projection fails: the three random trials
+        # fail as one block on the mesh of spacing 8h, go on from their
+        # draws interpolated to grid as one block and fail again there,
+        # where each reason is kept
         calls = []
 
         def degenerate(values, grid, b, p):
@@ -137,44 +138,35 @@ class TestNehariLevel:
 
         monkeypatch.setattr(gs, "nonlinearity", degenerate)
         with pytest.raises(ParameterError, match="all trials degenerate") as info:
-            estimate_d_omega(params_critical, grid, n_random=3)
+            estimate_d_omega(params_critical, grid, n_random=3, seed=0)
         reasons = str(info.value).split("; ")[1:]
-        assert [v.size for v in calls] == [grid.n // 8, grid.n] * 3
+        assert [v.shape for v in calls] == [(3, grid.n // 8), (3, grid.n)]
+        bottom = experiments._ladder(grid)[-1]
+        rng = np.random.default_rng(0)
+        draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
+        assert np.array_equal(calls[1], [_prolong_up(c, 3) for c in draws])
         assert len(set(reasons)) == 3
         for i, reason in enumerate(reasons):
             assert reason.startswith(f"trial {i}: no Nehari projection: ")
 
     def test_failing_trial_is_skipped(self, grid, params_critical,
                                       monkeypatch):
-        # trial 1 raises on the mesh of spacing 8h and again on grid from
-        # its draw, so it is skipped; trials 0 and 2 are ranked there and
-        # the better one alone climbs and sets the estimate
+        # trial 1 raises in the block on the mesh of spacing 8h and again
+        # on grid from its draw, so it is skipped; trials 0 and 2 are
+        # ranked there and the better one alone climbs and sets the estimate
         p = params_critical
         ladder = experiments._ladder(grid)
-        builds, stages = {}, []
-
-        def builder(*args):
-            mesh = args[1]
-            builds[mesh] = args
-            descend = _nehari_descent(*args)
-
-            def run(u):
-                stages.append((mesh, u))
-                if len(stages) in (2, 3):
-                    raise ConvergenceError("no Nehari projection: stub")
-                return descend(u)
-            return run
-
-        monkeypatch.setattr(experiments, "_nehari_descent", builder)
-        d = estimate_d_omega(p, grid, n_random=3, seed=5)
         bottom = ladder[-1]
-        assert list(builds) == [bottom, grid, ladder[2], ladder[1]]
-        assert [m.n for m, _ in stages] == [grid.n // 8, grid.n // 8, grid.n,
-                                            grid.n // 8, grid.n // 4,
-                                            grid.n // 2, grid.n]
+        rec = _Recorder(fail=lambda mesh, k, j: (mesh is bottom and j == 1)
+                        or (mesh is grid and k == 1))
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
+        d = estimate_d_omega(p, grid, n_random=3, seed=5)
+        assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
+            (grid.n // 8, 3), (grid.n, 1), (grid.n // 4, 1),
+            (grid.n // 2, 1), (grid.n, 1)]
         rng = np.random.default_rng(5)
         draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
-        assert np.array_equal(stages[2][1], _prolong_up(draws[1], 3))
+        assert np.array_equal(rec.runs[1][1][0], _prolong_up(draws[1], 3))
         ranked = [_descend_alone(draws[i], bottom, p) for i in (0, 2)]
         best = min(ranked, key=lambda v: _real_action(v, bottom, p))
         assert d == _real_action(_climb_alone(best, ladder, p), grid, p)
@@ -188,9 +180,11 @@ def _real_action(values, grid, params):
 
 
 def _descend_alone(values, mesh, params):
-    """The Nehari descent of values on mesh with its own factorization."""
+    """The Nehari descent of values alone on mesh with its own
+    factorization."""
     coeff = params.require_omega() + params.gamma ** 2 * mesh.r_pow(2.0)
-    return _nehari_descent(coeff, mesh, params.b, params.p)(values)[0]
+    [(v, _)] = _nehari_descent(coeff, mesh, params.b, params.p)([values])
+    return v
 
 
 def _prolong_up(values, times):
@@ -209,26 +203,35 @@ def _climb_alone(values, ladder, params):
 
 
 class _Recorder:
-    """Stands for experiments._nehari_descent: records each run as (mesh,
-    start, (state, steps)); `fail(mesh, k)` says whether the k-th run on
-    mesh (from 1) raises."""
+    """Stands for experiments._nehari_descent: records each block run as
+    (mesh, trials, outcomes).  `fail(mesh, k, j)` says whether trial j
+    (from 0) of the k-th run on mesh (from 1) leaves its block with a stub
+    ConvergenceError; the other trials of that block descend together as
+    they would."""
 
-    def __init__(self, fail=lambda mesh, k: False):
+    def __init__(self, fail=lambda mesh, k, j: False):
         self.runs, self.fail = [], fail
 
     def __call__(self, *args):
-        descend = _nehari_descent(*args)
+        descend, mesh = _nehari_descent(*args), args[1]
 
-        def run(u):
-            mesh = args[1]
+        def run(trials):
             k = 1 + sum(m is mesh for m, _, _ in self.runs)
-            if self.fail(mesh, k):
-                self.runs.append((mesh, u, None))
-                raise ConvergenceError("no Nehari projection: stub")
-            out = descend(u)
-            self.runs.append((mesh, u, out))
-            return out
+            fails = [self.fail(mesh, k, j) for j in range(len(trials))]
+            kept = [t for t, bad in zip(trials, fails) if not bad]
+            descended = iter(descend(kept) if kept else [])
+            outcomes = [ConvergenceError("no Nehari projection: stub")
+                        if bad else next(descended) for bad in fails]
+            self.runs.append((mesh, list(trials), outcomes))
+            return outcomes
         return run
+
+
+def _outcomes_alone(mesh, trials, params):
+    """Each trial's outcome of the Nehari descent alone on mesh."""
+    coeff = params.require_omega() + params.gamma ** 2 * mesh.r_pow(2.0)
+    descend = _nehari_descent(coeff, mesh, params.b, params.p)
+    return [descend([t])[0] for t in trials]
 
 
 class TestSharedDescent:
@@ -257,31 +260,65 @@ class TestSharedDescent:
         assert factored == ([fine, e8, e4, e2] if with_reference
                             else [e8, e4, e2, fine])
 
+    def test_one_solve_per_step_of_the_block(self, monkeypatch, grid,
+                                             params_critical):
+        # the ten random trials step together on 8h: one solve (with ten
+        # right-hand sides) per step of the slowest trial, not one per
+        # trial step; a return to one solve per trial fails here
+        solves = {}
+
+        def factor(mesh, coeff, scale=1.0, shift=0.0):
+            solve = factor_operator(mesh, coeff, scale, shift)
+
+            def counted(rhs):
+                solves[mesh.n] = solves.get(mesh.n, 0) + 1
+                return solve(rhs)
+            return counted
+
+        monkeypatch.setattr(gs, "factor_operator", factor)
+        rec = _Recorder()
+        monkeypatch.setattr(experiments, "_nehari_descent", rec)
+        estimate_d_omega(params_critical, grid, n_random=10, seed=3)
+        mesh, trials, outcomes = rec.runs[0]
+        steps = [k for _, k in outcomes]
+        assert mesh.n == grid.n // 8 and len(trials) == 10
+        assert solves[mesh.n] == max(steps) < sum(steps)
+        # each climb stage is a block of one
+        for mesh, _, [(_, k)] in rec.runs[1:]:
+            assert solves[mesh.n] == k
+
     def test_shared_descent_matches_its_own_factorization(
             self, monkeypatch, grid, params_supercritical, bound_state_super):
         p = params_supercritical
         rec = _Recorder()
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
-        d = estimate_d_omega(p, grid, reference=bound_state_super.profile,
-                             n_random=3, seed=4)
-        # six reference trials on grid, three random ones on 8h, then the
-        # one climb through 4h, 2h and grid
-        assert [m.n for m, _, _ in rec.runs] == (
-            [grid.n] * 6 + [grid.n // 8] * 3
-            + [grid.n // 4, grid.n // 2, grid.n])
-        for mesh, u, (v, steps) in rec.runs:
-            coeff = p.gamma ** 2 * mesh.r_pow(2.0)
-            alone, alone_steps = _nehari_descent(coeff, mesh, p.b, p.p)(u)
-            assert np.array_equal(v, alone) and steps == alone_steps
+        reference = bound_state_super.profile
+        d = estimate_d_omega(p, grid, reference=reference, n_random=3,
+                             seed=4)
+        # the reference alone on grid, the three random trials as one block
+        # on 8h, then the one climb through 4h, 2h and grid
+        assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
+            (grid.n, 1), (grid.n // 8, 3), (grid.n // 4, 1),
+            (grid.n // 2, 1), (grid.n, 1)]
+        assert np.array_equal(rec.runs[0][1][0], reference.values.real)
+        rng = np.random.default_rng(4)
+        draws = [experiments._trial_values(rec.runs[1][0], rng)
+                 for _ in range(3)]
+        assert np.array_equal(rec.runs[1][1], draws)
+        for mesh, trials, outcomes in rec.runs:
+            for (v, steps), (alone, alone_steps) in zip(
+                    outcomes, _outcomes_alone(mesh, trials, p)):
+                assert np.array_equal(v, alone) and steps == alone_steps
         # each climb start is the prolongation of the state below it
-        bottom = [v for _, _, (v, _) in rec.runs[6:9]]
-        best = min(bottom, key=lambda v: _real_action(v, rec.runs[6][0], p))
-        starts = [u for _, u, _ in rec.runs[9:]]
-        below = [best] + [v for _, _, (v, _) in rec.runs[9:-1]]
+        bottom = [v for v, _ in rec.runs[1][2]]
+        best = min(bottom, key=lambda v: _real_action(v, rec.runs[1][0], p))
+        starts = [u for _, [u], _ in rec.runs[2:]]
+        below = [best] + [v for _, _, [(v, _)] in rec.runs[2:-1]]
         for u, v in zip(starts, below):
             assert np.array_equal(u, experiments._prolong(v))
-        fine = [v for m, _, (v, _) in rec.runs if m is grid]
-        assert len(fine) == 7
+        fine = [v for m, _, outcomes in rec.runs if m is grid
+                for v, _ in outcomes]
+        assert len(fine) == 2
         assert d == min(_real_action(v, grid, p) for v in fine)
 
     def test_real_trial_draw_matches_the_field(self, grid):
@@ -293,28 +330,30 @@ class TestSharedDescent:
                 vals, random_trial_field(grid, fields).values.real)
         assert drawn.bit_generator.state == fields.bit_generator.state
 
-    def test_pool_holds_the_reference_copies_as_real_arrays(self, grid,
-                                                            bound_state):
-        # the reference and its copies on grid, the random draws on the
-        # mesh of spacing 8h, from one generator
+    def test_pool_holds_the_reference_and_the_draws_as_real_arrays(
+            self, grid, bound_state):
+        # the reference alone on grid, then the generator's first draws on
+        # the mesh of spacing 8h
         phi = bound_state.profile
         pool = experiments._trial_pool(grid, phi, 2, 9)
         e8 = RadialGrid(8.0 * grid.h, grid.rmax, grid.dim)
         rng = np.random.default_rng(9)
-        fields = [phi] + [phi + scale_amplitude(random_trial_field(grid, rng),
-                                                1e-2) for _ in range(5)]
-        fields += [random_trial_field(e8, rng) for _ in range(2)]
-        assert len(pool) == len(fields) == 8
-        assert [mesh for _, mesh in pool] == [grid] * 6 + [e8] * 2
+        fields = [phi] + [random_trial_field(e8, rng) for _ in range(2)]
+        assert len(pool) == len(fields) == 3
+        assert [mesh for _, mesh in pool] == [grid] + [e8] * 2
         assert e8.n == grid.n // 8
-        assert all(mesh is grid for _, mesh in pool[:6])
+        assert pool[0][1] is grid
         # 8h is the 2h mesh of the 4h mesh of the 2h mesh, each kept on the
         # one above, as the solves on grid keep their 2h mesh
         kept = gs._coarse_mesh(gs._coarse_mesh(gs._coarse_mesh(grid)))
-        assert all(mesh is kept for _, mesh in pool[6:])
+        assert all(mesh is kept for _, mesh in pool[1:])
         for (trial, _), field in zip(pool, fields):
             assert trial.dtype == np.float64
             assert np.array_equal(trial, field.values.real)
+        # without a reference the same draws make the whole pool
+        alone = experiments._trial_pool(grid, None, 2, 9)
+        assert all(np.array_equal(a, b) for (a, _), (b, _)
+                   in zip(alone, pool[1:]))
 
 
 class TestCoarseStart:
@@ -343,9 +382,8 @@ class TestCoarseStart:
         p = params_critical
         d = estimate_d_omega(p, odd, n_random=3, seed=5)
         rng = np.random.default_rng(5)
-        descend = _nehari_descent(p.gamma ** 2 * odd.r ** 2, odd, p.b, p.p)
-        alone = [descend(experiments._trial_values(odd, rng))[0]
-                 for _ in range(3)]
+        draws = [experiments._trial_values(odd, rng) for _ in range(3)]
+        alone = [v for v, _ in _outcomes_alone(odd, draws, p)]
         assert d == min(_real_action(v, odd, p) for v in alone)
 
     def test_odd_node_grid_takes_no_ladder(self, grid):
@@ -363,16 +401,18 @@ class TestCoarseStart:
 
     def test_coarse_failure_refines_the_draw_on_grid(self, monkeypatch, grid,
                                                      params_critical):
-        # every descent off grid raises; each trial still reaches grid from
-        # its draw, interpolated up three halvings, so none is dropped
-        rec = _Recorder(fail=lambda mesh, k: mesh is not grid)
+        # every trial of the block off grid raises; each still reaches
+        # grid from its draw, interpolated up three halvings, so none is
+        # dropped, and they descend there as one block
+        rec = _Recorder(fail=lambda mesh, k, j: mesh is not grid)
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(params_critical, grid, n_random=3, seed=6)
         bottom = experiments._ladder(grid)[-1]
         rng = np.random.default_rng(6)
         draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
-        assert [m.n for m, _, _ in rec.runs] == [grid.n // 8, grid.n] * 3
-        fine_starts = [u for m, u, _ in rec.runs if m is grid]
+        assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
+            (grid.n // 8, 3), (grid.n, 3)]
+        fine_starts = rec.runs[1][1]
         for u, c in zip(fine_starts, draws):
             assert np.array_equal(u, _prolong_up(c, 3))
         assert d == min(
@@ -392,10 +432,14 @@ class TestCoarseStart:
         ranked = [_descend_alone(c, ladder[-1], p) for c in draws]
         scores = [_real_action(v, ladder[-1], p) for v in ranked]
         winner = scores.index(min(scores))
-        # ten descents on 8h, then one climb
-        assert [m.n for m, _, _ in rec.runs] == (
-            [grid.n // 8] * 10 + [grid.n // 4, grid.n // 2, grid.n])
-        assert np.array_equal(rec.runs[10][1],
+        # one block of ten on 8h, each trial as it descends alone, then
+        # one climb
+        assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
+            (grid.n // 8, 10), (grid.n // 4, 1), (grid.n // 2, 1),
+            (grid.n, 1)]
+        assert all(np.array_equal(v, alone)
+                   for (v, _), alone in zip(rec.runs[0][2], ranked))
+        assert np.array_equal(rec.runs[1][1][0],
                               experiments._prolong(ranked[winner]))
         assert d == _real_action(_climb_alone(ranked[winner], ladder, p),
                                  grid, p)
@@ -404,7 +448,8 @@ class TestCoarseStart:
             self, monkeypatch, grid, params_critical):
         # the first climb raises on 2h; the runner-up climbs and sets d
         p = params_critical
-        rec = _Recorder(fail=lambda mesh, k: mesh.n == grid.n // 2 and k == 1)
+        rec = _Recorder(
+            fail=lambda mesh, k, j: mesh.n == grid.n // 2 and k == 1)
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(p, grid, n_random=4, seed=8)
         ladder = experiments._ladder(grid)
@@ -413,9 +458,10 @@ class TestCoarseStart:
                                  ladder[-1], p) for _ in range(4)]
         order = sorted(range(4),
                        key=lambda i: _real_action(ranked[i], ladder[-1], p))
-        assert [m.n for m, _, _ in rec.runs[4:]] == [
-            grid.n // 4, grid.n // 2, grid.n // 4, grid.n // 2, grid.n]
-        first, second = rec.runs[4][1], rec.runs[6][1]
+        assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
+            (grid.n // 8, 4), (grid.n // 4, 1), (grid.n // 2, 1),
+            (grid.n // 4, 1), (grid.n // 2, 1), (grid.n, 1)]
+        first, second = rec.runs[1][1][0], rec.runs[3][1][0]
         assert np.array_equal(first, experiments._prolong(ranked[order[0]]))
         assert np.array_equal(second, experiments._prolong(ranked[order[1]]))
         assert d == _real_action(_climb_alone(ranked[order[1]], ladder, p),
@@ -428,7 +474,7 @@ class TestCoarseStart:
         bottom = experiments._ladder(grid)[-1]
         draw = experiments._trial_values(bottom, np.random.default_rng(2))
         pool = [(draw, bottom), (draw.copy(), bottom)]
-        rec = _Recorder(fail=lambda mesh, k: mesh.n == grid.n // 4)
+        rec = _Recorder(fail=lambda mesh, k, j: mesh.n == grid.n // 4)
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         with pytest.raises(ParameterError) as info:
             experiments._least_action(params_critical, grid, pool)
@@ -678,11 +724,11 @@ class TestCrossLevel:
 
     def test_levels_bundle(self, grid, params_critical, bound_state):
         levels = estimate_levels(params_critical, grid, n_random=3)
-        # the reference, its five perturbed copies, 3 random trials and
-        # the six ranked amplitude factors, though one point is built
+        # the reference, 3 random trials and the six ranked amplitude
+        # factors, though one point is built
         dn, points = estimate_d_n_upper(bound_state.profile, params_critical)
         assert len(experiments._CROSS_FRACTIONS) == 6 and len(points) == 1
-        assert levels.trial_count == 1 + 5 + 3 + 6
+        assert levels.trial_count == 1 + 3 + 6
         assert levels.d_n_upper == dn
         assert levels.d == min(levels.d_omega, levels.d_n_upper)
         assert levels.d > 0

@@ -136,8 +136,8 @@ class TestNontriviality:
         grid = RadialGrid(h=4e-3, rmax=8.0, dim=3)
         coeff = grid.r ** 2
         b, p = params_critical.b, params_critical.p
-        guess, _ = _nehari_descent(coeff, grid, b, p)(
-            np.exp(-grid.r ** 2 / 2.0))
+        [(guess, _)] = _nehari_descent(coeff, grid, b, p)(
+            [np.exp(-grid.r ** 2 / 2.0)])
         assert np.max(_polish(guess, coeff, grid, b, p, 1e-8)[0]) > 1.0
         with pytest.raises(ConvergenceError, match="trivial"):
             _polish(1e-12 * guess, coeff, grid, b, p, 1e-8)
@@ -167,7 +167,7 @@ class TestNehariDescent:
         b, p = params.b, params.p
         coeff = params.omega + params.gamma ** 2 * grid.r_pow(2.0)
         start = random_trial_field(grid, rng).values.real
-        v, steps = _nehari_descent(coeff, grid, b, p)(start)
+        [(v, steps)] = _nehari_descent(coeff, grid, b, p)([start])
         assert steps < 500
         F = stationary_residual(v, grid, coeff, b, p)
         f = nonlinearity(v, grid, b, p)
@@ -183,10 +183,10 @@ class TestNehariDescent:
         start = random_trial_field(grid, rng).values.real
         assert not start.flags.writeable
         kept = start.copy()
-        v, steps = descend(start)
+        [(v, steps)] = descend([start])
         assert steps > 0 and np.array_equal(start, kept)
         writable = kept.copy()
-        again, again_steps = descend(writable)
+        [(again, again_steps)] = descend([writable])
         assert np.array_equal(writable, kept)
         assert np.array_equal(again, v) and again_steps == steps
 
@@ -199,8 +199,8 @@ class TestNehariDescent:
         # the stop rule holds at the converged state: no step is taken
         u = request.getfixturevalue(state).profile
         params = request.getfixturevalue(params_name)
-        v, steps = _nehari_descent(coeff_of(u.grid), u.grid, params.b,
-                                   params.p)(u.values.real)
+        [(v, steps)] = _nehari_descent(coeff_of(u.grid), u.grid, params.b,
+                                       params.p)([u.values.real])
         assert steps == 0
         assert np.max(np.abs(v - u.values.real)) <= 1e-12 * np.max(v)
 
@@ -229,7 +229,7 @@ class TestNehariDescent:
         # an over-relaxed step does not settle on an excited state
         params = ModelParams(dim=3, b=0.5, p=p, gamma=1.0, omega=0.0)
         r2 = grid.r_pow(2.0)
-        v, steps = _nehari_descent(r2, grid, params.b, p)(start(r2))
+        [(v, steps)] = _nehari_descent(r2, grid, params.b, p)([start(r2)])
         assert steps < 500
         assert np.all(v > 0.0) or np.all(v < 0.0)
         ground = solve_bound_state(params, grid).profile
@@ -244,10 +244,10 @@ class TestNehariDescent:
         def counted(*args):
             descend = _nehari_descent(*args)
 
-            def run(u):
-                v, k = descend(u)
-                steps.append(k)
-                return v, k
+            def run(trials):
+                outcomes = descend(trials)
+                steps.extend(k for _, k in outcomes)
+                return outcomes
             return run
 
         monkeypatch.setattr(gs, "_nehari_descent", counted)
@@ -258,6 +258,86 @@ class TestNehariDescent:
                 solve_bound_state(params, default_grid(params))
         assert len(steps) == 6 and sum(steps) <= 53
 
+    @staticmethod
+    def _alone(descend, trials):
+        """Each trial's outcome of descend run on it alone."""
+        return [descend([t])[0] for t in trials]
+
+    @staticmethod
+    def _assert_same(got, want):
+        """Outcomes equal bit for bit: state and steps, or error class and
+        message."""
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if isinstance(b, ConvergenceError):
+                assert type(a) is type(b) and str(a) == str(b)
+            else:
+                assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
+
+    @pytest.mark.parametrize("cap", [500, 8])
+    def test_each_row_of_a_block_is_its_descent_alone(
+            self, monkeypatch, grid, params_critical, bound_state, rng, cap):
+        # the rows stop at their own steps: the converged state at once,
+        # the Gaussian and the random trials later (7 to 9 steps), and with
+        # a cap of 8 the slowest at the cap
+        monkeypatch.setattr(gs, "_DESCENT_MAX_ITER", cap)
+        b, p, r2 = params_critical.b, params_critical.p, grid.r_pow(2.0)
+        descend = _nehari_descent(r2, grid, b, p)
+        trials = [np.exp(-r2 / 2.0), bound_state.profile.values.real]
+        trials += [random_trial_field(grid, rng).values.real
+                   for _ in range(4)]
+        block = descend(trials)
+        self._assert_same(block, self._alone(descend, trials))
+        steps = [k for _, k in block]
+        assert steps[1] == 0 and len(set(steps)) >= 3
+        assert (max(steps) == cap) == (cap == 8)
+
+    def test_a_row_that_raises_leaves_the_others_as_they_were(self):
+        # corpus draw 37 (N = 4, b = 1.98, p = 1.0148, omega = 23.0): the
+        # projections of three of ten random trials leave the floating-point
+        # range, and each of the other seven descends as it does alone and
+        # in a block without them
+        params = list(bound_state_draws())[37]
+        grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=params.dim)
+        rng = np.random.default_rng(37)
+        trials = [random_trial_field(grid, rng).values.real
+                  for _ in range(10)]
+        coeff = params.omega + params.gamma ** 2 * grid.r_pow(2.0)
+        descend = _nehari_descent(coeff, grid, params.b, params.p)
+        block = descend(trials)
+        raised = [j for j, out in enumerate(block)
+                  if isinstance(out, ConvergenceError)]
+        assert raised == [4, 5, 7]
+        assert all("out of floating-point range" in str(block[j])
+                   for j in raised)
+        self._assert_same(block, self._alone(descend, trials))
+        kept = [t for j, t in enumerate(trials) if j not in raised]
+        self._assert_same([out for j, out in enumerate(block)
+                           if j not in raised], descend(kept))
+
+    def test_a_row_that_raises_mid_run_leaves_the_others(
+            self, monkeypatch, grid, params_critical, rng):
+        # the third projection finds P < 0 in the middle row, which leaves
+        # the block with its reason; the rows around it go on unchanged
+        b, p, r2 = params_critical.b, params_critical.p, grid.r_pow(2.0)
+        trials = [random_trial_field(grid, rng).values.real
+                  for _ in range(3)]
+        alone = self._alone(_nehari_descent(r2, grid, b, p), trials)
+        calls = []
+
+        def flipped(values, grid, b, p):
+            f = nonlinearity(values, grid, b, p)
+            calls.append(len(values))
+            if len(calls) == 3:
+                f[1] *= -1.0
+            return f
+
+        monkeypatch.setattr(gs, "nonlinearity", flipped)
+        block = _nehari_descent(r2, grid, b, p)(trials)
+        assert calls[:4] == [3, 3, 3, 2]
+        assert str(block[1]).startswith("no Nehari projection: ")
+        self._assert_same([block[0], block[2]], [alone[0], alone[2]])
+
     def test_step_cap_returns_the_last_projected_state(self, monkeypatch,
                                                        grid, params_critical):
         # a cap of 3 ends the descent from the Gaussian before its stop
@@ -265,7 +345,7 @@ class TestNehariDescent:
         monkeypatch.setattr(gs, "_DESCENT_MAX_ITER", 3)
         params = params_critical
         b, p, r2 = params.b, params.p, grid.r_pow(2.0)
-        v, steps = _nehari_descent(r2, grid, b, p)(np.exp(-r2 / 2.0))
+        [(v, steps)] = _nehari_descent(r2, grid, b, p)([np.exp(-r2 / 2.0)])
         assert steps == 3
         F = stationary_residual(v, grid, r2, b, p)
         assert np.max(np.abs(F)) >= 1e-3 * np.max(nonlinearity(v, grid, b, p))
@@ -1127,11 +1207,11 @@ class TestCoarseStart:
         def builder(coeff, mesh, b, p):
             descend = _nehari_descent(coeff, mesh, b, p)
 
-            def run(u):
+            def run(trials):
                 meshes.append(mesh.n)
                 if mesh is not grid:
-                    raise ConvergenceError("no Nehari projection: stub")
-                return descend(u)
+                    return [ConvergenceError("no Nehari projection: stub")]
+                return descend(trials)
             return run
 
         monkeypatch.setattr(gs, "_nehari_descent", builder)

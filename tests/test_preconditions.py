@@ -8,6 +8,7 @@ precondition is a PreconditionError; an outcome of work is not, even
 where it is a ParameterError."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ import pytest
 from gpelab.closedforms import (BlowupFamilyParams, discrete_oscillator_mode,
                                 lens_inverse, minimal_mass_initial,
                                 minimal_mass_solution, oscillator_mode)
-from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
-                         PreconditionError, RadialField, RadialGrid,
-                         require_positive_finite, validate_params)
+from gpelab.core import (ConvergenceError, GridMismatchError, ModelParams,
+                         ParameterError, PreconditionError, RadialField,
+                         RadialGrid, require_positive_finite, validate_params)
 from gpelab import experiments
 from gpelab.evolve import EvolveConfig, evolve, predict_collapse_time
 from gpelab.experiments import (estimate_d_n_upper, estimate_d_omega,
@@ -27,6 +28,8 @@ from gpelab.functionals import (energy, energy_gradient, gn_slack, potential,
 from gpelab.groundstate import (ConstraintEmptyError, EnergyUnboundedError,
                                 constrained_minimizer, solve_bound_state,
                                 solve_soliton)
+
+from corpus import H_COARSE, bound_state_draws
 
 SMALL = dict(h=0.05, rmax=2.0)
 
@@ -79,6 +82,27 @@ class TestCriticalOrLarger:
         assert msg.startswith("the level estimates needs p >= the critical "
                               f"power {params_subcritical.p_critical}")
         assert msg.endswith(f"got p = {params_subcritical.p}")
+
+    def test_subcritical_cross_level_rejected_before_any_work(self):
+        # every subcritical draw of the corpus, with its bound state where
+        # the solve returns one: the check comes before the state's moments,
+        # which overflowed at draw 115 (N = 4, b = 0.02, p = 1.0198), and
+        # before lam*, which was 2.6e67 at draw 41
+        subcritical = [params for params in bound_state_draws()
+                       if params.criticality == "subcritical"]
+        for params in subcritical:
+            grid = RadialGrid(h=H_COARSE, rmax=8.0, dim=params.dim)
+            try:
+                phi = solve_bound_state(params, grid).profile
+            except ConvergenceError:
+                phi = RadialField(grid, np.exp(-grid.r ** 2 / 2.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PreconditionError) as info:
+                    estimate_d_n_upper(phi, params)
+            assert str(info.value).startswith(
+                "the cross-constrained level needs p >= the critical power")
+        assert len(subcritical) == 62
 
     def test_critical_and_supercritical_pass(self, params_critical,
                                              params_supercritical):
