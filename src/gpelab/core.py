@@ -311,17 +311,25 @@ class RadialField:
 _DOT_BLOCK = 10000
 
 
+def _row_dot(x, y):
+    # a stack of (1, n) by (n, 1) products is one BLAS dot per row: the
+    # call np.dot makes on that row alone, with its bits
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def dot(x, y, conjugate: bool = False):
     """sum_i x_i y_i (conj(x_i) y_i with conjugate) of two node arrays, with
     the same bits at every BLAS thread count: one BLAS inner product up to
     _DOT_BLOCK entries, and above that one per consecutive block of
     _DOT_BLOCK entries, added in order.  Every integral in gpelab is one
-    call."""
-    inner = np.vdot if conjugate else np.dot
-    n = len(x)
+    call.  Where y is a (k, n) block of real rows (x a block or a node
+    array), the result is that sum for each row, an array of k, in one
+    call per block of entries, each row's bit for bit its dot alone."""
+    n = x.shape[-1]
+    inner = _row_dot if y.ndim > 1 else np.vdot if conjugate else np.dot
     if n <= _DOT_BLOCK:
         return inner(x, y)
-    return sum(inner(x[i:i + _DOT_BLOCK], y[i:i + _DOT_BLOCK])
+    return sum(inner(x[..., i:i + _DOT_BLOCK], y[..., i:i + _DOT_BLOCK])
                for i in range(0, n, _DOT_BLOCK))
 
 
@@ -353,7 +361,8 @@ def variance(u: RadialField) -> float:
 
 
 def _grad_form(x, y, grid: RadialGrid) -> complex:
-    """Gradient form int grad x . conj(grad y) on node arrays.
+    """Gradient form int grad x . conj(grad y) on node arrays, or on each
+    row of (k, n) blocks.
 
     Staggered (face) differences paired against the face conductances:
     exactly the quadratic form of the discrete Laplacian, so pairing the
@@ -363,13 +372,15 @@ def _grad_form(x, y, grid: RadialGrid) -> complex:
     dx = np.diff(x)
     dy = dx if y is x else np.diff(y)
     s = dot(dy, grid.conductance[1:grid.n] * dx, conjugate=True) / grid.h
-    s += grid.conductance[grid.n] * x[-1] * np.conj(y[-1]) / grid.h
+    s += grid.conductance[grid.n] * x[..., -1] * np.conj(y[..., -1]) / grid.h
     return grid.sphere * s
 
 
-def gradient_sq(values, grid: RadialGrid) -> float:
-    """Squared L^2 norm of the gradient of node samples."""
-    return float(np.real(_grad_form(values, values, grid)))
+def gradient_sq(values, grid: RadialGrid):
+    """Squared L^2 norm of the gradient of node samples, a float, or of
+    each row of a (k, n) block, an array of k."""
+    g = np.real(_grad_form(values, values, grid))
+    return float(g) if values.ndim == 1 else g
 
 
 def grad_norm_sq(u: RadialField) -> float:

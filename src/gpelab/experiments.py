@@ -103,32 +103,44 @@ def nehari_project(u: RadialField, params: ModelParams):
 
 
 def _trial_values(grid: RadialGrid, rng: np.random.Generator,
-                  complex_part: bool = False) -> np.ndarray:
-    """Node values of a random smooth localized trial (mixture of Gaussian
-    bumps): a real array, complex with complex_part."""
+                  count: int = 1, complex_part: bool = False) -> np.ndarray:
+    """Node values of count random smooth localized trials (mixtures of
+    two or three Gaussian bumps) as the rows of a (count, n) block: real,
+    complex with complex_part.  The generator gives, per trial, its bump
+    count and then a, s and c of each bump (and, with complex_part, its
+    chirp rate); every bump of the block is evaluated at once, and each
+    trial's bumps are added in order.  A trial of two bumps has a third of
+    amplitude 0, which adds 0 exactly, so every row is, bit for bit, its
+    draw alone."""
     r2 = grid.r_pow(2.0)
-    vals = np.zeros(grid.n, dtype=complex if complex_part else float)
-    k = rng.integers(2, 4)
-    for _ in range(k):
-        a = rng.uniform(0.3, 2.0)
-        s = rng.uniform(0.6, 2.0)
-        c = rng.uniform(0.0, 1.5)
-        bump = a * (1.0 + c * r2 / s ** 2) * np.exp(-r2 / (2.0 * s ** 2))
-        if complex_part:
-            bump = bump * np.exp(1j * rng.uniform(-0.5, 0.5) * r2)
-        vals += bump
-    return vals
+    # per bump: a, s^2 (as the scalar formula squares s), c and the chirp
+    # rate; an unused third bump is a = 0, s^2 = 1
+    bumps = np.zeros((count, 3, 4))
+    bumps[:, :, 1] = 1.0
+    for trial in bumps:
+        for bump in trial[:rng.integers(2, 4)]:
+            a, s, c = (rng.uniform(0.3, 2.0), rng.uniform(0.6, 2.0),
+                       rng.uniform(0.0, 1.5))
+            bump[:3] = a, s ** 2, c
+            if complex_part:
+                bump[3] = rng.uniform(-0.5, 0.5)
+    a, s2, c, chirp = bumps[:, :, :, None].transpose(2, 0, 1, 3)
+    values = a * (1.0 + c * r2 / s2) * np.exp(-r2 / (2.0 * s2))
+    if complex_part:
+        values = values * np.exp(1j * chirp * r2)
+    # each trial's bumps in order, added to 0 as to an array of zeros
+    return sum(values.swapaxes(0, 1))
 
 
 def random_trial_field(grid: RadialGrid, rng: np.random.Generator,
                        complex_part: bool = False) -> RadialField:
     """Random smooth localized trial field (mixture of Gaussian bumps)."""
-    return RadialField(grid, _trial_values(grid, rng, complex_part))
+    return RadialField(grid, _trial_values(grid, rng, 1, complex_part)[0])
 
 
 # Halvings of h down to the mesh the random level trials are drawn and
 # ranked on (_ladder)
-_LADDER_DEPTH = 3
+_LADDER_DEPTH = 4
 
 
 def _ladder(grid: RadialGrid) -> list:
@@ -149,16 +161,15 @@ def _trial_pool(grid: RadialGrid, reference: RadialField | None,
                 n_random: int, seed: int) -> list:
     """estimate_d_omega's trial pool as (node values, mesh) pairs: with a
     reference, its real part on grid, then n_random random trials drawn
-    from one generator on the last mesh of _ladder(grid), of spacing 8h
-    where grid halves three times; the callers have checked n_random."""
-    rng = np.random.default_rng(seed)
+    from one generator on the last mesh of _ladder(grid), of spacing 16h
+    where grid halves four times; the callers have checked n_random."""
     pool = []
     if reference is not None:
         grid.compatible(reference.grid)
         pool.append((reference.values.real, grid))
     bottom = _ladder(grid)[-1]
-    return pool + [(_trial_values(bottom, rng), bottom)
-                   for _ in range(n_random)]
+    draws = _trial_values(bottom, np.random.default_rng(seed), n_random)
+    return pool + [(trial, bottom) for trial in draws]
 
 
 def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
@@ -195,16 +206,18 @@ def _least_action(params: ModelParams, grid: RadialGrid, pool) -> float:
     on_grid = [i for i, (_, mesh) in enumerate(pool) if mesh is grid]
     finish(on_grid, [pool[i][0] for i in on_grid])
     # the random trials descend as one block on the bottom mesh and are
-    # ranked there; a draw whose descent raises goes on from its draw,
-    # interpolated to grid
+    # ranked there by the moments of the block of their states; a draw
+    # whose descent raises goes on from its draw, interpolated to grid
     bottom = ladder[-1]
     drawn = [i for i, (_, mesh) in enumerate(pool) if mesh is not grid]
-    ranked, raised = [], []
-    for i, out in zip(drawn, descend([pool[i][0] for i in drawn], bottom)):
-        if isinstance(out, ConvergenceError):
-            raised.append(i)
-        else:
-            ranked.append((score(out[0], bottom), i, out[0]))
+    outcomes = descend([pool[i][0] for i in drawn], bottom)
+    raised = [i for i, out in zip(drawn, outcomes)
+              if isinstance(out, ConvergenceError)]
+    states = [(i, out[0]) for i, out in zip(drawn, outcomes)
+              if i not in raised]
+    block = np.reshape([v for _, v in states], (len(states), bottom.n))
+    ranked = [(m.action(p, gamma, omega), i, v) for m, (i, v)
+              in zip(_moments(block, bottom, b, p), states)]
     starts = [pool[i][0] for i in raised]
     for _ in ladder[1:]:
         starts = [_prolong(trial) for trial in starts]
@@ -235,16 +248,17 @@ def estimate_d_omega(params: ModelParams, grid: RadialGrid,
     Every trial is refined by the Nehari descent of the ground-state solve,
     with its stopping rule; the descent projects each state onto the zero
     set once, so its first state is the trial's projection.  The trials
-    are drawn as real node arrays.  The random trials are drawn on the
-    mesh of spacing 8h, three halvings of grid by
-    groundstate._coarse_mesh (fewer where a mesh takes no coarse stage,
+    are drawn as real node arrays.  The random trials are drawn, as the
+    rows of one block, on the mesh of spacing 16h, four halvings of grid
+    by groundstate._coarse_mesh (fewer where a mesh takes no coarse stage,
     none on a grid with an odd node count).  They descend there together,
-    as the columns of one block that steps in lock step with one solve per
-    step, each trial bit for bit as it would descend alone, and each is
-    ranked by its action.  Every trial descends to the same least-action
-    state, so only the best-ranked one is carried up, by nested iteration
-    (Brandt, Math. Comp. 31, 1977): groundstate._prolong interpolates it
-    to the mesh above, where it is refined again, up to grid.  Where that
+    as one block that steps in lock step with one solve per step, each
+    trial bit for bit as it would descend alone, and each is ranked by
+    its action, from the moments of the block of their states.  Every
+    trial descends to the same least-action state, so only the
+    best-ranked one is carried up, by nested iteration (Brandt, Math.
+    Comp. 31, 1977): groundstate._prolong interpolates it to the mesh
+    above, where it is refined again, up to grid.  Where that
     climb raises, its reason is kept and the next-ranked trial climbs.
     Ties go to the trial drawn first.  A draw that the block descent
     cannot project goes on from its draw, interpolated to grid.  The
@@ -433,19 +447,23 @@ class LevelEstimates:
     bound, and their minimum d (the admissible-action threshold).
     trial_count counts the trials of d_omega's pool and the ranked
     amplitude factors of d_n_upper, one per _CROSS_FRACTIONS entry, though
-    only the least-ranked cross point is built."""
+    only the least-ranked cross point is built.  d_n_upper_lam is the
+    amplitude factor lam of the cross point that set d_n_upper."""
 
     d_omega: float
     d_n_upper: float
     d: float
     trial_count: int
+    d_n_upper_lam: float
 
     def as_dict(self) -> dict:
         return asdict(self)
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        row = (self.d_omega, self.d_n_upper, self.d, self.trial_count)
-        _write_table(path, "d_omega,d_n_upper,d,trial_count", [row], metadata)
+        row = (self.d_omega, self.d_n_upper, self.d, self.trial_count,
+               self.d_n_upper_lam)
+        _write_table(path, "d_omega,d_n_upper,d,trial_count,d_n_upper_lam",
+                     [row], metadata)
 
 
 def estimate_levels(params: ModelParams, grid: RadialGrid,
@@ -456,10 +474,11 @@ def estimate_levels(params: ModelParams, grid: RadialGrid,
     prof = solve_bound_state(params, grid).profile
     pool = _trial_pool(grid, prof, n_random, seed)
     d_omega = _least_action(params, grid, pool)
-    d_n_upper, _ = estimate_d_n_upper(prof, params)
+    d_n_upper, [point] = estimate_d_n_upper(prof, params)
     return LevelEstimates(d_omega=d_omega, d_n_upper=d_n_upper,
                           d=min(d_omega, d_n_upper),
-                          trial_count=len(pool) + len(_CROSS_FRACTIONS))
+                          trial_count=len(pool) + len(_CROSS_FRACTIONS),
+                          d_n_upper_lam=point.lam)
 
 
 # ------------------------------------------------------------------- sweeps

@@ -78,14 +78,19 @@ class _Moments(NamedTuple):
 def _moments(values, grid, b, p) -> _Moments:
     """(M, G, V, P) of node samples, each one inner product against the node
     weights (G: see _grad_form); P is int r^(-b)|u|^(p+1).  core.mass and
-    core.variance are the same products, bit for bit."""
+    core.variance are the same products, bit for bit.  A (k, n) block of
+    real rows gives the list of its rows' moments, one product per moment
+    for the whole block, each row's bit for bit its moments alone."""
     modulus = np.abs(values)
     density = modulus ** 2
-    return _Moments(
-        M=float(dot(grid.weights, density)),
-        G=gradient_sq(values, grid),
-        V=float(dot(grid.weights, grid.r_pow(2.0) * density)),
-        P=float(dot(grid.weights, grid.r_pow(-b) * modulus ** (p + 1))))
+    M = dot(grid.weights, density)
+    G = gradient_sq(values, grid)
+    V = dot(grid.weights, grid.r_pow(2.0) * density)
+    P = dot(grid.weights, grid.r_pow(-b) * modulus ** (p + 1))
+    if values.ndim == 1:
+        return _Moments(M=float(M), G=G, V=float(V), P=float(P))
+    return [_Moments(*row) for row in zip(M.tolist(), G.tolist(),
+                                          V.tolist(), P.tolist())]
 
 
 def _field_moments(u: RadialField, params: ModelParams) -> _Moments:

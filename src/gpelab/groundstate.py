@@ -143,6 +143,23 @@ def _nehari_scale(H, P, p):
     return (H / P) ** (1.0 / (p - 1.0))
 
 
+def _row_products(wv, F, f):
+    """The inner products <w v, F> and <w v, f> of each row of a block, as
+    two lists of floats: one core.dot per product for the block, or for
+    the row itself in a block of one row (cheaper, and the same bits)."""
+    if len(wv) == 1:
+        wv = wv[0]
+        return [float(dot(wv, F[0]))], [float(dot(wv, f[0]))]
+    return dot(wv, F).tolist(), dot(wv, f).tolist()
+
+
+def _per_row(factors):
+    """The factors of the rows of a block as a column, by which the block
+    scales each row by its own; the float itself for a block of one row
+    (cheaper, and the same bits)."""
+    return factors[0] if len(factors) == 1 else np.array(factors)[:, None]
+
+
 def _nehari_descent(coeff, grid, b, p):
     """Preconditioned descent of the action with reprojection onto the
     Nehari set of -Lap v + coeff v = r^(-b)|v|^(p-1)v, over-relaxed by its
@@ -166,13 +183,17 @@ def _nehari_descent(coeff, grid, b, p):
     (k, n) block (the columns of an (n, k) Fortran-order one), and steps
     them in lock step: each step is one solve with k right-hand sides, and
     the elementwise work of the nonlinearity, the right-hand side and L x
-    runs once on the block, in place.  The scalars of each trial (its two
-    inner products, 2-norm, projection scale and factor) are Python floats
-    of its own, and its row is scaled by them row by row (numpy scales a
-    row by a float faster than it broadcasts a column of them), so every
-    trial is, bit for bit, its descent alone.  A trial stops at its own
-    step and leaves the block, as does one whose projection raises, with
-    its error; the others go on unchanged.
+    runs once on the block, in place.  So do the two inner products of
+    every row, one core.dot each (_row_products), and the scaling of the
+    rows by their projection scales and relaxation factors, each a column
+    of per-row factors (_per_row).  The scalars of each trial (its
+    projection scale, 2-norm, theta and factor) are Python floats of its
+    own, so every trial is, bit for bit, its descent alone.  A block of
+    one row takes the row's own dot and a float in both helpers, cheaper
+    than a stack and a column of one for a single descent (a stationary
+    solve's).  A trial stops at its own step and leaves the block, as
+    does one whose projection raises, with its error; the others go on
+    unchanged.
 
     The factor: the linearized plain step is similar to a symmetric
     operator with eigenvalues (1 + step <N' phi, phi>) / (1 + step <L phi,
@@ -208,32 +229,37 @@ def _nehari_descent(coeff, grid, b, p):
                     size[:, :len(keep)])
 
         size = np.empty((2,) + v.shape)
-        F = -apply_laplacian(v, grid) + coeff * v
+        # L v; coeff v - Lap v has the bits of -Lap v + coeff v
+        F = coeff * v
+        F -= apply_laplacian(v, grid)
         for it in range(_DESCENT_MAX_ITER + 1):
             # F holds L v: each row goes to v -> lam v, F -> lam L v - f
             f = nonlinearity(v, grid, b, p)
-            wv = w * v
-            failed = []
-            for j, (row, v_j, F_j, f_j, wv_j) in enumerate(
-                    zip(rows, v, F, f, wv)):
+            # w v in the scratch block; the sup norms overwrite it next
+            wv = np.multiply(w, v, out=size[0])
+            scales, powers, failed = [], [], []
+            for j, (row, H, P) in enumerate(
+                    zip(rows, *_row_products(wv, F, f))):
                 try:
-                    lam = _nehari_scale(float(dot(wv_j, F_j)),
-                                        float(dot(wv_j, f_j)), p)
+                    lam = _nehari_scale(H, P, p)
                 except ConvergenceError as exc:
                     outcomes[row[0]] = exc
                     failed.append(j)
                     continue
-                f_j *= lam ** p
-                v_j *= lam
-                F_j *= lam
+                scales.append(lam)
+                powers.append(lam ** p)
             if failed:
                 v, F, f, rows, size = without(failed)
+            f *= _per_row(powers)
+            lam = _per_row(scales)
+            v *= lam
+            F *= lam
             F -= f
             # max|F| and max|f| per row; exact, as max(F.max(), -F.min()) is
             np.abs(F, out=size[0])
             np.abs(f, out=size[1])
             sup_F, sup_f = np.maximum.reduce(size, axis=2).tolist()
-            done = []
+            done, relax = [], []
             for j, (row, F_j) in enumerate(zip(rows, F)):
                 if (sup_F[j] < _DESCENT_RTOL * sup_f[j]
                         or it == _DESCENT_MAX_ITER):
@@ -247,12 +273,13 @@ def _nehari_descent(coeff, grid, b, p):
                 theta = min(max(1.0 - (1.0 - norm / row[2]) / row[1], 0.0),
                             0.9)
                 row[1:] = 2.0 / (2.0 - theta), norm
-                F_j *= row[1] - 1.0
+                relax.append(row[1] - 1.0)
             if len(done) == len(rows):
                 return outcomes
             if done:
                 v, F, f, rows, size = without(done)
             # rhs = v + step (f - (c - 1) F), formed in F
+            F *= _per_row(relax)
             np.subtract(f, F, out=F)
             F *= _DESCENT_STEP
             F += v
@@ -278,7 +305,7 @@ def _coarse_mesh(grid):
     under 8, which takes no coarse stage.  It is built once per grid and
     kept there, as r_pow keeps its powers, so its own r_pow are computed
     once too.  Applied to its own result it gives the meshes of spacing
-    4h and 8h, each kept on the one above, on which the random level
+    4h, 8h and 16h, each kept on the one above, on which the random level
     trials are drawn and climb (experiments._ladder)."""
     if grid.n % 2 or grid.n < 8:
         return grid

@@ -437,7 +437,10 @@ n_random = 2
             (out_b / "levels.csv").read_bytes()
         body = [ln for ln in (out_a / "levels.csv").read_text().splitlines()
                 if not ln.startswith("#")]
-        assert body[0] == "d_omega,d_n_upper,d,trial_count"
+        assert body[0] == "d_omega,d_n_upper,d,trial_count,d_n_upper_lam"
+        payload = json.loads((out_a / "levels.json").read_text())
+        assert {"d_omega", "d_n_upper", "d", "trial_count",
+                "d_n_upper_lam"} <= set(payload)
 
     def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # OpenBLAS splits its dot products across threads only above 10000

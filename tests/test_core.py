@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 from gpelab.core import (CRITICAL, SUBCRITICAL, SUPERCRITICAL,
                          GridMismatchError, ModelParams, ParameterError,
                          RadialField, RadialGrid,
-                         _grad_form, apply_laplacian, factor_operator,
+                         _grad_form, apply_laplacian, dot, factor_operator,
                          grad_norm_sq, gradient_sq, integrate_radial, mass,
                          nonlinear_rate, sigma_norm_sq, solve_operator,
                          stationary_residual, symmetric_form,
@@ -334,6 +334,21 @@ class TestQuadrature:
             val = integrate_radial(g.r ** -0.5 * np.exp(-g.r ** 2), g)
             errs.append(abs(val - SINGULAR_GAUSSIAN_INTEGRAL))
         assert errs[0] / errs[1] > 3.5
+
+
+    @pytest.mark.parametrize("n", [500, 4000, 16000])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_each_row_of_a_block_is_its_dot_bit_for_bit(self, rng, n, k):
+        # one row product per block, summed in the blocks of 10000 entries
+        # that dot sums a node array in above that size; against a node
+        # array as well as against a block
+        x, y = rng.normal(size=(2, k, n))
+        w = rng.uniform(size=n)
+        rows, weighted = dot(x, y), dot(w, y)
+        assert rows.shape == weighted.shape == (k,)
+        for j in range(k):
+            assert rows[j].tobytes() == dot(x[j], y[j]).tobytes()
+            assert weighted[j].tobytes() == dot(w, y[j]).tobytes()
 
 
 class TestNorms:

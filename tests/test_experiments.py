@@ -127,7 +127,7 @@ class TestNehariLevel:
                                               monkeypatch):
         # every descent gets a nonlinearity with P < 0, a different multiple
         # per call, so its first projection fails: the three random trials
-        # fail as one block on the mesh of spacing 8h, go on from their
+        # fail as one block on the mesh of spacing 16h, go on from their
         # draws interpolated to grid as one block and fail again there,
         # where each reason is kept
         calls = []
@@ -140,18 +140,17 @@ class TestNehariLevel:
         with pytest.raises(ParameterError, match="all trials degenerate") as info:
             estimate_d_omega(params_critical, grid, n_random=3, seed=0)
         reasons = str(info.value).split("; ")[1:]
-        assert [v.shape for v in calls] == [(3, grid.n // 8), (3, grid.n)]
+        assert [v.shape for v in calls] == [(3, grid.n // 16), (3, grid.n)]
         bottom = experiments._ladder(grid)[-1]
-        rng = np.random.default_rng(0)
-        draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
-        assert np.array_equal(calls[1], [_prolong_up(c, 3) for c in draws])
+        draws = experiments._trial_values(bottom, np.random.default_rng(0), 3)
+        assert np.array_equal(calls[1], [_prolong_up(c, 4) for c in draws])
         assert len(set(reasons)) == 3
         for i, reason in enumerate(reasons):
             assert reason.startswith(f"trial {i}: no Nehari projection: ")
 
     def test_failing_trial_is_skipped(self, grid, params_critical,
                                       monkeypatch):
-        # trial 1 raises in the block on the mesh of spacing 8h and again
+        # trial 1 raises in the block on the mesh of spacing 16h and again
         # on grid from its draw, so it is skipped; trials 0 and 2 are
         # ranked there and the better one alone climbs and sets the estimate
         p = params_critical
@@ -162,11 +161,10 @@ class TestNehariLevel:
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(p, grid, n_random=3, seed=5)
         assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
-            (grid.n // 8, 3), (grid.n, 1), (grid.n // 4, 1),
-            (grid.n // 2, 1), (grid.n, 1)]
-        rng = np.random.default_rng(5)
-        draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
-        assert np.array_equal(rec.runs[1][1][0], _prolong_up(draws[1], 3))
+            (grid.n // 16, 3), (grid.n, 1), (grid.n // 8, 1),
+            (grid.n // 4, 1), (grid.n // 2, 1), (grid.n, 1)]
+        draws = experiments._trial_values(bottom, np.random.default_rng(5), 3)
+        assert np.array_equal(rec.runs[1][1][0], _prolong_up(draws[1], 4))
         ranked = [_descend_alone(draws[i], bottom, p) for i in (0, 2)]
         best = min(ranked, key=lambda v: _real_action(v, bottom, p))
         assert d == _real_action(_climb_alone(best, ladder, p), grid, p)
@@ -185,6 +183,22 @@ def _descend_alone(values, mesh, params):
     coeff = params.require_omega() + params.gamma ** 2 * mesh.r_pow(2.0)
     [(v, _)] = _nehari_descent(coeff, mesh, params.b, params.p)([values])
     return v
+
+
+def _draw_alone(grid, rng, complex_part):
+    """One random trial by the scalar formula, bump by bump, and its bump
+    count."""
+    r2 = grid.r_pow(2.0)
+    vals = np.zeros(grid.n, dtype=complex if complex_part else float)
+    k = rng.integers(2, 4)
+    for _ in range(k):
+        a, s, c = (rng.uniform(0.3, 2.0), rng.uniform(0.6, 2.0),
+                   rng.uniform(0.0, 1.5))
+        bump = a * (1.0 + c * r2 / s ** 2) * np.exp(-r2 / (2.0 * s ** 2))
+        if complex_part:
+            bump = bump * np.exp(1j * rng.uniform(-0.5, 0.5) * r2)
+        vals += bump
+    return vals, k
 
 
 def _prolong_up(values, times):
@@ -236,9 +250,9 @@ def _outcomes_alone(mesh, trials, params):
 
 class TestSharedDescent:
     """estimate_d_omega factors the descent operator once per mesh of the
-    ladder h, 2h, 4h, 8h and refines every trial of its real-valued pool on
-    a mesh with it, bit for bit as a descent that factors its own operator
-    would."""
+    ladder h, 2h, 4h, 8h, 16h and refines every trial of its real-valued
+    pool on a mesh with it, bit for bit as a descent that factors its own
+    operator would."""
 
     @pytest.mark.parametrize("n_random", [3, 10])
     @pytest.mark.parametrize("with_reference", [False, True])
@@ -255,14 +269,14 @@ class TestSharedDescent:
         reference = bound_state.profile if with_reference else None
         estimate_d_omega(params_critical, grid, reference=reference,
                          n_random=n_random, seed=2)
-        fine, e8, e4, e2 = [(grid.n // k, gs._DESCENT_STEP)
-                            for k in (1, 8, 4, 2)]
-        assert factored == ([fine, e8, e4, e2] if with_reference
-                            else [e8, e4, e2, fine])
+        fine, e16, e8, e4, e2 = [(grid.n // k, gs._DESCENT_STEP)
+                                 for k in (1, 16, 8, 4, 2)]
+        assert factored == ([fine, e16, e8, e4, e2] if with_reference
+                            else [e16, e8, e4, e2, fine])
 
     def test_one_solve_per_step_of_the_block(self, monkeypatch, grid,
                                              params_critical):
-        # the ten random trials step together on 8h: one solve (with ten
+        # the ten random trials step together on 16h: one solve (with ten
         # right-hand sides) per step of the slowest trial, not one per
         # trial step; a return to one solve per trial fails here
         solves = {}
@@ -281,7 +295,7 @@ class TestSharedDescent:
         estimate_d_omega(params_critical, grid, n_random=10, seed=3)
         mesh, trials, outcomes = rec.runs[0]
         steps = [k for _, k in outcomes]
-        assert mesh.n == grid.n // 8 and len(trials) == 10
+        assert mesh.n == grid.n // 16 and len(trials) == 10
         assert solves[mesh.n] == max(steps) < sum(steps)
         # each climb stage is a block of one
         for mesh, _, [(_, k)] in rec.runs[1:]:
@@ -296,14 +310,13 @@ class TestSharedDescent:
         d = estimate_d_omega(p, grid, reference=reference, n_random=3,
                              seed=4)
         # the reference alone on grid, the three random trials as one block
-        # on 8h, then the one climb through 4h, 2h and grid
+        # on 16h, then the one climb through 8h, 4h, 2h and grid
         assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
-            (grid.n, 1), (grid.n // 8, 3), (grid.n // 4, 1),
-            (grid.n // 2, 1), (grid.n, 1)]
+            (grid.n, 1), (grid.n // 16, 3), (grid.n // 8, 1),
+            (grid.n // 4, 1), (grid.n // 2, 1), (grid.n, 1)]
         assert np.array_equal(rec.runs[0][1][0], reference.values.real)
-        rng = np.random.default_rng(4)
-        draws = [experiments._trial_values(rec.runs[1][0], rng)
-                 for _ in range(3)]
+        draws = experiments._trial_values(rec.runs[1][0],
+                                          np.random.default_rng(4), 3)
         assert np.array_equal(rec.runs[1][1], draws)
         for mesh, trials, outcomes in rec.runs:
             for (v, steps), (alone, alone_steps) in zip(
@@ -322,30 +335,53 @@ class TestSharedDescent:
         assert d == min(_real_action(v, grid, p) for v in fine)
 
     def test_real_trial_draw_matches_the_field(self, grid):
-        drawn, fields = np.random.default_rng(7), np.random.default_rng(7)
-        for _ in range(4):
-            vals = experiments._trial_values(grid, drawn)
-            assert vals.dtype == np.float64
-            assert np.array_equal(
-                vals, random_trial_field(grid, fields).values.real)
-        assert drawn.bit_generator.state == fields.bit_generator.state
+        # the field is the one-row draw, real and complex alike
+        for complex_part, dtype in ((False, np.float64), (True, complex)):
+            drawn, fields = np.random.default_rng(7), np.random.default_rng(7)
+            for _ in range(4):
+                [vals] = experiments._trial_values(grid, drawn, 1,
+                                                   complex_part)
+                assert vals.dtype == dtype
+                field = random_trial_field(grid, fields, complex_part).values
+                want = field if complex_part else field.real
+                assert vals.tobytes() == want.tobytes()
+            assert drawn.bit_generator.state == fields.bit_generator.state
+
+    @pytest.mark.parametrize("complex_part", [False, True])
+    def test_block_draws_are_the_draws_one_by_one(self, grid, complex_part):
+        # each row of a block of draws is, bit for bit, the scalar formula
+        # of one trial drawn after the rows above it, with two bumps and
+        # with three; on the 16h mesh and on grid, where at rmax = 40 the
+        # bumps underflow to zeros
+        for mesh in (experiments._ladder(grid)[-1], grid,
+                     RadialGrid(grid.h, 40.0, grid.dim)):
+            block = experiments._trial_values(
+                mesh, np.random.default_rng(13), 8, complex_part)
+            rng = np.random.default_rng(13)
+            alone = [_draw_alone(mesh, rng, complex_part) for _ in range(8)]
+            assert {k for _, k in alone} == {2, 3}
+            assert block.shape == (8, mesh.n)
+            for row, (vals, _) in zip(block, alone):
+                assert row.tobytes() == vals.tobytes()
 
     def test_pool_holds_the_reference_and_the_draws_as_real_arrays(
             self, grid, bound_state):
         # the reference alone on grid, then the generator's first draws on
-        # the mesh of spacing 8h
+        # the mesh of spacing 16h
         phi = bound_state.profile
         pool = experiments._trial_pool(grid, phi, 2, 9)
-        e8 = RadialGrid(8.0 * grid.h, grid.rmax, grid.dim)
+        e16 = RadialGrid(16.0 * grid.h, grid.rmax, grid.dim)
         rng = np.random.default_rng(9)
-        fields = [phi] + [random_trial_field(e8, rng) for _ in range(2)]
+        fields = [phi] + [random_trial_field(e16, rng) for _ in range(2)]
         assert len(pool) == len(fields) == 3
-        assert [mesh for _, mesh in pool] == [grid] + [e8] * 2
-        assert e8.n == grid.n // 8
+        assert [mesh for _, mesh in pool] == [grid] + [e16] * 2
+        assert e16.n == grid.n // 16
         assert pool[0][1] is grid
-        # 8h is the 2h mesh of the 4h mesh of the 2h mesh, each kept on the
+        # 16h is the 2h mesh taken four times from grid, each kept on the
         # one above, as the solves on grid keep their 2h mesh
-        kept = gs._coarse_mesh(gs._coarse_mesh(gs._coarse_mesh(grid)))
+        kept = grid
+        for _ in range(4):
+            kept = gs._coarse_mesh(kept)
         assert all(mesh is kept for _, mesh in pool[1:])
         for (trial, _), field in zip(pool, fields):
             assert trial.dtype == np.float64
@@ -357,7 +393,7 @@ class TestSharedDescent:
 
 
 class TestCoarseStart:
-    """Random trials are drawn and refined on the mesh of spacing 8h and
+    """Random trials are drawn and refined on the mesh of spacing 16h and
     ranked there by their action; the best alone is interpolated and
     refined up the ladder to the given mesh."""
 
@@ -381,8 +417,7 @@ class TestCoarseStart:
         assert odd.n % 2 == 1 and experiments._coarse_mesh(odd) is odd
         p = params_critical
         d = estimate_d_omega(p, odd, n_random=3, seed=5)
-        rng = np.random.default_rng(5)
-        draws = [experiments._trial_values(odd, rng) for _ in range(3)]
+        draws = experiments._trial_values(odd, np.random.default_rng(5), 3)
         alone = [v for v, _ in _outcomes_alone(odd, draws, p)]
         assert d == min(_real_action(v, odd, p) for v in alone)
 
@@ -393,7 +428,7 @@ class TestCoarseStart:
         assert all(mesh is odd for _, mesh in
                    experiments._trial_pool(odd, None, 3, 0))
         assert [m.n for m in experiments._ladder(grid)] == [
-            grid.n, grid.n // 2, grid.n // 4, grid.n // 8]
+            grid.n, grid.n // 2, grid.n // 4, grid.n // 8, grid.n // 16]
         short = RadialGrid(h=1e-2, rmax=10.04, dim=3)
         assert [m.n for m in experiments._ladder(short)] == [1004, 502, 251]
         small = RadialGrid(h=0.05, rmax=0.6, dim=3)
@@ -402,41 +437,40 @@ class TestCoarseStart:
     def test_coarse_failure_refines_the_draw_on_grid(self, monkeypatch, grid,
                                                      params_critical):
         # every trial of the block off grid raises; each still reaches
-        # grid from its draw, interpolated up three halvings, so none is
+        # grid from its draw, interpolated up four halvings, so none is
         # dropped, and they descend there as one block
         rec = _Recorder(fail=lambda mesh, k, j: mesh is not grid)
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(params_critical, grid, n_random=3, seed=6)
         bottom = experiments._ladder(grid)[-1]
-        rng = np.random.default_rng(6)
-        draws = [experiments._trial_values(bottom, rng) for _ in range(3)]
+        draws = experiments._trial_values(bottom, np.random.default_rng(6), 3)
         assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
-            (grid.n // 8, 3), (grid.n, 3)]
+            (grid.n // 16, 3), (grid.n, 3)]
         fine_starts = rec.runs[1][1]
         for u, c in zip(fine_starts, draws):
-            assert np.array_equal(u, _prolong_up(c, 3))
+            assert np.array_equal(u, _prolong_up(c, 4))
         assert d == min(
             _real_action(_descend_alone(u, grid, params_critical), grid,
                          params_critical) for u in fine_starts)
 
-    def test_the_climber_has_the_least_action_on_8h(self, monkeypatch, grid,
-                                                    params_supercritical):
+    def test_the_climber_has_the_least_action_on_16h(self, monkeypatch,
+                                                     grid,
+                                                     params_supercritical):
         p = params_supercritical
         rec = _Recorder()
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(p, grid, n_random=10, seed=3)
         ladder = experiments._ladder(grid)
-        rng = np.random.default_rng(3)
-        draws = [experiments._trial_values(ladder[-1], rng)
-                 for _ in range(10)]
+        draws = experiments._trial_values(ladder[-1],
+                                          np.random.default_rng(3), 10)
         ranked = [_descend_alone(c, ladder[-1], p) for c in draws]
         scores = [_real_action(v, ladder[-1], p) for v in ranked]
         winner = scores.index(min(scores))
-        # one block of ten on 8h, each trial as it descends alone, then
+        # one block of ten on 16h, each trial as it descends alone, then
         # one climb
         assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
-            (grid.n // 8, 10), (grid.n // 4, 1), (grid.n // 2, 1),
-            (grid.n, 1)]
+            (grid.n // 16, 10), (grid.n // 8, 1), (grid.n // 4, 1),
+            (grid.n // 2, 1), (grid.n, 1)]
         assert all(np.array_equal(v, alone)
                    for (v, _), alone in zip(rec.runs[0][2], ranked))
         assert np.array_equal(rec.runs[1][1][0],
@@ -453,15 +487,16 @@ class TestCoarseStart:
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
         d = estimate_d_omega(p, grid, n_random=4, seed=8)
         ladder = experiments._ladder(grid)
-        rng = np.random.default_rng(8)
-        ranked = [_descend_alone(experiments._trial_values(ladder[-1], rng),
-                                 ladder[-1], p) for _ in range(4)]
+        ranked = [_descend_alone(c, ladder[-1], p) for c in
+                  experiments._trial_values(ladder[-1],
+                                            np.random.default_rng(8), 4)]
         order = sorted(range(4),
                        key=lambda i: _real_action(ranked[i], ladder[-1], p))
         assert [(m.n, len(u)) for m, u, _ in rec.runs] == [
-            (grid.n // 8, 4), (grid.n // 4, 1), (grid.n // 2, 1),
-            (grid.n // 4, 1), (grid.n // 2, 1), (grid.n, 1)]
-        first, second = rec.runs[1][1][0], rec.runs[3][1][0]
+            (grid.n // 16, 4), (grid.n // 8, 1), (grid.n // 4, 1),
+            (grid.n // 2, 1), (grid.n // 8, 1), (grid.n // 4, 1),
+            (grid.n // 2, 1), (grid.n, 1)]
+        first, second = rec.runs[1][1][0], rec.runs[4][1][0]
         assert np.array_equal(first, experiments._prolong(ranked[order[0]]))
         assert np.array_equal(second, experiments._prolong(ranked[order[1]]))
         assert d == _real_action(_climb_alone(ranked[order[1]], ladder, p),
@@ -469,10 +504,10 @@ class TestCoarseStart:
 
     def test_every_failed_climb_keeps_its_reason_in_rank_order(
             self, monkeypatch, grid, params_critical):
-        # two equal draws tie on 8h and the lower pool index climbs first;
+        # two equal draws tie on 16h and the lower pool index climbs first;
         # with every climb raising, each reason is kept
         bottom = experiments._ladder(grid)[-1]
-        draw = experiments._trial_values(bottom, np.random.default_rng(2))
+        [draw] = experiments._trial_values(bottom, np.random.default_rng(2))
         pool = [(draw, bottom), (draw.copy(), bottom)]
         rec = _Recorder(fail=lambda mesh, k, j: mesh.n == grid.n // 4)
         monkeypatch.setattr(experiments, "_nehari_descent", rec)
@@ -733,8 +768,10 @@ class TestCrossLevel:
         assert levels.d == min(levels.d_omega, levels.d_n_upper)
         assert levels.d > 0
         assert levels.d_omega > 0
+        assert levels.d_n_upper_lam == points[0].lam
         payload = levels.as_dict()
-        assert set(payload) == {"d_omega", "d_n_upper", "d", "trial_count"}
+        assert set(payload) == {"d_omega", "d_n_upper", "d", "trial_count",
+                                "d_n_upper_lam"}
 
     def test_supercritical_levels(self, bound_state_super, grid,
                                   params_supercritical):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gpelab import functionals
-from gpelab.core import ParameterError, RadialField, mass, variance
+from gpelab.core import (ParameterError, RadialField, RadialGrid, mass,
+                         variance)
 from gpelab.functionals import (AmbiguousSignError, SetLabel, _moments,
                                 action, classify, energy, energy_gradient,
                                 gn_slack, h_omega_norm_sq, nehari, potential,
@@ -101,6 +102,23 @@ class TestMoments:
         field = RadialField(grid, u)
         m = _moments(u, grid, 0.5, 2.0)
         assert (mass(field), variance(field)) == (m.M, m.V)
+
+
+    @pytest.mark.parametrize("b, p", [(0.5, 2.0), (0.5, 2.5), (1.9, 1.15)])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_block_moments_are_each_rows_bit_for_bit(self, grid, rng, b, p,
+                                                     k):
+        # the level trials are ranked from the moments of their block: one
+        # product per moment, each row's moments those of the row alone;
+        # on grid and on its mesh of spacing 16h
+        for mesh in (grid, RadialGrid(16.0 * grid.h, grid.rmax, grid.dim)):
+            block = np.array([random_trial_field(mesh, rng).values.real
+                              for _ in range(k)])
+            rows = _moments(block, mesh, b, p)
+            assert len(rows) == k
+            for row, values in zip(rows, block):
+                assert row == _moments(values, mesh, b, p)
+                assert all(type(x) is float for x in row)
 
 
 class TestStationaryFunctionals:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
-                         RadialField, RadialGrid, default_grid,
+                         RadialField, RadialGrid, default_grid, dot,
                          factor_operator, grad_norm_sq, mass, nonlinearity,
                          solve_operator, stationary_residual, variance)
 from gpelab import groundstate as gs
@@ -337,6 +337,28 @@ class TestNehariDescent:
         assert calls[:4] == [3, 3, 3, 2]
         assert str(block[1]).startswith("no Nehari projection: ")
         self._assert_same([block[0], block[2]], [alone[0], alone[2]])
+
+    def test_two_row_products_per_step_of_the_block(self, monkeypatch, grid,
+                                                    params_critical, rng):
+        # each step forms <w v, F> and <w v, f> of every row with one
+        # core.dot each: ten random trials on the 16h mesh make two calls
+        # per step of the slowest, not two per trial step, so a return to
+        # a Python loop of products over the rows fails here
+        mesh = RadialGrid(16.0 * grid.h, grid.rmax, grid.dim)
+        calls = []
+
+        def counted(x, y, conjugate=False):
+            calls.append(x.shape)
+            return dot(x, y, conjugate)
+
+        monkeypatch.setattr(gs, "dot", counted)
+        b, p, r2 = params_critical.b, params_critical.p, mesh.r_pow(2.0)
+        trials = [random_trial_field(mesh, rng).values.real
+                  for _ in range(10)]
+        steps = [k for _, k in _nehari_descent(r2, mesh, b, p)(trials)]
+        assert len(set(steps)) > 1
+        assert calls[:2] == [(10, mesh.n)] * 2
+        assert len(calls) == 2 * (1 + max(steps))
 
     def test_step_cap_returns_the_last_projected_state(self, monkeypatch,
                                                        grid, params_critical):
