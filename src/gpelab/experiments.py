@@ -336,7 +336,7 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
     default b = 0.5).  Each later probe is the secant through the last two
     (mu, I) pairs, starting from (1, I(v)); where the secant leaves the sign
     bracket it is the bracket's midpoint, or twice the last mu while no
-    probe has given I > 0.  The search stops once |I| <= 4 eps (G + gamma^2
+    probe has given I > 0.  The search stops once |I| <= eps (G + gamma^2
     V + c_I P), the rounding of I's terms, from the probe's own moments, or
     when the next step would move mu by at most 1e-15 mu, and the last
     probe is the point; a probe beyond mu = 64 or 100 probes without a stop
@@ -370,7 +370,7 @@ def construct_cross_point(phi: RadialField, params: ModelParams,
         m = _field_moments(point, params)
         I_val = m.virial(gamma, c_I)
         scale = m.G + gamma ** 2 * m.V + c_I * m.P
-        if abs(I_val) <= 4.0 * np.finfo(float).eps * scale:
+        if abs(I_val) <= np.finfo(float).eps * scale:
             break
         if I_val < 0.0:
             lo = mu

@@ -69,15 +69,18 @@ class GroundStateResult:
     and the extracted Lagrange multiplier for constrained flows.
     pohozaev_1/2 are the residuals of the two stationarity identities
     (pairing with u and with x . grad u) for that same equation.
-    residual_sup is the sup residual of the profile; it exceeds the
-    solver's tol only where Newton stalls at the rounding floor of a state
-    whose rounding alone exceeds tol (see _newton).  The profile is
+    residual_sup is the sup residual of the profile: below tol where
+    Newton's last update brought it to its rounding floor or stalled
+    there, and above tol only where Newton stalls at the rounding floor of
+    a state whose rounding alone exceeds tol (see _newton).  The profile is
     positive and nonincreasing at rounding: a far tail may hold entries
     within _FLOOR_EPS max|u| of zero (0 or a tiny negative), reported as
     Newton returned them (see _polish).  iterations counts the Newton
-    updates that made the profile.  For a minimizer that its first Newton
-    did not reach, it is the gradient-flow steps plus the updates of the
-    Newton after them (the first Newton's updates are not counted).  The
+    updates that made the profile, the last of them the one that reached
+    rounding (2 at the default bound states and the free profile, with no
+    update spent to confirm the stall).  For a minimizer that its first
+    Newton did not reach, it is the gradient-flow steps plus the updates of
+    the Newton after them (the first Newton's updates are not counted).  The
     minimizer raises only where that flow collapses (||grad u||^2 rising
     for 50 steps above 25 times its start or passing 1e4 times it, or
     omega h^2 > 1e-2 without a ball), takes _FLOW_MAX_ITER steps without
@@ -350,33 +353,46 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
     """Newton for -Lap u + (coeff + omega) u - r^(-b)|u|^(p-1)u = 0.
 
     With a mass target q the Jacobian is bordered by ||u||^2 = q and omega
-    is solved for as well; without one omega stays fixed.  Stops once an
-    update has cut the sup residual by less than 30%, to below tol or to at
-    most its _rounding_floor, and with q only once |mass - q| <= 1e-12 q:
-    Newton has then stalled at rounding, which for a state whose rounding
-    alone exceeds tol lies above tol.  Each update comes from one
-    solve_operator call, with -F and (with q) -u as its columns.  It is
-    halved until it lowers the residual (at most down to 1/1000 of the
-    full step); below tol it is taken whole, as at the rounding floor the
-    residual cannot fall and halving would throttle the mass correction.
-    An update that lowers the residual at no fraction of its full step
-    down to min_scale ends the run before it is taken; the default 0
-    never does.
+    is solved for as well; without one omega stays fixed.  Stops, with q
+    only once |mass - q| <= 1e-12 q, where the sup residual is below tol
+    and at most its _rounding_floor after an update that cut it by 30% or
+    more: a quadratically convergent iterate is then at rounding, and a
+    further update would only show the stall.  It stops as well once an
+    update has cut the residual by less than 30%, to below tol or to at
+    most the floor: Newton has then stalled at rounding, which for a state
+    whose rounding alone exceeds tol lies above tol.  The focusing rate of
+    each iterate is formed once, for its residual and its Jacobian.  Each
+    update comes from one solve_operator call, with -F and (with q) -u as
+    its columns.  It is halved until it lowers the residual (at most down
+    to 1/1000 of the full step); below tol it is taken whole, as at the
+    rounding floor the residual cannot fall and halving would throttle the
+    mass correction.  An update that lowers the residual at no fraction of
+    its full step down to min_scale ends the run before it is taken; the
+    default 0 never does.
     Returns (u, omega, residual of that u, Newton updates made, why it
-    stopped): "tol" for a stall below tol, "floor" for a stall at the
-    rounding floor, "max_iter" for a run out of updates, "line_search"
-    for an update given up at min_scale.
+    stopped): "tol" for a residual below tol that is at rounding or has
+    stalled, "floor" for a stall above tol at the rounding floor,
+    "max_iter" for a run out of updates, "line_search" for an update
+    given up at min_scale.
     """
     w = grid.weights
-    F = stationary_residual(u, grid, coeff + omega, b, p)
+
+    def residual(u, omega):
+        # stationary_residual, and the focusing rate it is formed from
+        rate = nonlinear_rate(u, grid, b, p)
+        F = -apply_laplacian(u, grid) + (coeff + omega) * u - rate * u
+        return F, rate
+
+    F, rate = residual(u, omega)
     res, res_prev = float(np.max(np.abs(F))), np.inf
     for it in range(max_iter + 1):
-        stop = None
-        if res >= 0.7 * res_prev:
-            if res < tol:
+        stop, stalled = None, res >= 0.7 * res_prev
+        if res < tol:
+            if stalled or res <= _rounding_floor(u, coeff + omega, grid, b,
+                                                 p):
                 stop = "tol"
-            elif res <= _rounding_floor(u, coeff + omega, grid, b, p):
-                stop = "floor"
+        elif stalled and res <= _rounding_floor(u, coeff + omega, grid, b, p):
+            stop = "floor"
         if q is not None:
             gap = float(dot(w, u * u)) - q
             if abs(gap) > 1e-12 * q:
@@ -384,7 +400,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
         if stop or it == max_iter:
             return u, omega, res, it, stop or "max_iter"
         res_prev = res
-        jac = coeff + omega - p * nonlinear_rate(u, grid, b, p)
+        jac = coeff + omega - p * rate
         if q is None:
             step, domega = solve_operator(grid, jac, -F), 0.0
         else:
@@ -398,7 +414,7 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
         scale = 1.0
         while True:
             u_try, omega_try = u + scale * step, omega + scale * domega
-            F = stationary_residual(u_try, grid, coeff + omega_try, b, p)
+            F, rate = residual(u_try, omega_try)
             if np.max(np.abs(F)) < res or res < tol or scale < 1e-3:
                 break
             if scale <= min_scale:
@@ -410,9 +426,10 @@ def _newton(u, coeff, grid, b, p, tol, q=None, omega=0.0, max_iter=60,
 
 def _polish(guess, coeff, grid, b, p, tol, q=None, omega=0.0, **newton):
     """Newton from guess, accepted only as a nontrivial positive monotone
-    state whose residual is within tol or, where rounding alone exceeds
-    tol, one at which Newton stalled at the rounding floor; returns (u,
-    omega, residual, Newton updates).  Sign and monotonicity are judged at
+    state whose residual is within tol (Newton stops there once an update
+    has brought it to the rounding floor or stalled) or, where rounding
+    alone exceeds tol, one at which Newton stalled at the floor; returns
+    (u, omega, residual, Newton updates).  Sign and monotonicity are judged at
     rounding too: entries and rises within _FLOOR_EPS max|u| of zero count
     as zero, so a tail that underflowed to 0 or to a tiny negative passes,
     and u is returned as Newton left it.  Keywords in newton go to _newton

@@ -870,6 +870,24 @@ class TestBrent:
             mu = construct_cross_point(phi, params, lam).mu
             assert rel_err(mu, ref) <= max(rel_err(budget, ref), 1e-14)
 
+    @pytest.mark.parametrize("scale", [1.0 - 1e-13, 1.0 + 1e-13])
+    def test_same_root_on_states_moved_at_rounding(
+            self, scale, bound_state, params_critical, bound_state_super,
+            params_supercritical):
+        # the fixtures' last bits move with every change of Newton's stop;
+        # the full-precision pin above holds on the twelve default cases of
+        # states moved by 1e-13 too, not by the luck of those bits
+        from scipy.optimize import brentq
+        for phi, params in ((bound_state.profile, params_critical),
+                            (bound_state_super.profile,
+                             params_supercritical)):
+            phi = RadialField(phi.grid, scale * phi.values)
+            for lam in _default_lambdas(phi, params):
+                f, hi, _ = _cross_bracket(phi, params, lam)
+                ref = brentq(f, 1.0, hi, xtol=1e-15, rtol=1e-15)
+                mu = construct_cross_point(phi, params, lam).mu
+                assert rel_err(mu, ref) <= 1e-14
+
     def test_cross_point_dilation_as_brentq(self, bound_state,
                                             params_critical,
                                             bound_state_super,

@@ -7,8 +7,9 @@ import pytest
 
 from gpelab.core import (GridMismatchError, ModelParams, ParameterError,
                          RadialField, RadialGrid, default_grid, dot,
-                         factor_operator, grad_norm_sq, mass, nonlinearity,
-                         solve_operator, stationary_residual, variance)
+                         factor_operator, grad_norm_sq, mass, nonlinear_rate,
+                         nonlinearity, solve_operator, stationary_residual,
+                         variance)
 from gpelab import groundstate as gs
 from gpelab.experiments import random_trial_field
 from gpelab.functionals import (_moments, action, energy, h_omega_norm_sq,
@@ -238,8 +239,10 @@ class TestNehariDescent:
 
     def test_bound_state_step_count(self, monkeypatch):
         # the extrapolated descent takes 47 steps over these six points,
-        # the plain one 71: a guard against giving the speed back
-        steps = []
+        # the plain one 71, and Newton stops at rounding after 2 updates at
+        # each, where a third update to confirm the stall made 18: a guard
+        # against giving the speed back
+        steps, updates = [], 0
 
         def counted(*args):
             descend = _nehari_descent(*args)
@@ -255,8 +258,10 @@ class TestNehariDescent:
             for omega in (-0.75, 0.5):
                 params = ModelParams(dim=3, b=0.5, p=p, gamma=1.0,
                                      omega=omega)
-                solve_bound_state(params, default_grid(params))
+                updates += solve_bound_state(params,
+                                             default_grid(params)).iterations
         assert len(steps) == 6 and sum(steps) <= 53
+        assert updates <= 12
 
     @staticmethod
     def _alone(descend, trials):
@@ -944,6 +949,39 @@ class TestNewton:
         eps = np.finfo(float).eps
         assert abs(np.dot(grid.weights, u * u) - 1.0) <= 4.0 * eps
 
+    def test_default_guess_stops_at_rounding_after_two_updates(
+            self, params_critical, grid, bound_state):
+        # the solve's own guess: the descent on the 2h mesh, prolonged
+        b, p, coeff = params_critical.b, params_critical.p, grid.r_pow(2.0)
+        coarse = gs._coarse_mesh(grid)
+        r2 = coarse.r_pow(2.0)
+        descend = _nehari_descent(r2, coarse, b, p)
+        guess = gs._prolong(gs._state(descend([np.exp(-r2 / 2.0)])[0]))
+        u, _, res, n_iter, stop = _newton(guess, coeff, grid, b, p, 1e-8)
+        assert (n_iter, stop) == (2, "tol")
+        assert u.tobytes() == bound_state.profile.values.real.tobytes()
+        # a further update would only show the stall: it moves u at rounding
+        step = solve_operator(grid, coeff - p * nonlinear_rate(u, grid, b, p),
+                              -stationary_residual(u, grid, coeff, b, p))
+        assert np.max(np.abs(step)) <= 2.1e-12 * np.max(u)
+        # and from u itself Newton makes none
+        assert _newton(u, coeff, grid, b, p, 1e-8)[3:] == (0, "tol")
+
+    def test_below_tol_above_the_floor_goes_on(self, params_critical, grid,
+                                               bound_state):
+        # the start counts as contracted (from an infinite residual); with
+        # tol above the default state's floor, a start between the two is
+        # no stop, and one update brings it to the floor
+        b, p, coeff = params_critical.b, params_critical.p, grid.r_pow(2.0)
+        u = bound_state.profile.values.real
+        # J u = (1 - p) r^(-b) u^p at a stationary u
+        v = u * (1.0 + 3e-7 / np.max((p - 1.0) * grid.r ** -b * u ** p))
+        start = np.max(np.abs(stationary_residual(v, grid, coeff, b, p)))
+        assert rounding_floor(v, coeff, grid, b, p) < start < 1e-6
+        _, _, res, n_iter, stop = _newton(v, coeff, grid, b, p, 1e-6)
+        assert (n_iter, stop) == (1, "tol")
+        assert res <= rounding_floor(v, coeff, grid, b, p)
+
 
 def rounding_floor(u, coeff, grid, b, p):
     """100 eps max_i (|lap_diag_i| + |coeff_i| + r_i^(-b)|u_i|^(p-1)) |u_i|,
@@ -977,13 +1015,24 @@ class TestRoundingFloor:
             rounding_floor(u, coeff, grid, 0.5, 3.0), rel=1e-14)
 
     @pytest.mark.parametrize("dim,p,omega", LARGE, ids=IDS)
-    def test_large_amplitude_state_stops_at_its_floor(self, dim, p, omega):
+    def test_large_amplitude_state_stops_at_its_floor(self, monkeypatch,
+                                                      dim, p, omega):
+        stops = []
+
+        def traced(*args, **kwargs):
+            out = _newton(*args, **kwargs)
+            stops.append(out[3:])
+            return out
+
+        monkeypatch.setattr(gs, "_newton", traced)
         params = self._params(dim, p, omega)
         grid = default_grid(params)
         res = solve_bound_state(params, grid)
         u = res.profile.values.real
-        # two updates reach the floor, one or two more show the stall
+        # two updates reach the floor, one or two more show the stall: the
+        # floor lies above tol, so Newton does not stop at rounding first
         assert res.iterations <= 4
+        assert stops == [(res.iterations, "floor")]
         assert np.max(u) > 50.0
         assert res.residual_sup <= rounding_floor(
             u, omega + grid.r ** 2, grid, params.b, p)
